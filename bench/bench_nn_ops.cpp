@@ -1,8 +1,10 @@
 // nn kernel bench (docs/KERNELS.md): times the tiled conv2d /
-// conv_transpose2d / group_norm kernels against the naive
-// nn::reference oracle at DREAM-Cong model shapes (CongestionFcn,
-// base_width 16, grid 64), checks bitwise agreement, and sweeps the
-// kernel pool over thread counts.
+// conv_transpose2d / group_norm kernels and the conv backwards (full,
+// and input-gradient-only with frozen weights as in placement) against
+// the naive nn::reference oracle at DREAM-Cong model shapes
+// (CongestionFcn, base_width 16, grid 64), checks bitwise agreement of
+// every output and gradient, and sweeps the kernel pool over thread
+// counts.
 //
 // Writes BENCH_nn_ops.json. Timing rows are machine-dependent; the
 // strict CI drift gate pins only the scale-invariant metrics
@@ -20,6 +22,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -57,9 +60,12 @@ double time_best_ns(int iters, const std::function<void()>& fn) {
   return best;
 }
 
+bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 bool bitwise_equal(const nn::Tensor& a, const nn::Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data().data(), b.data().data(), a.numel() * sizeof(float)) == 0;
+  return a.shape() == b.shape() && bitwise_equal(a.data(), b.data());
 }
 
 struct KernelCase {
@@ -142,35 +148,53 @@ int main() {
     }
   }
 
-  // Backward: full graph through the stride-1 conv (dW/db + dX passes).
-  double bwd_speedup = 0.0;
-  bool bwd_exact = true;
-  {
-    auto bwd_once = [&](bool reference, std::vector<float>* wgrad) {
-      nn::Tensor x = randn({1, width, grid, grid}, 21);
-      nn::Tensor w = randn({width, width, 3, 3}, 22);
-      nn::Tensor b = randn({width}, 23);
-      x.set_requires_grad(true);
-      w.set_requires_grad(true);
-      b.set_requires_grad(true);
-      nn::Tensor y = reference ? nn::reference::conv2d(x, w, b, 1, 1) : nn::conv2d(x, w, b, 1, 1);
-      nn::sum(y).backward();
-      if (wgrad != nullptr) *wgrad = w.grad();
-    };
-    std::vector<float> wg_opt, wg_ref;
-    bwd_once(false, &wg_opt);
-    bwd_once(true, &wg_ref);
-    bwd_exact = wg_opt.size() == wg_ref.size() &&
-                std::memcmp(wg_opt.data(), wg_ref.data(), wg_opt.size() * sizeof(float)) == 0;
-    all_exact = all_exact && bwd_exact;
-    const double opt_ns = time_best_ns(iters, [&] { bwd_once(false, nullptr); });
-    const double ref_ns = time_best_ns(iters, [&] { bwd_once(true, nullptr); });
-    bwd_speedup = opt_ns > 0.0 ? ref_ns / opt_ns : 0.0;
-    reporter.set_metric("exact_conv2d_bwd", bwd_exact ? 1.0 : 0.0);
-    reporter.set_metric("speedup_conv2d_bwd", bwd_speedup);
-    std::cout << "conv2d_bwd: ref " << ref_ns / 1e6 << " ms, opt " << opt_ns / 1e6
-              << " ms, speedup " << bwd_speedup << "x, bitwise "
-              << (bwd_exact ? "OK" : "MISMATCH") << "\n";
+  // Backward: one forward plus sum(y).backward() per call, every
+  // gradient diffed bitwise against nn::reference. conv2d_bwd trains
+  // all operands (dW/db + dX); the *_bwd_x cases freeze the weights as
+  // placement does, so only dX runs, through the other op's forward tile.
+  using Grads = std::vector<std::vector<float>>;
+  const auto conv2d_grads = [&](bool reference, bool train) {
+    nn::Tensor x = randn({1, width, grid, grid}, 21);
+    nn::Tensor w = randn({width, width, 3, 3}, 22);
+    nn::Tensor b = randn({width}, 23);
+    x.set_requires_grad(true);
+    w.set_requires_grad(train);
+    b.set_requires_grad(train);
+    nn::Tensor y = reference ? nn::reference::conv2d(x, w, b, 1, 1) : nn::conv2d(x, w, b, 1, 1);
+    nn::sum(y).backward();
+    return train ? Grads{x.grad(), w.grad(), b.grad()} : Grads{x.grad()};
+  };
+  const auto convt_grads = [&](bool reference) {
+    nn::Tensor x = randn({1, 2 * width, grid / 2, grid / 2}, 24);
+    x.set_requires_grad(true);
+    nn::Tensor y = reference ? nn::reference::conv_transpose2d(x, w_up, b_up, 2, 1)
+                             : nn::conv_transpose2d(x, w_up, b_up, 2, 1);
+    nn::sum(y).backward();
+    return Grads{x.grad()};
+  };
+  const std::pair<std::string, std::function<Grads(bool)>> bwd_cases[] = {
+      {"conv2d_bwd", [&](bool reference) { return conv2d_grads(reference, true); }},
+      {"conv2d_bwd_x", [&](bool reference) { return conv2d_grads(reference, false); }},
+      {"conv_transpose2d_bwd_x", convt_grads},
+  };
+  for (const auto& [name, grads] : bwd_cases) {
+    const Grads g_opt = grads(false);
+    const Grads g_ref = grads(true);
+    bool exact = g_opt.size() == g_ref.size();
+    for (std::size_t i = 0; exact && i < g_opt.size(); ++i) {
+      exact = bitwise_equal(g_opt[i], g_ref[i]);
+    }
+    all_exact = all_exact && exact;
+    const double opt_ns = time_best_ns(iters, [&] { grads(false); });
+    const double ref_ns = time_best_ns(iters, [&] { grads(true); });
+    const double speedup = opt_ns > 0.0 ? ref_ns / opt_ns : 0.0;
+    reporter.set_metric("exact_" + name, exact ? 1.0 : 0.0);
+    reporter.set_metric("speedup_" + name, speedup);
+    reporter.set_metric("opt_ns_" + name, opt_ns);
+    reporter.set_metric("ref_ns_" + name, ref_ns);
+    std::cout << name << ": ref " << ref_ns / 1e6 << " ms, opt " << opt_ns / 1e6
+              << " ms, speedup " << speedup << "x, bitwise " << (exact ? "OK" : "MISMATCH")
+              << "\n";
   }
 
   // Eager forward allocates exactly one TensorImpl (the op output).

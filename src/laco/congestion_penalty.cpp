@@ -256,7 +256,7 @@ double CongestionPenalty::learned_penalty(const Design& design, std::vector<doub
     penalty = nn::mean_square(models_.congestion->forward(f_in));
   }
   {
-    obs::PhaseSpan phase(breakdown_, "penalty backward");
+    obs::PhaseSpan phase(breakdown_, "nn backward");
     penalty.backward();
   }
 
@@ -283,7 +283,7 @@ double CongestionPenalty::learned_penalty(const Design& design, std::vector<doub
     }
   };
   {
-    obs::PhaseSpan phase(breakdown_, "penalty backward");
+    obs::PhaseSpan phase(breakdown_, "feature backward");
     accumulate(hi_input, hi_extractor_, models_.scale_hi);
     if (traits_.uses_lookahead) accumulate(lo_input, lo_extractor_, models_.scale_lo);
   }

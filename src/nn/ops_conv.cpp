@@ -1,10 +1,13 @@
 // Tiled conv2d / conv_transpose2d kernels (docs/KERNELS.md).
 //
-// Forwards are im2col + register-blocked GEMM over the padding-free
-// interior plus a tap-checked border path, parallelized over disjoint
-// output tiles via nn::parallel_tiles. Backwards are gather-style
-// passes parallelized over gradient-owner slices (one task per output
-// channel for dW/db, one per input channel image for dX).
+// conv2d forwards are im2col + register-blocked GEMM over the
+// padding-free interior plus a tap-checked border path;
+// conv_transpose2d forwards are a 4-output-channel gather tile. Both
+// are parallelized over disjoint output tiles via nn::parallel_tiles.
+// Input gradients run through the *other* op's forward kernel (conv2d
+// dX is a conv_transpose2d of dY, and vice versa); only the weight
+// gradients, which training alone needs, keep gather passes of their
+// own (one task per gradient-owning channel).
 //
 // Bitwise contract: every kernel reproduces the naive nn::reference
 // accumulation order *per output element* — bias first, then taps in
@@ -15,6 +18,7 @@
 // file changes; don't.
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -141,75 +145,45 @@ void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const 
         // chain; lanes are independent elements, so element-wise SIMD
         // never touches any chain (and rounds exactly like scalar:
         // -ffp-contract=off in src/CMakeLists.txt forbids FMA fusion).
-        for (int cb = 0; cb + 4 <= p.cout_g; cb += 4) {
-          const float* __restrict w0r = wd + static_cast<std::size_t>(g * p.cout_g + cb) * K;
-          const float* __restrict w1r = w0r + K;
-          const float* __restrict w2r = w1r + K;
-          const float* __restrict w3r = w2r + K;
-          const float b0 = bd != nullptr ? bd[static_cast<std::size_t>(g * p.cout_g + cb)] : 0.0f;
-          const float b1 = bd != nullptr ? bd[static_cast<std::size_t>(g * p.cout_g + cb + 1)] : 0.0f;
-          const float b2 = bd != nullptr ? bd[static_cast<std::size_t>(g * p.cout_g + cb + 2)] : 0.0f;
-          const float b3 = bd != nullptr ? bd[static_cast<std::size_t>(g * p.cout_g + cb + 3)] : 0.0f;
-          float* yout = y + off4(b, g * p.cout_g + cb, yy, cxb, p.cout, p.oh, p.ow);
+        for (int cb = 0; cb < p.cout_g; cb += 4) {
+          // A partial block (the last cout_g % 4 channels) repeats its
+          // last channel in the spare accumulators and stores only its own.
+          const int nc = std::min(4, p.cout_g - cb);
+          const int co0 = g * p.cout_g + cb;
+          const float* __restrict wr[4] = {};
+          float* yout = y + off4(b, co0, yy, cxb, p.cout, p.oh, p.ow);
           const std::size_t yplane = static_cast<std::size_t>(p.oh) * p.ow;
 #if LACO_HAVE_VEC8
-          // Explicit 8-lane vectors: GCC's loop auto-vectorizer turns
-          // the scalar form below into a shuffle-heavy outer-loop
-          // vectorization that runs ~14x slower than this direct map
-          // to one mul + one add per weight row.
-          Vec8 a0, a1, a2, a3;
-          for (int j = 0; j < kJB; ++j) { a0[j] = b0; a1[j] = b1; a2[j] = b2; a3[j] = b3; }
-          const float* __restrict pk = panel;
-          for (int k = 0; k < K; ++k, pk += kJB) {
-            Vec8 c;
-            __builtin_memcpy(&c, pk, sizeof c);
-            a0 += w0r[k] * c;
-            a1 += w1r[k] * c;
-            a2 += w2r[k] * c;
-            a3 += w3r[k] * c;
-          }
-          if (bw == kJB) {
-            __builtin_memcpy(yout, &a0, sizeof a0);
-            __builtin_memcpy(yout + yplane, &a1, sizeof a1);
-            __builtin_memcpy(yout + 2 * yplane, &a2, sizeof a2);
-            __builtin_memcpy(yout + 3 * yplane, &a3, sizeof a3);
-          } else {
-            for (int j = 0; j < bw; ++j) yout[j] = a0[j];
-            for (int j = 0; j < bw; ++j) yout[yplane + j] = a1[j];
-            for (int j = 0; j < bw; ++j) yout[2 * yplane + j] = a2[j];
-            for (int j = 0; j < bw; ++j) yout[3 * yplane + j] = a3[j];
-          }
+          Vec8 acc[4] = {};
 #else
-          float a0[kJB], a1[kJB], a2[kJB], a3[kJB];
-          for (int j = 0; j < kJB; ++j) { a0[j] = b0; a1[j] = b1; a2[j] = b2; a3[j] = b3; }
+          float acc[4][kJB] = {};
+#endif
+          float lanes[kJB] = {};
+          for (int c = 0; c < 4; ++c) {
+            const int co = co0 + std::min(c, nc - 1);
+            wr[c] = wd + static_cast<std::size_t>(co) * K;
+            std::fill_n(lanes, kJB, bd != nullptr ? bd[co] : 0.0f);
+            std::memcpy(&acc[c], lanes, sizeof lanes);
+          }
           const float* __restrict pk = panel;
           for (int k = 0; k < K; ++k, pk += kJB) {
-            const float w0 = w0r[k], w1 = w1r[k], w2 = w2r[k], w3 = w3r[k];
+#if LACO_HAVE_VEC8
+            // Explicit 8-lane vectors: GCC's loop auto-vectorizer turns
+            // the scalar form below into a shuffle-heavy outer-loop
+            // vectorization that runs ~14x slower than this direct map
+            // to one mul + one add per weight row.
+            Vec8 cv = {};
+            std::memcpy(&cv, pk, sizeof cv);
+            for (int c = 0; c < 4; ++c) acc[c] += wr[c][k] * cv;
+#else
             for (int j = 0; j < kJB; ++j) {
-              const float c = pk[j];
-              a0[j] += w0 * c;
-              a1[j] += w1 * c;
-              a2[j] += w2 * c;
-              a3[j] += w3 * c;
+              for (int c = 0; c < 4; ++c) acc[c][j] += wr[c][k] * pk[j];
             }
-          }
-          for (int j = 0; j < bw; ++j) yout[j] = a0[j];
-          for (int j = 0; j < bw; ++j) yout[yplane + j] = a1[j];
-          for (int j = 0; j < bw; ++j) yout[2 * yplane + j] = a2[j];
-          for (int j = 0; j < bw; ++j) yout[3 * yplane + j] = a3[j];
 #endif
-        }
-        // Output-channel remainder: one register accumulator per
-        // element, same bias-then-k-ascending chain over the panel.
-        for (int cr = p.cout_g - p.cout_g % 4; cr < p.cout_g; ++cr) {
-          const int co = g * p.cout_g + cr;
-          const float* wr = wd + static_cast<std::size_t>(co) * K;
-          float* yout = y + off4(b, co, yy, cxb, p.cout, p.oh, p.ow);
-          for (int j = 0; j < bw; ++j) {
-            float a = bd != nullptr ? bd[static_cast<std::size_t>(co)] : 0.0f;
-            const float* pk = panel + j;
-            for (int k = 0; k < K; ++k, pk += kJB) a += wr[k] * *pk;
-            yout[j] = a;
+          }
+          for (int c = 0; c < 4 && c < nc; ++c) {
+            std::memcpy(lanes, &acc[c], sizeof lanes);
+            std::copy_n(lanes, bw, yout + c * yplane);
           }
         }
       }
@@ -252,10 +226,10 @@ void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const 
   }
 }
 
-void conv2d_forward(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
-                    float* y) {
-  static const OpStats stats = make_op_stats("conv2d");
-  OpTimer timer(stats);
+/// Untimed: also runs conv_transpose2d's input gradient, which must
+/// not count as a conv2d forward (see conv2d_forward).
+void conv2d_run(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
+                float* y) {
   // Interior rectangle: output rows/cols whose every kernel tap is in
   // bounds (all of the output when padding == 0).
   const int ry0 = std::min(p.oh, (p.padding + p.stride - 1) / p.stride);
@@ -284,6 +258,14 @@ void conv2d_forward(const Conv2dParams& p, const float* xd, const float* wd, con
     const int y1 = std::min(p.oh, y0 + row_block);
     conv2d_tile(p, xd, wd, bd, y, b, g, y0, y1, ry0, ry1, cx0, cx1);
   });
+}
+
+/// The eager and plan forward: the only conv2d_run caller `nn.op.conv2d.*` counts.
+void conv2d_forward(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
+                    float* y) {
+  static const OpStats stats = make_op_stats("conv2d");
+  OpTimer timer(stats);
+  conv2d_run(p, xd, wd, bd, y);
 }
 
 /// dW/db pass: one task per output channel (it owns w.grad[co, ·] and
@@ -327,75 +309,43 @@ void conv2d_backward_wb(const Conv2dParams& p, const float* gout_d, const float*
   });
 }
 
-/// dX pass: one task per (batch, input channel) image. The gather
-/// iterates (co asc, dy desc, dx desc), which is exactly the
-/// reference's (co asc, y asc, xo asc) contribution order.
-void conv2d_backward_x(const Conv2dParams& p, const float* gout_d, const float* wd, float* xg) {
-  // LACO_DETERMINISTIC: task-per-(b, ci) ownership; (co, y, xo) ascending chain.
-  parallel_tiles(static_cast<std::size_t>(p.n) * p.cin, [&](std::size_t t) {
-    const int cig = static_cast<int>(t % p.cin);
-    const int b = static_cast<int>(t / p.cin);
-    const int g = cig / p.cin_g;
-    const int ci = cig % p.cin_g;
-    const std::size_t K = static_cast<std::size_t>(p.cin_g) * p.kh * p.kw;
-    for (int iy = 0; iy < p.h; ++iy) {
-      // Output rows that reach input row iy: y = (iy + padding − dy)/stride
-      // for some dy ∈ [0, kh) with exact divisibility — y ascending is
-      // exactly dy descending, the reference contribution order.
-      const int y_lo = std::max(0, div_ceil(iy + p.padding - p.kh + 1, p.stride));
-      const int y_hi = std::min(p.oh, (iy + p.padding) / p.stride + 1);
-      for (int ix = 0; ix < p.w; ++ix) {
-        const int xo_lo = std::max(0, div_ceil(ix + p.padding - p.kw + 1, p.stride));
-        const int xo_hi = std::min(p.ow, (ix + p.padding) / p.stride + 1);
-        float acc = xg[off4(b, cig, iy, ix, p.cin, p.h, p.w)];
-        for (int cr = 0; cr < p.cout_g; ++cr) {
-          const int co = g * p.cout_g + cr;
-          const float* wrow = wd + static_cast<std::size_t>(co) * K +
-                              static_cast<std::size_t>(ci) * p.kh * p.kw;
-          for (int y = y_lo; y < y_hi; ++y) {
-            const int dy = iy + p.padding - y * p.stride;
-            const float* __restrict grow = gout_d + off4(b, co, y, 0, p.cout, p.oh, p.ow);
-            const float* wk = wrow + dy * p.kw + (ix + p.padding);
-            for (int xo = xo_lo; xo < xo_hi; ++xo) {
-              const float gout = grow[xo];
-              if (gout == 0.0f) continue;
-              acc += gout * wk[-xo * p.stride];  // dx = ix + padding − xo·stride
-            }
-          }
-        }
-        xg[off4(b, cig, iy, ix, p.cin, p.h, p.w)] = acc;
-      }
-    }
-  });
-}
-
 // ---------------------------------------------------- conv_transpose2d
 
 struct ConvT2dParams {
   int n, cin, h, w, cout, cin_g, cout_g, groups, kh, kw, oh, ow, stride, padding;
 };
 
-/// One tile: output rows [y0, y1) of (batch `b`, output channel `cog`).
-/// Output columns partition into classes r = ox mod stride: elements of
-/// one class share their kernel-tap set (dx ≡ (r + padding) mod stride)
-/// and are fed by *contiguous* input columns per tap. Each 8-element
-/// class block keeps its accumulators in registers across every
-/// (ci, iy, dx) tap — gathering, never scattering — and iterates
-/// (ci asc, dy desc, dx desc), i.e. the reference's (ci, iy, ix)
-/// ascending order per element. The reference's x == 0 skip is
-/// reproduced exactly with a per-lane bit-select (skipped lanes keep
-/// their accumulator bits verbatim).
-void conv_transpose2d_tile(const ConvT2dParams& p, const float* xd, const float* wd,
-                           const float* bd, float* y, int b, int cog, int y0, int y1) {
+thread_local std::vector<float> tl_xpad;  // see conv_transpose2d_run
+
+/// One tile: output rows [y0, y1) of image `b`, channels [cog, cog + NC)
+/// of one group. Output columns partition into classes r = ox mod
+/// stride: a class shares its taps (dx ≡ (r + padding) mod stride) and
+/// reads *contiguous* input columns per tap. Each pass keeps 32 class
+/// columns of all NC channels in registers across every tap, iterating
+/// (ci asc, dy desc, dx desc) — the reference's (ci, iy, ix) ascending
+/// order. One input load and one x == 0 mask feed NC chains; the mask
+/// is a per-lane bit-select, so skipped lanes keep their bits verbatim.
+/// Chains start from the bias, or with `accumulate` from y (conv2d dX).
+template <int NC>
+void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_t pitch,
+                           const float* wd, const float* bd, bool accumulate, float* y, int b,
+                           int cog, int y0, int y1) {
   const int g = cog / p.cout_g;
-  const int co_rel = cog % p.cout_g;
-  const float bval = bd != nullptr ? bd[static_cast<std::size_t>(cog)] : 0.0f;
   const int s = p.stride;
   const int classes = std::min(s, p.ow);
   const int q = p.ow / s, rem = p.ow % s;  // class r has q + (r < rem) columns
-  const float* xg0 = xd + off4(b, g * p.cin_g, 0, 0, p.cin, p.h, p.w);
-  const std::size_t xplane = static_cast<std::size_t>(p.h) * p.w;
   const std::size_t wchan = static_cast<std::size_t>(p.kh) * p.kw;
+  const std::size_t yplane = static_cast<std::size_t>(p.oh) * p.ow;
+  const float* xg0 = xpad + static_cast<std::size_t>(b * p.cin + g * p.cin_g) * p.h * pitch;
+  const float* wg0 =
+      wd + (static_cast<std::size_t>(g) * p.cin_g * p.cout_g + cog % p.cout_g) * wchan;
+#if LACO_HAVE_VEC8
+  const Vec8 zero = {};
+  Vec8 acc[NC][4] = {};
+#else
+  float acc[NC][4][8] = {};
+#endif
+  float lanes[8] = {};
   for (int oy = y0; oy < y1; ++oy) {
     float* yrow = y + off4(b, cog, oy, 0, p.cout, p.oh, p.ow);
     for (int r = 0; r < classes; ++r) {
@@ -403,87 +353,117 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xd, const float*
       const int dmod = (r + p.padding) % s;
       // Largest tap dx < kw in this class (taps step by -s), or -1.
       const int dx_start = dmod < p.kw ? dmod + ((p.kw - 1 - dmod) / s) * s : -1;
-      // 32 class columns per pass: four independent 8-lane accumulator
-      // blocks hide the add/select latency of a single chain.
       for (int m0 = 0; m0 < len; m0 += 32) {
+        // acc[c][t] lane j: class column m0 + 8t + j of channel cog + c
+        // (lanes past mb are never stored). Constant indices once the c
+        // and t loops unroll keep all NC×4 accumulators in registers.
         const int mb = std::min(32, len - m0);
-        const int nsub = div_ceil(mb, 8);
-#if LACO_HAVE_VEC8
-        const Vec8 zero = {};
-        Vec8 acc[4];
-        for (int t = 0; t < 4; ++t)
-          for (int j = 0; j < 8; ++j) acc[t][j] = bval;
-#else
-        float acc[4][8];
-        for (int t = 0; t < 4; ++t)
-          for (int j = 0; j < 8; ++j) acc[t][j] = bval;
-#endif
+        for (int c = 0; c < NC; ++c) {
+          const float* ys = yrow + c * yplane + r + static_cast<std::size_t>(m0) * s;
+          const float bias = bd != nullptr ? bd[cog + c] : 0.0f;
+          for (int t = 0; t < 4; ++t) {
+            for (int j = 0; j < 8; ++j) {
+              lanes[j] = accumulate && 8 * t + j < mb ? ys[(8 * t + j) * s] : bias;
+            }
+            std::memcpy(&acc[c][t], lanes, sizeof lanes);
+          }
+        }
         for (int ci = 0; ci < p.cin_g; ++ci) {
-          const float* xchan = xg0 + static_cast<std::size_t>(ci) * xplane;
-          const float* wbase =
-              wd + (static_cast<std::size_t>(g * p.cin_g + ci) * p.cout_g + co_rel) * wchan;
+          const float* xchan = xg0 + static_cast<std::size_t>(ci) * p.h * pitch;
+          const float* wci = wg0 + static_cast<std::size_t>(ci) * p.cout_g * wchan;
           for (int dy = p.kh - 1; dy >= 0; --dy) {
             const int ty = oy + p.padding - dy;
-            if (ty < 0 || ty % s != 0) continue;
-            const int iy = ty / s;
-            if (iy >= p.h) continue;
-            const float* xrow = xchan + static_cast<std::size_t>(iy) * p.w;
-            const float* wrow = wbase + static_cast<std::size_t>(dy) * p.kw;
+            if (ty < 0 || ty % s != 0 || ty / s >= p.h) continue;
+            const float* xrow = xchan + static_cast<std::size_t>(ty / s) * pitch;
             for (int dx = dx_start; dx >= 0; dx -= s) {
-              // Lane j reads input column ix0 + j; the numerator is a
-              // multiple of s by class construction, so the division
-              // is exact even when negative.
-              const int ix0 = (r + p.padding - dx) / s + m0;
-              const float wk = wrow[dx];
-              for (int t = 0; t < nsub; ++t) {
-                const int ixt = ix0 + 8 * t;
-                const int lanes = std::min(8, mb - 8 * t);
+              // Lane j reads column (r + padding − dx)/s + m0 + j; the
+              // division is exact (a multiple of s), even when negative.
+              const float* xs = xrow + (r + p.padding - dx) / s + m0;
+              float wk[NC] = {};
+              for (int c = 0; c < NC; ++c) wk[c] = wci[c * wchan + dy * p.kw + dx];
+              for (int t = 0; t < 4 && 8 * t < mb; ++t) {
 #if LACO_HAVE_VEC8
-                if (lanes == 8 && ixt >= 0 && ixt + 8 <= p.w) {
-                  Vec8 xv;
-                  __builtin_memcpy(&xv, xrow + ixt, sizeof xv);
-                  const Vec8 sum = acc[t] + wk * xv;
-                  const Vec8i skip = (xv == zero);
-                  acc[t] = (Vec8)(((Vec8i)acc[t] & skip) | ((Vec8i)sum & ~skip));
-                  continue;
+                Vec8 xv = {};
+                std::memcpy(&xv, xs + 8 * t, sizeof xv);
+                const Vec8i skip = (xv == zero);
+                for (int c = 0; c < NC; ++c) {
+                  const Vec8 sum = acc[c][t] + wk[c] * xv;
+                  acc[c][t] = (Vec8)(((Vec8i)acc[c][t] & skip) | ((Vec8i)sum & ~skip));
+                }
+#else
+                for (int j = 0; j < 8; ++j) {
+                  const float xv = xs[8 * t + j];
+                  if (xv == 0.0f) continue;
+                  for (int c = 0; c < NC; ++c) acc[c][t][j] += wk[c] * xv;
                 }
 #endif
-                const int j_lo = std::max(0, -ixt);
-                const int j_hi = std::min(lanes, p.w - ixt);
-                for (int j = j_lo; j < j_hi; ++j) {
-                  const float xv = xrow[ixt + j];
-                  if (xv != 0.0f) acc[t][j] += wk * xv;
-                }
               }
             }
           }
         }
-        for (int j = 0; j < mb; ++j) {
-          yrow[r + static_cast<std::size_t>(m0 + j) * s] = acc[j / 8][j % 8];
+        for (int c = 0; c < NC; ++c) {
+          float* ys = yrow + c * yplane + r + static_cast<std::size_t>(m0) * s;
+          for (int t = 0; t < 4 && 8 * t < mb; ++t) {
+            std::memcpy(lanes, &acc[c][t], sizeof lanes);
+            for (int j = 0; j < std::min(8, mb - 8 * t); ++j) ys[(8 * t + j) * s] = lanes[j];
+          }
         }
       }
     }
   }
 }
 
+/// Untimed: also runs conv2d's input gradient (`accumulate` = true,
+/// bd = nullptr), which must not count as a conv_transpose2d forward.
+void conv_transpose2d_run(const ConvT2dParams& p, const float* xd, const float* wd,
+                          const float* bd, bool accumulate, float* y) {
+  // The tile reads a zero-padded copy of the input: `lead` zeros before
+  // each row and zeros after it up to `pitch`, so every 8-lane load
+  // stays in the buffer. A padding lane reads 0 and the x == 0 skip
+  // keeps its accumulator, exactly as the reference skips a tap with no
+  // input pixel. Lanes reach (r + padding − dx)/s + 8·⌈columns/8⌉ − 1,
+  // and (r + padding − dx)/s ≤ (s − 1 + padding)/s. An input with a
+  // zero dimension has no rows, and no tile dereferences `xpad`.
+  const int lead = std::max(0, div_ceil(p.kw - 1 - p.padding, p.stride));
+  const int reach = (p.stride - 1 + p.padding) / p.stride +
+                    8 * div_ceil(div_ceil(p.ow, p.stride), 8);
+  const std::size_t pitch = static_cast<std::size_t>(lead + std::max(p.w, reach));
+  const std::size_t rows = static_cast<std::size_t>(p.n) * p.cin * p.h;
+  tl_xpad.assign(rows * pitch, 0.0f);
+  for (std::size_t row = 0; row < rows; ++row) {
+    std::copy_n(xd + row * p.w, p.w, tl_xpad.data() + row * pitch + lead);
+  }
+  const float* xpad = rows == 0 ? nullptr : tl_xpad.data() + lead;
+  const int cblocks = div_ceil(p.cout_g, 4);
+  const int row_block = pick_row_block(p.oh, static_cast<std::size_t>(p.ow) * p.cin_g,
+                                       static_cast<long long>(p.n) * p.groups * cblocks);
+  const int nrb = div_ceil(p.oh, row_block);
+  const std::size_t tiles = static_cast<std::size_t>(p.n) * p.groups * cblocks * nrb;
+  using Tile = void (*)(const ConvT2dParams&, const float*, std::size_t, const float*,
+                        const float*, bool, float*, int, int, int, int);
+  static constexpr Tile kTiles[] = {conv_transpose2d_tile<1>, conv_transpose2d_tile<2>,
+                                    conv_transpose2d_tile<3>, conv_transpose2d_tile<4>};
+  // LACO_DETERMINISTIC: each tile owns whole output rows of up to four
+  // channels; contributions accumulate in the reference (ci, iy, ix) order.
+  parallel_tiles(tiles, [&](std::size_t t) {
+    const int rb = static_cast<int>(t % nrb);
+    const int cb = static_cast<int>((t / nrb) % cblocks);
+    const std::size_t bg = t / (static_cast<std::size_t>(nrb) * cblocks);  // b·groups + g
+    const int g = static_cast<int>(bg % p.groups);
+    const int b = static_cast<int>(bg / p.groups);
+    const int y0 = rb * row_block;
+    const int y1 = std::min(p.oh, y0 + row_block);
+    const int nc = std::min(4, p.cout_g - 4 * cb);
+    kTiles[nc - 1](p, xpad, pitch, wd, bd, accumulate, y, b, g * p.cout_g + 4 * cb, y0, y1);
+  });
+}
+
+/// The eager and plan forward: the only caller `nn.op.conv_transpose2d.*` counts.
 void conv_transpose2d_forward(const ConvT2dParams& p, const float* xd, const float* wd,
                               const float* bd, float* y) {
   static const OpStats stats = make_op_stats("conv_transpose2d");
   OpTimer timer(stats);
-  const int row_block = pick_row_block(p.oh, static_cast<std::size_t>(p.ow) * p.cin_g,
-                                       static_cast<long long>(p.n) * p.cout);
-  const int nrb = div_ceil(p.oh, row_block);
-  const std::size_t tiles = static_cast<std::size_t>(p.n) * p.cout * nrb;
-  // LACO_DETERMINISTIC: each tile owns whole output rows of one channel;
-  // contributions accumulate in the reference (ci, iy, ix) order.
-  parallel_tiles(tiles, [&](std::size_t t) {
-    const int rb = static_cast<int>(t % nrb);
-    const int cog = static_cast<int>((t / nrb) % p.cout);
-    const int b = static_cast<int>(t / (static_cast<std::size_t>(nrb) * p.cout));
-    const int y0 = rb * row_block;
-    const int y1 = std::min(p.oh, y0 + row_block);
-    conv_transpose2d_tile(p, xd, wd, bd, y, b, cog, y0, y1);
-  });
+  conv_transpose2d_run(p, xd, wd, bd, /*accumulate=*/false, y);
 }
 
 void conv_transpose2d_backward_b(const ConvT2dParams& p, const float* gout_d, float* bg) {
@@ -502,12 +482,12 @@ void conv_transpose2d_backward_b(const ConvT2dParams& p, const float* gout_d, fl
   });
 }
 
-/// dX/dW pass: one task per input channel (it owns x.grad[:, ci, ·] and
-/// w.grad[ci, ·]); the loop body is the reference backward body with
-/// the batch loop moved inside the channel loop, preserving every
-/// per-target (b, iy, ix) ascending chain.
-void conv_transpose2d_backward_xw(const ConvT2dParams& p, const float* gout_d, const float* xd,
-                                  const float* wd, float* xg, float* wg) {
+/// dW pass (training only): one task per input channel (it owns
+/// w.grad[ci, ·]); the loop body is the reference backward's dW half
+/// with the batch loop moved inside the channel loop, preserving every
+/// per-tap (b, iy, ix) ascending chain.
+void conv_transpose2d_backward_w(const ConvT2dParams& p, const float* gout_d, const float* xd,
+                                 float* wg) {
   // LACO_DETERMINISTIC: task-per-ci ownership; (b, iy, ix) ascending chains.
   parallel_tiles(static_cast<std::size_t>(p.cin), [&](std::size_t ci_t) {
     const int ci = static_cast<int>(ci_t);
@@ -515,9 +495,7 @@ void conv_transpose2d_backward_xw(const ConvT2dParams& p, const float* gout_d, c
     for (int b = 0; b < p.n; ++b) {
       for (int iy = 0; iy < p.h; ++iy) {
         for (int ix = 0; ix < p.w; ++ix) {
-          const std::size_t xoff = off4(b, ci, iy, ix, p.cin, p.h, p.w);
-          const float xval = xd[xoff];
-          float xgrad = 0.0f;
+          const float xval = xd[off4(b, ci, iy, ix, p.cin, p.h, p.w)];
           for (int co = 0; co < p.cout_g; ++co) {
             const int cog = g * p.cout_g + co;
             for (int dy = 0; dy < p.kh; ++dy) {
@@ -528,13 +506,10 @@ void conv_transpose2d_backward_xw(const ConvT2dParams& p, const float* gout_d, c
                 if (ox < 0 || ox >= p.ow) continue;
                 const float gout = gout_d[off4(b, cog, oy, ox, p.cout, p.oh, p.ow)];
                 if (gout == 0.0f) continue;
-                const std::size_t woff = off4(ci, co, dy, dx, p.cout_g, p.kh, p.kw);
-                if (xg != nullptr) xgrad += gout * wd[woff];
-                if (wg != nullptr) wg[woff] += gout * xval;
+                wg[off4(ci, co, dy, dx, p.cout_g, p.kh, p.kw)] += gout * xval;
               }
             }
           }
-          if (xg != nullptr) xg[xoff] += xgrad;
         }
       }
     }
@@ -565,6 +540,10 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
   const int cout_g = cout / groups;
   const Conv2dParams params{n,  cin, h,  w,      cout,   cin_g, kh,
                             kw, oh,  ow, cout_g, groups, stride, padding};
+  // dX is a conv_transpose2d of dY over the same weight buffer:
+  // [cout, cin_g, kh, kw] is its [cin', cout'_g, kh, kw] layout.
+  const ConvT2dParams dx_params{n,  cout, oh, ow, cin, cout_g, cin_g,
+                                groups, kh, kw, h, w, stride, padding};
 
   auto xi = x.impl();
   auto wi = weight.impl();
@@ -586,7 +565,13 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
                              need_w ? wi->grad.data() : nullptr,
                              need_b ? bi->grad.data() : nullptr);
         }
-        if (need_x) conv2d_backward_x(params, self.grad.data(), wi->data.data(), xi->grad.data());
+        // Reference chain per x.grad element: the existing value, then
+        // (co, y, xo) ascending with the gout == 0 skip — the tile's
+        // accumulate start and (ci, iy, ix) order with its x == 0 skip.
+        if (need_x) {
+          conv_transpose2d_run(dx_params, self.grad.data(), wi->data.data(), nullptr,
+                               /*accumulate=*/true, xi->grad.data());
+        }
       });
 
   conv2d_forward(params, x.data().data(), weight.data().data(),
@@ -623,6 +608,10 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   }
   const ConvT2dParams params{n,  cin, h,  w,  cout, cin_g,  cout_g, groups,
                              kh, kw,  oh, ow, stride, padding};
+  // dX is a conv2d of dY over the same weight buffer: [cin, cout_g, kh,
+  // kw] is its [cout', cin'_g, kh, kw] layout.
+  const Conv2dParams dx_params{n,  cout, oh, ow, cin,   cout_g, kh,
+                               kw, h,    w,  cin_g, groups, stride, padding};
 
   auto xi = x.impl();
   auto wi = weight.impl();
@@ -640,10 +629,20 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
         if (need_w) wi->ensure_grad();
         if (need_b) bi->ensure_grad();
         if (need_b) conv_transpose2d_backward_b(params, self.grad.data(), bi->grad.data());
-        if (!need_x && !need_w) return;
-        conv_transpose2d_backward_xw(params, self.grad.data(), xi->data.data(),
-                                     wi->data.data(), need_x ? xi->grad.data() : nullptr,
-                                     need_w ? wi->grad.data() : nullptr);
+        if (need_w) {
+          conv_transpose2d_backward_w(params, self.grad.data(), xi->data.data(), wi->grad.data());
+        }
+        if (need_x) {
+          // The reference builds each element's sum from +0 in (co, dy,
+          // dx) order, skipping gout == 0, then adds it to x.grad. The
+          // bias-free conv2d chain is the same sum without the skip,
+          // which changes no bit for finite weights: the sum is never
+          // −0, and adding ±0 to it is exact (docs/KERNELS.md).
+          thread_local std::vector<float> dx;
+          dx.resize(xi->data.size());
+          conv2d_run(dx_params, self.grad.data(), wi->data.data(), nullptr, dx.data());
+          for (std::size_t i = 0; i < dx.size(); ++i) xi->grad[i] += dx[i];
+        }
       });
 
   conv_transpose2d_forward(params, x.data().data(), weight.data().data(),

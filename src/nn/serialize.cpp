@@ -1,5 +1,7 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -86,6 +88,14 @@ void load_parameters(Module& module, std::istream& in, const std::string& source
     }
     std::vector<float> data(elements);
     r.bytes(data.data(), data.size() * sizeof(float), "tensor data");
+    // The conv input gradients rely on finite weights (docs/KERNELS.md):
+    // a NaN or ±inf weight times a zero upstream gradient is NaN.
+    const auto bad = std::find_if(data.begin(), data.end(),
+                                  [](float v) { return !std::isfinite(v); });
+    if (bad != data.end()) {
+      r.fail("non-finite value at element " + std::to_string(bad - data.begin()) +
+             " of parameter '" + name + "'");
+    }
     loaded[name] = {std::move(shape), std::move(data)};
   }
 

@@ -29,7 +29,9 @@ bool save_parameters_file(const Module& module, const std::string& path);
 /// Loads parameters by name; throws std::runtime_error on missing names
 /// or shape mismatches (a strict load, matching PyTorch strict=True).
 /// Corrupt or truncated streams throw with `source` and the byte offset
-/// of the failed read; v2 streams additionally verify the CRC-32.
+/// of the failed read; v2 streams additionally verify the CRC-32. A NaN
+/// or ±inf value throws too, naming the parameter: the conv input
+/// gradients are exact only for finite weights (docs/KERNELS.md).
 void load_parameters(Module& module, std::istream& in, const std::string& source = "<stream>");
 void load_parameters_file(Module& module, const std::string& path);
 

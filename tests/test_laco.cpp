@@ -222,6 +222,8 @@ TEST(RunLacoPlacement, LacoSchemeRunsEndToEnd) {
   EXPECT_GT(result.breakdown.seconds("congestion model"), 0.0);
   EXPECT_GT(result.breakdown.seconds("look-ahead model"), 0.0);
   EXPECT_GT(result.breakdown.seconds("feature gathering"), 0.0);
+  EXPECT_GT(result.breakdown.seconds("nn backward"), 0.0);
+  EXPECT_GT(result.breakdown.seconds("feature backward"), 0.0);
 }
 
 }  // namespace

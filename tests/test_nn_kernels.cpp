@@ -2,10 +2,15 @@
 // the optimized nn:: ops must reproduce the naive nn::reference oracle
 // *bitwise* — forwards and autograd backwards — across a shape sweep
 // covering strides, paddings, groups, non-square kernels/inputs, and
-// the zero-skip paths; plus finite-difference gradient checks and
-// bitwise determinism across ThreadPool sizes {1, 2, 8}.
+// the zero-skip paths and the 4-channel blocks' remainders; the input
+// gradients, which run through the other op's forward kernel, with
+// frozen weights, shared inputs and sparse upstream gradients; plus
+// finite-difference gradient checks and bitwise determinism across
+// ThreadPool sizes {1, 2, 8}.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "nn/kernel_pool.hpp"
 #include "nn/ops.hpp"
 #include "nn/reference_kernels.hpp"
+#include "obs/metrics.hpp"
 
 namespace laco::nn {
 namespace {
@@ -74,6 +80,8 @@ const ConvCase kConvCases[] = {
     {1, 1, 3, 3, 1, 3, 3, 1, 2, 1},   // padding wider than interior
     {1, 2, 4, 4, 2, 4, 4, 2, 1, 2},   // even kernel, grouped, strided
     {1, 3, 16, 12, 5, 3, 3, 1, 1, 1}, // bigger: interior GEMM dominates
+    {1, 10, 6, 5, 4, 3, 3, 1, 1, 2},  // 5 inputs per group: dX tile's 4-block + 1
+    {1, 10, 5, 6, 3, 3, 3, 2, 1, 1},  // 10 inputs: dX tile's two 4-blocks + 2
 };
 
 class Conv2dDifferential : public testing::TestWithParam<ConvCase> {};
@@ -128,6 +136,47 @@ TEST(Conv2dDifferential, SparseUpstreamGradientBitwise) {
   EXPECT_TRUE(bitwise_equal(w.grad(), wr.grad(), "w.grad"));
 }
 
+// The two ops the input-gradient runs below use: the tiled kernels or
+// the nn::reference oracle. Every run builds fresh, identically seeded
+// tensors, so the two see the same bits.
+struct ConvOps {
+  Tensor (*conv)(const Tensor&, const Tensor&, const Tensor&, int, int, int);
+  Tensor (*convt)(const Tensor&, const Tensor&, const Tensor&, int, int, int, int);
+};
+const ConvOps kTiled{conv2d, conv_transpose2d};
+const ConvOps kReference{reference::conv2d, reference::conv_transpose2d};
+
+/// Every output and gradient a run produced, compared element-wise.
+using Grads = std::vector<std::vector<float>>;
+
+testing::AssertionResult grads_equal(const Grads& a, const Grads& b) {
+  if (a.size() != b.size()) return testing::AssertionFailure() << "gradient count differs";
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::string what = "result " + std::to_string(i);
+    testing::AssertionResult r = bitwise_equal(a[i], b[i], what.c_str());
+    if (!r) return r;
+  }
+  return testing::AssertionSuccess();
+}
+
+/// Frozen weights, as in placement: only x.grad is computed, and
+/// conv2d's dX runs through the conv_transpose2d forward tile.
+Grads conv_frozen_run(const ConvCase& c, const ConvOps& ops) {
+  Tensor x = randn({c.n, c.cin, c.h, c.w}, 100 + c.h);
+  x.set_requires_grad(true);
+  const Tensor w = randn({c.cout, c.cin / c.groups, c.kh, c.kw}, 200 + c.kh);
+  const Tensor b = randn({c.cout}, 300 + c.cout);
+  const Tensor y = ops.conv(x, w, b, c.stride, c.padding, c.groups);
+  sum(square(y)).backward();
+  return Grads{y.data(), x.grad()};
+}
+
+TEST_P(Conv2dDifferential, FrozenWeightsInputGradBitwise) {
+  const ConvCase c = GetParam();
+  EXPECT_TRUE(grads_equal(conv_frozen_run(c, kTiled), conv_frozen_run(c, kReference)))
+      << conv_case_name(c);
+}
+
 // ---------------------------------------------------- conv_transpose2d
 
 struct ConvTCase {
@@ -148,6 +197,8 @@ const ConvTCase kConvTCases[] = {
     {1, 4, 3, 5, 1, 2, 3, 3, 0, 2, 4},  // groups=4, stride 3, non-square kernel
     {1, 2, 6, 6, 2, 1, 1, 1, 0, 0, 1},  // 1x1
     {1, 2, 4, 4, 2, 3, 3, 2, 2, 1, 1},  // padding 2 (negative obase ranges)
+    {2, 4, 5, 6, 5, 3, 3, 2, 1, 1, 2},  // 5 outputs per group: a 4-block + 1
+    {1, 3, 5, 6, 10, 3, 3, 2, 1, 1, 1}, // 10 outputs: two 4-blocks + 2
 };
 
 class ConvT2dDifferential : public testing::TestWithParam<ConvTCase> {};
@@ -191,6 +242,138 @@ TEST(ConvT2dDifferential, ZeroRegionInputBitwise) {
   Tensor y = conv_transpose2d(x, w, Tensor(), 2, 1);
   Tensor yr = reference::conv_transpose2d(copy_of(x), copy_of(w), Tensor(), 2, 1);
   EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"));
+}
+
+TEST(ConvT2dDifferential, NegativeZeroBiasSurvivesZeroInputs) {
+  // The x == 0 skip keeps accumulator bits: an output fed only by zero
+  // inputs keeps its −0 bias, where −0 + w·0 would round to +0.
+  Tensor x = Tensor::zeros({1, 3, 5, 5});
+  x.data()[7] = 0.5f;
+  Tensor w = randn({3, 5, 3, 3}, 64);  // 5 channels: a 4-block and a remainder
+  Tensor b = Tensor::full({5}, -0.0f);
+  Tensor y = conv_transpose2d(x, w, b, 2, 1, 1);
+  Tensor yr = reference::conv_transpose2d(copy_of(x), copy_of(w), copy_of(b), 2, 1, 1);
+  EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"));
+  EXPECT_TRUE(std::signbit(y.data().back()));
+}
+
+TEST(ConvT2dDifferential, ZeroHeightInputGivesBias) {
+  // No input rows, yet a positive output size: every output is its bias.
+  Tensor x = Tensor::zeros({1, 2, 0, 4});
+  Tensor w = randn({2, 3, 4, 4}, 65);
+  Tensor b = randn({3}, 66);
+  Tensor y = conv_transpose2d(x, w, b, 2, 0);
+  Tensor yr = reference::conv_transpose2d(x, w, b, 2, 0);
+  ASSERT_EQ(y.shape(), (Shape{1, 3, 2, 10}));
+  EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"));
+}
+
+/// Frozen weights: conv_transpose2d's dX runs through the conv2d
+/// forward tile, which has no gout == 0 skip.
+Grads convt_frozen_run(const ConvTCase& c, const ConvOps& ops) {
+  Tensor x = randn({c.n, c.cin, c.h, c.w}, 400 + c.h);
+  x.data()[0] = 0.0f;
+  x.set_requires_grad(true);
+  const Tensor w = randn({c.cin, c.cout_g, c.kh, c.kw}, 500 + c.kw);
+  const Tensor b = randn({c.cout_g * c.groups}, 600 + c.cout_g);
+  const Tensor y = ops.convt(x, w, b, c.stride, c.padding, c.output_padding, c.groups);
+  sum(square(y)).backward();
+  return Grads{y.data(), x.grad()};
+}
+
+TEST_P(ConvT2dDifferential, FrozenWeightsInputGradBitwise) {
+  const ConvTCase c = GetParam();
+  EXPECT_TRUE(grads_equal(convt_frozen_run(c, kTiled), convt_frozen_run(c, kReference)))
+      << convt_case_name(c);
+}
+
+// ------------------------------------------------ input-gradient paths
+
+/// One input feeding two conv2d layers and a conv_transpose2d, as
+/// Inception's bottleneck output feeds its three branches: the conv2d
+/// dX tile starts from the x.grad the earlier consumers left.
+Grads shared_input_grads(const ConvOps& ops, bool train) {
+  Tensor x = randn({2, 6, 9, 8}, 91);
+  Tensor wa = randn({5, 6, 3, 3}, 92), ba = randn({5}, 93);
+  Tensor wb = randn({4, 3, 1, 1}, 94);
+  Tensor wc = randn({6, 3, 4, 4}, 95), bc = randn({3}, 96);
+  x.set_requires_grad(true);
+  for (Tensor* t : {&wa, &ba, &wb, &wc, &bc}) t->set_requires_grad(train);
+  const Tensor a = ops.conv(x, wa, ba, 1, 1, 1);
+  const Tensor b = ops.conv(x, wb, Tensor(), 2, 0, 2);
+  const Tensor c = ops.convt(x, wc, bc, 2, 1, 0, 1);
+  add(add(sum(square(a)), sum(square(b))), sum(square(c))).backward();
+  Grads g{x.grad()};
+  if (train) {
+    for (const Tensor* t : {&wa, &ba, &wb, &wc, &bc}) g.push_back(t->grad());
+  }
+  return g;
+}
+
+/// A relu after conv_transpose2d zeroes most of its upstream gradient:
+/// the reference skips those terms, the routed conv2d tile adds them.
+Grads sparse_convt_grads(const ConvOps& ops, bool train) {
+  Tensor x = randn({1, 4, 6, 7}, 97);
+  for (std::size_t i = 0; i < x.data().size(); i += 5) x.data()[i] = 0.0f;
+  Tensor w = randn({4, 3, 4, 4}, 98), b = randn({3}, 99);
+  x.set_requires_grad(true);
+  w.set_requires_grad(train);
+  b.set_requires_grad(train);
+  sum(square(relu(ops.convt(x, w, b, 2, 1, 0, 1)))).backward();
+  Grads g{x.grad()};
+  if (train) g.insert(g.end(), {w.grad(), b.grad()});
+  return g;
+}
+
+using Scenario = Grads (*)(const ConvOps&, bool);
+const std::pair<const char*, Scenario> kScenarios[] = {
+    {"shared input", shared_input_grads},
+    {"sparse upstream", sparse_convt_grads},
+};
+
+TEST(InputGradPaths, SharedInputAccumulatesBitwise) {
+  for (const bool train : {false, true}) {
+    EXPECT_TRUE(grads_equal(shared_input_grads(kTiled, train),
+                            shared_input_grads(kReference, train)))
+        << "train=" << train;
+  }
+}
+
+TEST(InputGradPaths, SparseUpstreamThroughConvTransposeBitwise) {
+  for (const bool train : {false, true}) {
+    EXPECT_TRUE(grads_equal(sparse_convt_grads(kTiled, train),
+                            sparse_convt_grads(kReference, train)))
+        << "train=" << train;
+  }
+}
+
+TEST(KernelOpCounters, RoutedInputGradientsCountOnlyAsBackward) {
+  obs::MetricRegistry& reg = obs::MetricRegistry::global();
+  const char* const ops[] = {"conv2d", "conv_transpose2d", "conv2d_bwd", "conv_transpose2d_bwd"};
+  const auto calls = [&] {
+    std::vector<std::uint64_t> v;
+    for (const char* op : ops) {
+      v.push_back(reg.counter(std::string("nn.op.") + op + ".calls").value());
+    }
+    return v;
+  };
+  Tensor x = randn({1, 4, 8, 8}, 81);
+  x.set_requires_grad(true);
+  const Tensor w1 = randn({6, 4, 3, 3}, 82), w2 = randn({6, 3, 4, 4}, 83);
+  const std::vector<std::uint64_t> before = calls();
+  const Tensor y = conv_transpose2d(conv2d(x, w1, Tensor(), 1, 1), w2, Tensor(), 2, 1);
+  const std::vector<std::uint64_t> forward = calls();
+  sum(square(y)).backward();
+  const std::vector<std::uint64_t> after = calls();
+  // One forward each; the backward's routed dX calls add to *_bwd only.
+  EXPECT_EQ(forward[0] - before[0], 1u);
+  EXPECT_EQ(forward[1] - before[1], 1u);
+  EXPECT_EQ(forward[2] - before[2], 0u);
+  EXPECT_EQ(forward[3] - before[3], 0u);
+  EXPECT_EQ(after[0] - forward[0], 0u);
+  EXPECT_EQ(after[1] - forward[1], 0u);
+  EXPECT_EQ(after[2] - forward[2], 1u);
+  EXPECT_EQ(after[3] - forward[3], 1u);
 }
 
 // ----------------------------------------------------------- group_norm
@@ -343,6 +526,29 @@ TEST(KernelDeterminism, MatchesReferenceAtEightThreads) {
   Tensor y = conv2d(x, w, b, 1, 1, 2);
   Tensor yr = reference::conv2d(copy_of(x), copy_of(w), copy_of(b), 1, 1, 2);
   EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"));
+  set_kernel_threads(1);
+}
+
+TEST(KernelDeterminism, InputGradPathsBitwiseAcrossThreadCounts) {
+  // Every input-gradient run above, at 1, 2 and 8 kernel threads:
+  // each must equal the single-threaded nn::reference bitwise.
+  for (const int threads : {1, 2, 8}) {
+    set_kernel_threads(threads);
+    for (const ConvCase& c : kConvCases) {
+      EXPECT_TRUE(grads_equal(conv_frozen_run(c, kTiled), conv_frozen_run(c, kReference)))
+          << conv_case_name(c) << ", " << threads << " threads";
+    }
+    for (const ConvTCase& c : kConvTCases) {
+      EXPECT_TRUE(grads_equal(convt_frozen_run(c, kTiled), convt_frozen_run(c, kReference)))
+          << convt_case_name(c) << ", " << threads << " threads";
+    }
+    for (const auto& [name, scenario] : kScenarios) {
+      for (const bool train : {false, true}) {
+        EXPECT_TRUE(grads_equal(scenario(kTiled, train), scenario(kReference, train)))
+            << name << ", train=" << train << ", " << threads << " threads";
+      }
+    }
+  }
   set_kernel_threads(1);
 }
 

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -231,6 +232,32 @@ TEST(CheckpointIntegrity, RegistryRejectsCorruptCheckpointWithPath) {
   LacoModels fixed = *tiny_models(LacoScheme::kDreamCong, 901);
   ASSERT_TRUE(save_models(fixed, dir));
   EXPECT_NE(registry.get(dir), nullptr);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointIntegrity, NonFiniteWeightIsRejectedWithParameterName) {
+  // A checksum-valid model set carrying one NaN weight: the conv input
+  // gradients are exact only for finite weights, so the load refuses it.
+  const std::string dir = testing::TempDir() + "laco_reliability_nan_zoo";
+  LacoModels models = *tiny_models(LacoScheme::kDreamCong);
+  const auto named = models.congestion->named_parameters();
+  const std::string poisoned = named.front().first;
+  nn::Tensor weight = named.front().second;
+  weight.data()[1] = std::nanf("");
+  ASSERT_TRUE(save_models(models, dir));
+  try {
+    load_models(dir);
+    FAIL() << "model set with a NaN weight loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("non-finite value at element 1 of parameter '" + poisoned + "'"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(dir + "/congestion.bin"), std::string::npos) << what;
+  }
+  weight.data()[1] = std::numeric_limits<float>::infinity();
+  ASSERT_TRUE(save_models(models, dir));
+  EXPECT_THROW(load_models(dir), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 
