@@ -2,7 +2,8 @@
 // conv_transpose2d / group_norm kernels and the conv backwards (full,
 // and input-gradient-only with frozen weights as in placement) against
 // the naive nn::reference oracle at DREAM-Cong model shapes
-// (CongestionFcn, base_width 16, grid 64), checks bitwise agreement of
+// (CongestionFcn, base_width 16, grid 64) and at two conv shapes of the
+// look-ahead model's Inception block, checks bitwise agreement of
 // every output and gradient, and sweeps the kernel pool over thread
 // counts.
 //
@@ -110,6 +111,14 @@ int main() {
   nn::Tensor b_up = randn({width}, 10);
   nn::Tensor gamma = randn({2 * width}, 11);
   nn::Tensor beta = randn({2 * width}, 12);
+  // The look-ahead model's Inception block at grid/8: its grouped 7x7
+  // branch (almost all border pixels) and its 1x1 fuse conv.
+  const int gi = grid / 8;
+  nn::Tensor x_inc = randn({1, width, gi, gi}, 13);
+  nn::Tensor w_k7 = randn({width, width / 4, 7, 7}, 14);
+  nn::Tensor x_cat = randn({1, 3 * width, gi, gi}, 15);
+  nn::Tensor w_fuse = randn({width, 3 * width, 1, 1}, 16);
+  nn::Tensor b_inc = randn({width}, 17);
 
   const KernelCase cases[] = {
       {"conv2d_s1",
@@ -118,6 +127,12 @@ int main() {
       {"conv2d_s2",
        [&] { return nn::conv2d(x1, w_s2, b_s, 2, 1); },
        [&] { return nn::reference::conv2d(x1, w_s2, b_s, 2, 1); }},
+      {"conv2d_grouped_k7",
+       [&] { return nn::conv2d(x_inc, w_k7, b_inc, 1, 3, 4); },
+       [&] { return nn::reference::conv2d(x_inc, w_k7, b_inc, 1, 3, 4); }},
+      {"conv2d_pointwise",
+       [&] { return nn::conv2d(x_cat, w_fuse, b_inc, 1, 0); },
+       [&] { return nn::reference::conv2d(x_cat, w_fuse, b_inc, 1, 0); }},
       {"conv_transpose2d",
        [&] { return nn::conv_transpose2d(x2, w_up, b_up, 2, 1); },
        [&] { return nn::reference::conv_transpose2d(x2, w_up, b_up, 2, 1); }},

@@ -1,23 +1,26 @@
 // Tiled conv2d / conv_transpose2d kernels (docs/KERNELS.md).
 //
-// conv2d forwards are im2col + register-blocked GEMM over the
-// padding-free interior plus a tap-checked border path;
-// conv_transpose2d forwards are a 4-output-channel gather tile. Both
-// are parallelized over disjoint output tiles via nn::parallel_tiles.
-// Input gradients run through the *other* op's forward kernel (conv2d
-// dX is a conv_transpose2d of dY, and vice versa); only the weight
-// gradients, which training alone needs, keep gather passes of their
-// own (one task per gradient-owning channel).
+// Both forwards are gather tiles over a zero-padded input layout that
+// keep 32 output columns of up to four output channels in
+// registers: conv2d reads its input split by column phase, so every
+// tap is one contiguous load at any stride; conv_transpose2d gathers
+// per output-column stride class. Both are parallelized over disjoint
+// output tiles via nn::parallel_tiles. Input gradients run through
+// the *other* op's forward kernel (conv2d dX is a conv_transpose2d of
+// dY, and vice versa); only the weight gradients, which training alone
+// needs, keep gather passes of their own (one task per
+// gradient-owning channel).
 //
 // Bitwise contract: every kernel reproduces the naive nn::reference
 // accumulation order *per output element* — bias first, then taps in
-// the reference loop order, with the same zero-skip conditions — so
+// the reference loop order, with the same skip conditions — so
 // outputs and gradients are bitwise-identical to nn::reference and
 // across ThreadPool sizes (pinned by tests/test_nn_kernels.cpp and the
 // golden e2e test). Change an accumulation order here and the golden
 // file changes; don't.
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -40,32 +43,36 @@ std::size_t off4(int a, int b, int c, int d, int B, int C, int D) {
   return ((static_cast<std::size_t>(a) * B + b) * C + c) * D + d;
 }
 
+/// " (input …, weight …, stride s, padding p" for the geometry errors.
+std::string geometry(const Tensor& x, const Tensor& w, int stride, int padding) {
+  return " (input " + shape_str(x.shape()) + ", weight " + shape_str(w.shape()) + ", stride " +
+         std::to_string(stride) + ", padding " + std::to_string(padding);
+}
+
 int div_ceil(int a, int b) { return a >= 0 ? (a + b - 1) / b : -((-a) / b); }
 
-// 8-lane float vector for the GEMM micro-kernel. Element-wise + and *
-// on these round exactly like the matching scalar ops (no fusion, no
-// reassociation), so the bitwise contract is unaffected; it only picks
-// better instructions than the auto-vectorizer does.
+// 8-lane float vectors for the tiles. Element-wise + and * on these
+// round exactly like the matching scalar ops (no fusion, no
+// reassociation), so the bitwise contract is unaffected; they only
+// pick better instructions than the auto-vectorizer does.
 #if defined(__GNUC__) || defined(__clang__)
 #define LACO_HAVE_VEC8 1
 typedef float Vec8 __attribute__((vector_size(32)));
 typedef int Vec8i __attribute__((vector_size(32)));
 #else
 #define LACO_HAVE_VEC8 0
+typedef float Vec8[8];  // the scalar fallback: same lanes, same chains
 #endif
 
-
-/// Per-worker im2col scratch, grown on demand and reused across tiles.
-thread_local std::vector<float> tl_col;
-
-/// Splits `rows` into blocks: small enough that a K×ow im2col panel
-/// stays cache-resident, yet numerous enough (together with the
-/// batch×group grid) to feed every pool thread. Purely a performance
-/// choice — outputs are bitwise-identical for any tiling.
+/// Splits `rows` output rows into blocks: small enough that the input
+/// a block reads (`floats_per_row` per output row) stays
+/// cache-resident, yet numerous enough (together with `base_tiles`)
+/// to feed every pool thread. Purely a performance choice — outputs
+/// are bitwise-identical for any tiling.
 int pick_row_block(int rows, std::size_t floats_per_row, long long base_tiles) {
-  const std::size_t kColTargetFloats = 64 * 1024;  // ~256 KiB panel
-  std::size_t block = kColTargetFloats / std::max<std::size_t>(1, floats_per_row);
-  block = std::min<std::size_t>(std::max<std::size_t>(block, 1), static_cast<std::size_t>(rows));
+  const std::size_t kTargetFloats = 64 * 1024;  // ~256 KiB
+  std::size_t block = kTargetFloats / std::max<std::size_t>(1, floats_per_row);
+  block = std::clamp<std::size_t>(block, 1, static_cast<std::size_t>(std::max(rows, 1)));
   const long long want_tiles = 2LL * kernel_threads();
   if (base_tiles > 0 && base_tiles * ((rows + static_cast<long long>(block) - 1) /
                                      static_cast<long long>(block)) < want_tiles) {
@@ -73,6 +80,89 @@ int pick_row_block(int rows, std::size_t floats_per_row, long long base_tiles) {
     block = std::max<std::size_t>(1, static_cast<std::size_t>(div_ceil(rows, static_cast<int>(per_base))));
   }
   return static_cast<int>(block);
+}
+
+/// Runs tile(b, cog, nc, y0, y1) over an [n, groups·cout_g, oh, ·]
+/// output, one call per rows [y0, y1) × channels [cog, cog + nc) of
+/// one group (nc ≤ 4).
+template <class Tile>
+void run_tiles(int n, int groups, int cout_g, int oh, std::size_t floats_per_row,
+               const Tile& tile) {
+  const int cblocks = div_ceil(cout_g, 4);
+  const int row_block =
+      pick_row_block(oh, floats_per_row, static_cast<long long>(n) * groups * cblocks);
+  const int nrb = div_ceil(oh, row_block);
+  const std::size_t tiles = static_cast<std::size_t>(n) * groups * cblocks * nrb;
+  // LACO_DETERMINISTIC: each tile owns whole output rows of up to four
+  // channels; every element's chain is fixed by the tile kernel alone.
+  parallel_tiles(tiles, [&](std::size_t t) {
+    const int rb = static_cast<int>(t % nrb);
+    const int cb = static_cast<int>((t / nrb) % cblocks);
+    const std::size_t bg = t / (static_cast<std::size_t>(nrb) * cblocks);  // b·groups + g
+    const int y0 = rb * row_block;
+    tile(static_cast<int>(bg / groups), static_cast<int>(bg % groups) * cout_g + 4 * cb,
+         std::min(4, cout_g - 4 * cb), y0, std::min(oh, y0 + row_block));
+  });
+}
+
+thread_local std::vector<float> tl_xpad;  // the runners' padded input copies
+
+/// Copies `rows` input rows of width w into tl_xpad, each as `s` phase
+/// rows of `len` floats: element i of phase ph holds input column
+/// i·s + ph − lead, or 0 where that column is outside [0, w). Returns
+/// the copy, or nullptr for an input with no rows (no tile reads it).
+const float* pad_rows(const float* xd, std::size_t rows, int w, int lead, int s, int len) {
+  tl_xpad.assign(rows * s * len, 0.0f);
+  for (int ph = 0; ph < s; ++ph) {
+    // Elements [i0, i1) of the phase are in bounds, from column i0·s + ph − lead.
+    const int i0 = std::clamp(div_ceil(lead - ph, s), 0, len);
+    const int i1 = std::clamp(div_ceil(w + lead - ph, s), i0, len);
+    if (i0 == i1) continue;
+    for (std::size_t row = 0; row < rows; ++row) {
+      float* dst = tl_xpad.data() + (row * s + ph) * len + i0;
+      const float* src = xd + row * w + (i0 * s + ph - lead);
+      if (s == 1) {
+        std::copy_n(src, i1 - i0, dst);
+      } else {
+        for (int i = 0; i < i1 - i0; ++i) dst[i] = src[i * s];
+      }
+    }
+  }
+  return rows == 0 ? nullptr : tl_xpad.data();
+}
+
+/// Starts a register block of NC channels × 32 columns: acc[c][t] lane
+/// j is column 8t + j of channel c, stored at ys + c·plane + (8t + j)·
+/// step. Chains start from bias[c] (0 without a bias) or, with
+/// `from_y`, from the first mb columns of y.
+template <int NC>
+void block_load(Vec8 (&acc)[NC][4], const float* ys, std::size_t plane, int step, int mb,
+                const float* bias, bool from_y) {
+  float lanes[8];
+  for (int c = 0; c < NC; ++c) {
+    for (int t = 0; t < 4; ++t) {
+      for (int j = 0; j < 8; ++j) {
+        const int m = 8 * t + j;
+        lanes[j] = from_y && m < mb ? ys[c * plane + static_cast<std::size_t>(m) * step]
+                                    : (bias != nullptr ? bias[c] : 0.0f);
+      }
+      std::memcpy(&acc[c][t], lanes, sizeof lanes);
+    }
+  }
+}
+
+/// Stores the block's first mb columns (lanes past them are dropped).
+template <int NC>
+void block_store(const Vec8 (&acc)[NC][4], float* ys, std::size_t plane, int step, int mb) {
+  float lanes[8];
+  for (int c = 0; c < NC; ++c) {
+    for (int t = 0; t < 4 && 8 * t < mb; ++t) {
+      std::memcpy(lanes, &acc[c][t], sizeof lanes);
+      for (int j = 0; j < std::min(8, mb - 8 * t); ++j) {
+        ys[c * plane + static_cast<std::size_t>(8 * t + j) * step] = lanes[j];
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- conv2d
@@ -85,179 +175,119 @@ struct Conv2dParams {
   int n, cin, h, w, cout, cin_g, kh, kw, oh, ow, cout_g, groups, stride, padding;
 };
 
-/// One tile: output rows [y0, y1) of batch image `b`, group `g`, all of
-/// the group's output channels. Interior pixels (no padding taps) go
-/// through an im2col panel + 4-wide-channel GEMM; border pixels use the
-/// reference tap-checked gather. Both accumulate taps in (ci, ky, kx)
-/// ascending order starting from the bias — the reference order.
-void conv2d_tile(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
-                 float* y, int b, int g, int y0, int y1, int ry0, int ry1, int cx0, int cx1) {
-  const int K = p.cin_g * p.kh * p.kw;
-  const int iy0 = std::max(y0, ry0), iy1 = std::min(y1, ry1);
-  const int icols = std::max(0, cx1 - cx0);
-  // GEMM-covered columns: 8-pixel blocks of the interior (the last
-  // block may be partial); the border path handles everything else
-  // with the identical tap chain.
-  constexpr int kJB = 8;
-  const int nblk = div_ceil(icols, kJB);
+thread_local std::vector<std::int32_t> tl_outside;  // see conv2d_run
 
-  if (nblk > 0 && iy1 > iy0) {
-    // Per-block im2col micro-panel: panel[k][0..8) for one output row
-    // and 8 consecutive interior pixels. K×8 floats (~a few KiB) stays
-    // L1-resident while every output-channel block streams over it.
-    if (tl_col.size() < static_cast<std::size_t>(K) * kJB) {
-      tl_col.resize(static_cast<std::size_t>(K) * kJB);
-    }
-    float* panel = tl_col.data();
-    for (int yy = iy0; yy < iy1; ++yy) {
-      for (int jb = 0; jb < nblk; ++jb) {
-        const int cxb = cx0 + jb * kJB;
-        const int bw = std::min(kJB, cx1 - cxb);  // last block may be partial
-        // Pack k = (ci, dy, dx) in reference tap order.
-        float* pp = panel;
-        for (int ci = 0; ci < p.cin_g; ++ci) {
-          const int cig = g * p.cin_g + ci;
-          for (int dy = 0; dy < p.kh; ++dy) {
-            const int iy = yy * p.stride - p.padding + dy;
-            const float* xrow = xd + off4(b, cig, iy, 0, p.cin, p.h, p.w);
-            const int xbase = cxb * p.stride - p.padding;
-            // Lanes past bw are packed as zero: the micro-kernel
-            // computes them anyway and the store drops them.
-            if (p.stride == 1) {
-              for (int dx = 0; dx < p.kw; ++dx, pp += kJB) {
-                const float* __restrict src = xrow + xbase + dx;
-                for (int j = 0; j < bw; ++j) pp[j] = src[j];
-                for (int j = bw; j < kJB; ++j) pp[j] = 0.0f;
+/// One tile: output rows [y0, y1) of image `b`, channels [cog, cog + NC)
+/// of one group. Each pass keeps 32 output columns of all NC channels
+/// in registers across every tap, from the bias, in the reference
+/// (ci, ky, kx) order; a tap row outside the input is skipped whole.
+/// Rows of `xpad` are split by column phase (see conv2d_run), so tap kx
+/// of columns [m0, m0 + 32) is the contiguous run at m0 + kx / s in
+/// phase kx mod s, and one load feeds NC chains. A lane whose tap
+/// falls outside the input reads a padding zero: where a tap has such
+/// lanes in the block, a per-lane bit-select keeps their accumulator
+/// bits verbatim, as the reference skips the tap.
+template <int NC>
+void conv2d_tile(const Conv2dParams& p, const float* xpad, int len, const std::int32_t* outside,
+                 const float* wd, const float* bd, float* y, int b, int cog, int y0, int y1) {
+  const int s = p.stride;
+  const std::size_t xrow = static_cast<std::size_t>(s) * len;  // one phase-split input row
+  const std::size_t wchan = static_cast<std::size_t>(p.cin_g) * p.kh * p.kw;
+  const std::size_t yplane = static_cast<std::size_t>(p.oh) * p.ow;
+  const float* xg0 =
+      xpad + static_cast<std::size_t>(b * p.cin + cog / p.cout_g * p.cin_g) * p.h * xrow;
+  const float* wc0 = wd + static_cast<std::size_t>(cog) * wchan;
+  const float* bias = bd != nullptr ? bd + cog : nullptr;
+  for (int m0 = 0; m0 < p.ow; m0 += 32) {
+    const int mb = std::min(32, p.ow - m0);
+    // Input column of the block's first and last column at tap kx = 0.
+    const int ix_lo = m0 * s - p.padding, ix_hi = (m0 + mb - 1) * s - p.padding;
+    const std::int32_t* oblk = outside + static_cast<std::size_t>(m0) * p.kw;
+    for (int oy = y0; oy < y1; ++oy) {
+      float* ys = y + off4(b, cog, oy, m0, p.cout, p.oh, p.ow);
+      Vec8 acc[NC][4];
+      block_load<NC>(acc, ys, yplane, 1, mb, bias, false);
+      for (int ci = 0; ci < p.cin_g; ++ci) {
+        for (int ky = 0; ky < p.kh; ++ky) {
+          const int iy = oy * s - p.padding + ky;
+          if (iy < 0 || iy >= p.h) continue;
+          const float* xr = xg0 + (static_cast<std::size_t>(ci) * p.h + iy) * xrow;
+          const float* wr = wc0 + (static_cast<std::size_t>(ci) * p.kh + ky) * p.kw;
+          for (int kx = 0, ph = 0, shift = 0; kx < p.kw; ++kx) {
+            const float* xs = xr + static_cast<std::size_t>(ph) * len + m0 + shift;
+            if (++ph == s) {
+              ph = 0;
+              ++shift;
+            }
+            const bool edge = ix_lo + kx < 0 || ix_hi + kx >= p.w;
+            const std::int32_t* om = oblk + kx * 32;
+            float wk[NC];
+            for (int c = 0; c < NC; ++c) wk[c] = wr[c * wchan + kx];
+            for (int t = 0; t < 4 && 8 * t < mb; ++t) {
+#if LACO_HAVE_VEC8
+              Vec8 xv;
+              std::memcpy(&xv, xs + 8 * t, sizeof xv);
+              if (edge) {
+                Vec8i skip;
+                std::memcpy(&skip, om + 8 * t, sizeof skip);
+                for (int c = 0; c < NC; ++c) {
+                  const Vec8 sum = acc[c][t] + wk[c] * xv;
+                  acc[c][t] = (Vec8)(((Vec8i)acc[c][t] & skip) | ((Vec8i)sum & ~skip));
+                }
+              } else {
+                for (int c = 0; c < NC; ++c) acc[c][t] += wk[c] * xv;
               }
-            } else {
-              for (int dx = 0; dx < p.kw; ++dx, pp += kJB) {
-                const float* __restrict src = xrow + xbase + dx;
-                for (int j = 0; j < bw; ++j) pp[j] = src[j * p.stride];
-                for (int j = bw; j < kJB; ++j) pp[j] = 0.0f;
+#else
+              for (int j = 0; j < 8; ++j) {
+                if (edge && om[8 * t + j] != 0) continue;
+                for (int c = 0; c < NC; ++c) acc[c][t][j] += wk[c] * xs[8 * t + j];
               }
+#endif
             }
           }
         }
-        // y[co][pix] = bias[co] + Σ_k w[co][k] · panel[k][pix], four
-        // output channels per pass. Accumulators live in registers for
-        // the whole k loop — each output element still sees bias first,
-        // then k ascending, so blocking never reorders its addition
-        // chain; lanes are independent elements, so element-wise SIMD
-        // never touches any chain (and rounds exactly like scalar:
-        // -ffp-contract=off in src/CMakeLists.txt forbids FMA fusion).
-        for (int cb = 0; cb < p.cout_g; cb += 4) {
-          // A partial block (the last cout_g % 4 channels) repeats its
-          // last channel in the spare accumulators and stores only its own.
-          const int nc = std::min(4, p.cout_g - cb);
-          const int co0 = g * p.cout_g + cb;
-          const float* __restrict wr[4] = {};
-          float* yout = y + off4(b, co0, yy, cxb, p.cout, p.oh, p.ow);
-          const std::size_t yplane = static_cast<std::size_t>(p.oh) * p.ow;
-#if LACO_HAVE_VEC8
-          Vec8 acc[4] = {};
-#else
-          float acc[4][kJB] = {};
-#endif
-          float lanes[kJB] = {};
-          for (int c = 0; c < 4; ++c) {
-            const int co = co0 + std::min(c, nc - 1);
-            wr[c] = wd + static_cast<std::size_t>(co) * K;
-            std::fill_n(lanes, kJB, bd != nullptr ? bd[co] : 0.0f);
-            std::memcpy(&acc[c], lanes, sizeof lanes);
-          }
-          const float* __restrict pk = panel;
-          for (int k = 0; k < K; ++k, pk += kJB) {
-#if LACO_HAVE_VEC8
-            // Explicit 8-lane vectors: GCC's loop auto-vectorizer turns
-            // the scalar form below into a shuffle-heavy outer-loop
-            // vectorization that runs ~14x slower than this direct map
-            // to one mul + one add per weight row.
-            Vec8 cv = {};
-            std::memcpy(&cv, pk, sizeof cv);
-            for (int c = 0; c < 4; ++c) acc[c] += wr[c][k] * cv;
-#else
-            for (int j = 0; j < kJB; ++j) {
-              for (int c = 0; c < 4; ++c) acc[c][j] += wr[c][k] * pk[j];
-            }
-#endif
-          }
-          for (int c = 0; c < 4 && c < nc; ++c) {
-            std::memcpy(lanes, &acc[c], sizeof lanes);
-            std::copy_n(lanes, bw, yout + c * yplane);
-          }
-        }
       }
-    }
-  }
-
-  // Border pixels: the taps passing the reference bounds checks form
-  // contiguous [dy0, dy1) × [dx0, dx1) ranges, computed up front —
-  // the accumulation visits exactly the reference's valid taps in the
-  // reference order, just without per-tap index math.
-  for (int yy = y0; yy < y1; ++yy) {
-    const bool row_interior = yy >= iy0 && yy < iy1;
-    const int bx0 = row_interior ? cx0 : 0;
-    const int bx1 = row_interior ? cx1 : 0;  // [bx0, bx1) already done above
-    const int ybase = yy * p.stride - p.padding;
-    const int dy0 = std::max(0, -ybase);
-    const int dy1 = std::min(p.kh, p.h - ybase);
-    for (int xo = 0; xo < p.ow; ++xo) {
-      if (xo >= bx0 && xo < bx1) continue;
-      const int xbase = xo * p.stride - p.padding;
-      const int dx0 = std::max(0, -xbase);
-      const int dx1 = std::min(p.kw, p.w - xbase);
-      float* yrow = y + off4(b, g * p.cout_g, yy, xo, p.cout, p.oh, p.ow);
-      const std::size_t yplane = static_cast<std::size_t>(p.oh) * p.ow;
-      for (int cr = 0; cr < p.cout_g; ++cr) {
-        const int co = g * p.cout_g + cr;
-        float acc = bd != nullptr ? bd[static_cast<std::size_t>(co)] : 0.0f;
-        const float* wrow = wd + static_cast<std::size_t>(co) * K;
-        for (int ci = 0; ci < p.cin_g; ++ci) {
-          const float* xpl = xd + off4(b, g * p.cin_g + ci, 0, 0, p.cin, p.h, p.w);
-          for (int dy = dy0; dy < dy1; ++dy) {
-            const float* __restrict xrow = xpl + static_cast<std::size_t>(ybase + dy) * p.w + xbase;
-            const float* __restrict wr = wrow + (ci * p.kh + dy) * p.kw;
-            for (int dx = dx0; dx < dx1; ++dx) acc += xrow[dx] * wr[dx];
-          }
-        }
-        yrow[static_cast<std::size_t>(cr) * yplane] = acc;
-      }
+      block_store<NC>(acc, ys, yplane, 1, mb);
     }
   }
 }
 
 /// Untimed: also runs conv_transpose2d's input gradient, which must
 /// not count as a conv2d forward (see conv2d_forward).
-void conv2d_run(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
-                float* y) {
-  // Interior rectangle: output rows/cols whose every kernel tap is in
-  // bounds (all of the output when padding == 0).
-  const int ry0 = std::min(p.oh, (p.padding + p.stride - 1) / p.stride);
-  const int ry1 = std::max(
-      ry0, std::min(p.oh, p.h - p.kh + p.padding >= 0
-                              ? (p.h - p.kh + p.padding) / p.stride + 1
-                              : 0));
-  const int cx0 = std::min(p.ow, (p.padding + p.stride - 1) / p.stride);
-  const int cx1 = std::max(
-      cx0, std::min(p.ow, p.w - p.kw + p.padding >= 0
-                              ? (p.w - p.kw + p.padding) / p.stride + 1
-                              : 0));
-  const std::size_t K = static_cast<std::size_t>(p.cin_g) * p.kh * p.kw;
-  const int row_block =
-      pick_row_block(p.oh, K * static_cast<std::size_t>(p.ow),
-                     static_cast<long long>(p.n) * p.groups);
-  const int nrb = div_ceil(p.oh, row_block);
-  const std::size_t tiles = static_cast<std::size_t>(p.n) * p.groups * nrb;
-  // LACO_DETERMINISTIC: each tile owns a disjoint output slab; per-element
-  // accumulation order is fixed (bias, then taps ascending) for any tiling.
-  parallel_tiles(tiles, [&](std::size_t t) {
-    const int rb = static_cast<int>(t % nrb);
-    const int g = static_cast<int>((t / nrb) % p.groups);
-    const int b = static_cast<int>(t / (static_cast<std::size_t>(nrb) * p.groups));
-    const int y0 = rb * row_block;
-    const int y1 = std::min(p.oh, y0 + row_block);
-    conv2d_tile(p, xd, wd, bd, y, b, g, y0, y1, ry0, ry1, cx0, cx1);
-  });
+void conv2d_run(Conv2dParams p, const float* xd, const float* wd, const float* bd, float* y) {
+  // A pointwise conv that maps each input plane to an output plane of
+  // the same shape runs as one long row per channel.
+  if (p.kh == 1 && p.kw == 1 && p.stride == 1 && p.padding == 0 && p.oh == p.h &&
+      p.ow == p.w) {
+    p.w = p.ow = p.h * p.w;
+    p.h = p.oh = 1;
+  }
+  // Input rows split by column phase (pad_rows, lead = padding): output
+  // column ox at tap kx reads element ox + kx/s of phase kx mod s, so
+  // lanes reach index 8·⌈ow/8⌉ − 1 + (kw − 1)/s. An unpadded stride-1
+  // input whose output width is a multiple of 8 has this layout already.
+  const int len = 8 * div_ceil(p.ow, 8) + (p.kw - 1) / p.stride;
+  const float* xpad = p.stride == 1 && p.padding == 0 && len == p.w
+                          ? xd
+                          : pad_rows(xd, static_cast<std::size_t>(p.n) * p.cin * p.h, p.w,
+                                     p.padding, p.stride, len);
+  // Lane masks, once per (column block, kx): element 32·(blk·kw + kx) + m
+  // is all ones where column 32·blk + m reads a padding zero at tap kx.
+  tl_outside.resize(static_cast<std::size_t>(div_ceil(p.ow, 32)) * p.kw * 32);
+  for (std::size_t e = 0; e < tl_outside.size(); ++e) {
+    const int blk = static_cast<int>(e / 32 / p.kw), kx = static_cast<int>(e / 32 % p.kw);
+    const int ix = (32 * blk + static_cast<int>(e % 32)) * p.stride - p.padding + kx;
+    tl_outside[e] = ix < 0 || ix >= p.w ? -1 : 0;
+  }
+  const std::int32_t* outside = tl_outside.data();  // the tiles run on pool threads
+  using Tile = void (*)(const Conv2dParams&, const float*, int, const std::int32_t*,
+                        const float*, const float*, float*, int, int, int, int);
+  static constexpr Tile kTiles[] = {conv2d_tile<1>, conv2d_tile<2>, conv2d_tile<3>,
+                                    conv2d_tile<4>};
+  run_tiles(p.n, p.groups, p.cout_g, p.oh, static_cast<std::size_t>(p.cin_g) * p.stride * p.w,
+            [&](int b, int cog, int nc, int y0, int y1) {
+              kTiles[nc - 1](p, xpad, len, outside, wd, bd, y, b, cog, y0, y1);
+            });
 }
 
 /// The eager and plan forward: the only conv2d_run caller `nn.op.conv2d.*` counts.
@@ -315,8 +345,6 @@ struct ConvT2dParams {
   int n, cin, h, w, cout, cin_g, cout_g, groups, kh, kw, oh, ow, stride, padding;
 };
 
-thread_local std::vector<float> tl_xpad;  // see conv_transpose2d_run
-
 /// One tile: output rows [y0, y1) of image `b`, channels [cog, cog + NC)
 /// of one group. Output columns partition into classes r = ox mod
 /// stride: a class shares its taps (dx ≡ (r + padding) mod stride) and
@@ -339,13 +367,7 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
   const float* xg0 = xpad + static_cast<std::size_t>(b * p.cin + g * p.cin_g) * p.h * pitch;
   const float* wg0 =
       wd + (static_cast<std::size_t>(g) * p.cin_g * p.cout_g + cog % p.cout_g) * wchan;
-#if LACO_HAVE_VEC8
-  const Vec8 zero = {};
-  Vec8 acc[NC][4] = {};
-#else
-  float acc[NC][4][8] = {};
-#endif
-  float lanes[8] = {};
+  const float* bias = bd != nullptr ? bd + cog : nullptr;
   for (int oy = y0; oy < y1; ++oy) {
     float* yrow = y + off4(b, cog, oy, 0, p.cout, p.oh, p.ow);
     for (int r = 0; r < classes; ++r) {
@@ -354,20 +376,11 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
       // Largest tap dx < kw in this class (taps step by -s), or -1.
       const int dx_start = dmod < p.kw ? dmod + ((p.kw - 1 - dmod) / s) * s : -1;
       for (int m0 = 0; m0 < len; m0 += 32) {
-        // acc[c][t] lane j: class column m0 + 8t + j of channel cog + c
-        // (lanes past mb are never stored). Constant indices once the c
-        // and t loops unroll keep all NC×4 accumulators in registers.
+        // acc[c][t] lane j: class column m0 + 8t + j of channel cog + c.
         const int mb = std::min(32, len - m0);
-        for (int c = 0; c < NC; ++c) {
-          const float* ys = yrow + c * yplane + r + static_cast<std::size_t>(m0) * s;
-          const float bias = bd != nullptr ? bd[cog + c] : 0.0f;
-          for (int t = 0; t < 4; ++t) {
-            for (int j = 0; j < 8; ++j) {
-              lanes[j] = accumulate && 8 * t + j < mb ? ys[(8 * t + j) * s] : bias;
-            }
-            std::memcpy(&acc[c][t], lanes, sizeof lanes);
-          }
-        }
+        float* ys = yrow + r + static_cast<std::size_t>(m0) * s;
+        Vec8 acc[NC][4];
+        block_load<NC>(acc, ys, yplane, s, mb, bias, accumulate);
         for (int ci = 0; ci < p.cin_g; ++ci) {
           const float* xchan = xg0 + static_cast<std::size_t>(ci) * p.h * pitch;
           const float* wci = wg0 + static_cast<std::size_t>(ci) * p.cout_g * wchan;
@@ -385,7 +398,7 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
 #if LACO_HAVE_VEC8
                 Vec8 xv = {};
                 std::memcpy(&xv, xs + 8 * t, sizeof xv);
-                const Vec8i skip = (xv == zero);
+                const Vec8i skip = (xv == 0.0f);
                 for (int c = 0; c < NC; ++c) {
                   const Vec8 sum = acc[c][t] + wk[c] * xv;
                   acc[c][t] = (Vec8)(((Vec8i)acc[c][t] & skip) | ((Vec8i)sum & ~skip));
@@ -401,13 +414,7 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
             }
           }
         }
-        for (int c = 0; c < NC; ++c) {
-          float* ys = yrow + c * yplane + r + static_cast<std::size_t>(m0) * s;
-          for (int t = 0; t < 4 && 8 * t < mb; ++t) {
-            std::memcpy(lanes, &acc[c][t], sizeof lanes);
-            for (int j = 0; j < std::min(8, mb - 8 * t); ++j) ys[(8 * t + j) * s] = lanes[j];
-          }
-        }
+        block_store<NC>(acc, ys, yplane, s, mb);
       }
     }
   }
@@ -422,40 +429,22 @@ void conv_transpose2d_run(const ConvT2dParams& p, const float* xd, const float* 
   // stays in the buffer. A padding lane reads 0 and the x == 0 skip
   // keeps its accumulator, exactly as the reference skips a tap with no
   // input pixel. Lanes reach (r + padding − dx)/s + 8·⌈columns/8⌉ − 1,
-  // and (r + padding − dx)/s ≤ (s − 1 + padding)/s. An input with a
-  // zero dimension has no rows, and no tile dereferences `xpad`.
+  // and (r + padding − dx)/s ≤ (s − 1 + padding)/s.
   const int lead = std::max(0, div_ceil(p.kw - 1 - p.padding, p.stride));
   const int reach = (p.stride - 1 + p.padding) / p.stride +
                     8 * div_ceil(div_ceil(p.ow, p.stride), 8);
-  const std::size_t pitch = static_cast<std::size_t>(lead + std::max(p.w, reach));
-  const std::size_t rows = static_cast<std::size_t>(p.n) * p.cin * p.h;
-  tl_xpad.assign(rows * pitch, 0.0f);
-  for (std::size_t row = 0; row < rows; ++row) {
-    std::copy_n(xd + row * p.w, p.w, tl_xpad.data() + row * pitch + lead);
-  }
-  const float* xpad = rows == 0 ? nullptr : tl_xpad.data() + lead;
-  const int cblocks = div_ceil(p.cout_g, 4);
-  const int row_block = pick_row_block(p.oh, static_cast<std::size_t>(p.ow) * p.cin_g,
-                                       static_cast<long long>(p.n) * p.groups * cblocks);
-  const int nrb = div_ceil(p.oh, row_block);
-  const std::size_t tiles = static_cast<std::size_t>(p.n) * p.groups * cblocks * nrb;
+  const int pitch = lead + std::max(p.w, reach);
+  const float* xpad = pad_rows(xd, static_cast<std::size_t>(p.n) * p.cin * p.h, p.w, lead, 1,
+                               pitch);
+  if (xpad != nullptr) xpad += lead;
   using Tile = void (*)(const ConvT2dParams&, const float*, std::size_t, const float*,
                         const float*, bool, float*, int, int, int, int);
   static constexpr Tile kTiles[] = {conv_transpose2d_tile<1>, conv_transpose2d_tile<2>,
                                     conv_transpose2d_tile<3>, conv_transpose2d_tile<4>};
-  // LACO_DETERMINISTIC: each tile owns whole output rows of up to four
-  // channels; contributions accumulate in the reference (ci, iy, ix) order.
-  parallel_tiles(tiles, [&](std::size_t t) {
-    const int rb = static_cast<int>(t % nrb);
-    const int cb = static_cast<int>((t / nrb) % cblocks);
-    const std::size_t bg = t / (static_cast<std::size_t>(nrb) * cblocks);  // b·groups + g
-    const int g = static_cast<int>(bg % p.groups);
-    const int b = static_cast<int>(bg / p.groups);
-    const int y0 = rb * row_block;
-    const int y1 = std::min(p.oh, y0 + row_block);
-    const int nc = std::min(4, p.cout_g - 4 * cb);
-    kTiles[nc - 1](p, xpad, pitch, wd, bd, accumulate, y, b, g * p.cout_g + 4 * cb, y0, y1);
-  });
+  run_tiles(p.n, p.groups, p.cout_g, p.oh, static_cast<std::size_t>(p.ow) * p.cin_g,
+            [&](int b, int cog, int nc, int y0, int y1) {
+              kTiles[nc - 1](p, xpad, pitch, wd, bd, accumulate, y, b, cog, y0, y1);
+            });
 }
 
 /// The eager and plan forward: the only caller `nn.op.conv_transpose2d.*` counts.
@@ -529,13 +518,15 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
                                 shape_str(x.shape()) + ", weight " + shape_str(weight.shape()) +
                                 ", groups " + std::to_string(groups) + ")");
   }
+  if (stride < 1 || padding < 0) {
+    throw std::invalid_argument("conv2d: stride must be >= 1 and padding >= 0" +
+                                geometry(x, weight, stride, padding) + ")");
+  }
   const int oh = (h + 2 * padding - kh) / stride + 1;
   const int ow = (w + 2 * padding - kw) / stride + 1;
   if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(
-        "conv2d: non-positive output size " + std::to_string(oh) + "x" + std::to_string(ow) +
-        " (input " + shape_str(x.shape()) + ", weight " + shape_str(weight.shape()) +
-        ", stride " + std::to_string(stride) + ", padding " + std::to_string(padding) + ")");
+    throw std::invalid_argument("conv2d: non-positive output size " + std::to_string(oh) + "x" +
+                                std::to_string(ow) + geometry(x, weight, stride, padding) + ")");
   }
   const int cout_g = cout / groups;
   const Conv2dParams params{n,  cin, h,  w,      cout,   cin_g, kh,
@@ -595,16 +586,19 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
                                 shape_str(x.shape()) + ", weight " + shape_str(weight.shape()) +
                                 ", groups " + std::to_string(groups) + ")");
   }
+  if (stride < 1) {
+    throw std::invalid_argument("conv_transpose2d: stride must be >= 1" +
+                                geometry(x, weight, stride, padding) + ")");
+  }
   const int cin_g = cin / groups;
   const int cout = cout_g * groups;
   const int oh = (h - 1) * stride - 2 * padding + kh + output_padding;
   const int ow = (w - 1) * stride - 2 * padding + kw + output_padding;
   if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(
-        "conv_transpose2d: non-positive output size " + std::to_string(oh) + "x" +
-        std::to_string(ow) + " (input " + shape_str(x.shape()) + ", weight " +
-        shape_str(weight.shape()) + ", stride " + std::to_string(stride) + ", padding " +
-        std::to_string(padding) + ", output_padding " + std::to_string(output_padding) + ")");
+    throw std::invalid_argument("conv_transpose2d: non-positive output size " +
+                                std::to_string(oh) + "x" + std::to_string(ow) +
+                                geometry(x, weight, stride, padding) + ", output_padding " +
+                                std::to_string(output_padding) + ")");
   }
   const ConvT2dParams params{n,  cin, h,  w,  cout, cin_g,  cout_g, groups,
                              kh, kw,  oh, ow, stride, padding};

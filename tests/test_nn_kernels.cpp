@@ -79,9 +79,15 @@ const ConvCase kConvCases[] = {
     {2, 2, 5, 5, 2, 3, 3, 3, 2, 1},   // stride 3, padding 2
     {1, 1, 3, 3, 1, 3, 3, 1, 2, 1},   // padding wider than interior
     {1, 2, 4, 4, 2, 4, 4, 2, 1, 2},   // even kernel, grouped, strided
-    {1, 3, 16, 12, 5, 3, 3, 1, 1, 1}, // bigger: interior GEMM dominates
+    {1, 3, 16, 12, 5, 3, 3, 1, 1, 1}, // bigger: interior taps dominate
     {1, 10, 6, 5, 4, 3, 3, 1, 1, 2},  // 5 inputs per group: dX tile's 4-block + 1
     {1, 10, 5, 6, 3, 3, 3, 2, 1, 1},  // 10 inputs: dX tile's two 4-blocks + 2
+    {1, 3, 4, 10, 5, 1, 1, 1, 0, 1},  // pointwise, 40-pixel planes read in place
+    {1, 2, 5, 18, 3, 3, 3, 1, 0, 1},  // unpadded, 16 output columns read in place
+    // Wide rows: a tile's second and third 32-column blocks.
+    {1, 2, 3, 70, 3, 3, 3, 1, 1, 1},  // stride 1, 70 columns
+    {1, 4, 3, 67, 6, 3, 3, 2, 1, 2},  // stride 2, 34 columns, grouped
+    {1, 2, 4, 101, 2, 3, 3, 3, 1, 1}, // stride 3, 34 columns
 };
 
 class Conv2dDifferential : public testing::TestWithParam<ConvCase> {};
@@ -119,6 +125,35 @@ TEST(Conv2dDifferential, NoBiasBitwise) {
   Tensor y = conv2d(x, w, Tensor(), 2, 1);
   Tensor yr = reference::conv2d(copy_of(x), copy_of(w), Tensor(), 2, 1);
   EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"));
+}
+
+TEST(Conv2dDifferential, NegativeZeroBiasSurvivesPaddingTaps) {
+  // A tap outside the input is skipped, not added as w·0. With a −0
+  // bias, zero inputs and negative weights every in-bounds term is −0;
+  // one positive kernel column, which leaves the input on the left
+  // (kx = 0) or right (kx = 2) border, would turn that border's outputs
+  // to +0. 69 columns put the right border in a later 32-column block.
+  const Tensor x = Tensor::zeros({1, 2, 5, 69});
+  const Tensor b = Tensor::full({5}, -0.0f);  // 5 channels: a 4-block + 1
+  for (const int kx : {0, 2}) {
+    Tensor w = randn({5, 2, 3, 3}, 67, -1.0f, -0.25f);
+    for (std::size_t i = kx; i < w.data().size(); i += 3) w.data()[i] = -w.data()[i];
+    for (const int stride : {1, 2}) {
+      const Tensor y = conv2d(x, w, b, stride, 1);
+      const Tensor yr = reference::conv2d(copy_of(x), copy_of(w), copy_of(b), stride, 1);
+      EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"))
+          << "kx " << kx << ", stride " << stride;
+      const int oh = y.dim(2), ow = y.dim(3);
+      const int border = kx == 0 ? 0 : ow - 1;
+      for (int co = 0; co < 5; ++co) {
+        for (int oy = 0; oy < oh; ++oy) {
+          EXPECT_TRUE(
+              std::signbit(y.data()[(static_cast<std::size_t>(co) * oh + oy) * ow + border]))
+              << "kx " << kx << ", stride " << stride << ", channel " << co << ", row " << oy;
+        }
+      }
+    }
+  }
 }
 
 TEST(Conv2dDifferential, SparseUpstreamGradientBitwise) {
@@ -184,10 +219,12 @@ struct ConvTCase {
 };
 
 std::string convt_case_name(const ConvTCase& c) {
+  // Test names allow no '-': a negative padding is spelled m1, m2, ...
+  const auto num = [](int v) { return (v < 0 ? "m" : "") + std::to_string(v < 0 ? -v : v); };
   return std::to_string(c.n) + "x" + std::to_string(c.cin) + "x" + std::to_string(c.h) + "x" +
          std::to_string(c.w) + "_k" + std::to_string(c.kh) + "x" + std::to_string(c.kw) + "_s" +
-         std::to_string(c.stride) + "_p" + std::to_string(c.padding) + "_op" +
-         std::to_string(c.output_padding) + "_g" + std::to_string(c.groups);
+         std::to_string(c.stride) + "_p" + num(c.padding) + "_op" + num(c.output_padding) +
+         "_g" + std::to_string(c.groups);
 }
 
 const ConvTCase kConvTCases[] = {
@@ -199,6 +236,17 @@ const ConvTCase kConvTCases[] = {
     {1, 2, 4, 4, 2, 3, 3, 2, 2, 1, 1},  // padding 2 (negative obase ranges)
     {2, 4, 5, 6, 5, 3, 3, 2, 1, 1, 2},  // 5 outputs per group: a 4-block + 1
     {1, 3, 5, 6, 10, 3, 3, 2, 1, 1, 1}, // 10 outputs: two 4-blocks + 2
+    // Wide rows: more than 32 columns per stride class.
+    {1, 2, 3, 36, 3, 3, 3, 1, 1, 0, 1}, // stride 1, 36 columns
+    {1, 2, 3, 40, 2, 4, 4, 2, 1, 0, 1}, // stride 2, 80 columns (40 per class)
+    // Negative paddings: the dX conv2d gets a negative padding, or an
+    // output size the conv2d formula would not give, so its last column
+    // can reach past dY and a 1x1 kernel no longer maps plane to plane.
+    {1, 3, 4, 7, 2, 3, 3, 2, -1, 0, 1},
+    {1, 3, 4, 7, 2, 4, 4, 2, 1, -1, 1},
+    {1, 3, 4, 7, 2, 3, 3, 1, -1, -2, 1},
+    {1, 3, 4, 7, 2, 1, 1, 1, 0, -1, 1},
+    {1, 3, 4, 7, 2, 1, 1, 1, 0, 1, 1},
 };
 
 class ConvT2dDifferential : public testing::TestWithParam<ConvTCase> {};
@@ -266,6 +314,19 @@ TEST(ConvT2dDifferential, ZeroHeightInputGivesBias) {
   Tensor yr = reference::conv_transpose2d(x, w, b, 2, 0);
   ASSERT_EQ(y.shape(), (Shape{1, 3, 2, 10}));
   EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward"));
+}
+
+TEST(ConvT2dDifferential, ZeroHeightInputBackwardMatchesReference) {
+  // The dX conv2d then has no output rows, and x.grad is empty.
+  const auto run = [](const ConvOps& ops) {
+    Tensor x = Tensor::zeros({1, 2, 0, 4});
+    Tensor w = randn({2, 3, 4, 4}, 65), b = randn({3}, 66);
+    for (Tensor* t : {&x, &w, &b}) t->set_requires_grad(true);
+    sum(square(ops.convt(x, w, b, 2, 0, 0, 1))).backward();
+    EXPECT_TRUE(x.grad().empty());
+    return Grads{w.grad(), b.grad()};
+  };
+  EXPECT_TRUE(grads_equal(run(kTiled), run(kReference)));
 }
 
 /// Frozen weights: conv_transpose2d's dX runs through the conv2d

@@ -425,6 +425,24 @@ TEST(ConvValidation, ConvTranspose2dNonPositiveOutputReportsGeometry) {
                       {"non-positive output", "[1, 2, 1, 1]", "padding 2"});
 }
 
+TEST(ConvValidation, RejectsNonPositiveStrideAndNegativeConvPadding) {
+  // No output size exists for a stride below 1, and a negative conv2d
+  // padding would index outside the input.
+  Tensor x = randn({1, 2, 6, 6}, 94);
+  Tensor w = randn({3, 2, 3, 3}, 95);
+  Tensor wt = randn({2, 3, 3, 3}, 96);
+  EXPECT_THROW(conv2d(x, w, Tensor(), -2, 1), std::invalid_argument);
+  EXPECT_THROW(conv_transpose2d(x, wt, Tensor(), -1, 0), std::invalid_argument);
+  expect_invalid_with([&] { conv2d(x, w, Tensor(), 0, 1); },
+                      {"stride 0", "[1, 2, 6, 6]", "[3, 2, 3, 3]"});
+  expect_invalid_with([&] { conv2d(x, w, Tensor(), 1, -1); },
+                      {"padding -1", "[1, 2, 6, 6]", "[3, 2, 3, 3]"});
+  expect_invalid_with([&] { conv_transpose2d(x, wt, Tensor(), 0, 1); },
+                      {"stride 0", "[1, 2, 6, 6]", "[2, 3, 3, 3]"});
+  // conv_transpose2d keeps accepting negative padding and output_padding.
+  EXPECT_EQ(conv_transpose2d(x, wt, Tensor(), 2, -1, -1).shape(), (Shape{1, 3, 14, 14}));
+}
+
 TEST(ConvValidation, NonTensorInputsReportRank) {
   Tensor x3 = randn({3, 4, 4}, 92);
   Tensor w = randn({2, 3, 3, 3}, 93);
