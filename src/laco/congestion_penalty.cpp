@@ -154,10 +154,10 @@ nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_i
   return nn::cat_channels({pred_hi, hi_input});
 }
 
-nn::Tensor CongestionPenalty::assemble_f_input(const nn::Tensor& hi_input,
-                                               const nn::Tensor& lo_input,
-                                               const nn::Tensor& context) const {
-  if (!traits_.uses_lookahead) return hi_input;
+nn::Tensor CongestionPenalty::model_forward(const nn::Tensor& hi_input,
+                                            const nn::Tensor& lo_input,
+                                            const nn::Tensor& context) const {
+  if (!traits_.uses_lookahead) return models_.congestion->forward(hi_input);
   const int nc_g = models_.lookahead->config().channels_per_frame;
   nn::Tensor g_in = nn::cat_channels({context, lo_input});
   nn::Tensor prediction = models_.lookahead->forward(g_in).prediction;
@@ -166,13 +166,7 @@ nn::Tensor CongestionPenalty::assemble_f_input(const nn::Tensor& hi_input,
   }
   nn::Tensor pred_hi =
       nn::upsample_bilinear(prediction, config_.features_hi.ny, config_.features_hi.nx);
-  return nn::cat_channels({pred_hi, hi_input});
-}
-
-nn::Tensor CongestionPenalty::model_forward(const nn::Tensor& hi_input,
-                                            const nn::Tensor& lo_input,
-                                            const nn::Tensor& context) const {
-  return models_.congestion->forward(assemble_f_input(hi_input, lo_input, context));
+  return models_.congestion->forward(nn::cat_channels({pred_hi, hi_input}));
 }
 
 double CongestionPenalty::operator()(const Design& design, int iteration,
@@ -352,23 +346,7 @@ bool CongestionPenalty::predict(const Design& design, GridMap& out) {
   build_feature_inputs(design, /*with_grad=*/false, hi_input, lo_input, context);
 
   nn::Tensor prediction;
-  if (remote_forward_) {
-    // Sharded-serving path: g (and feature assembly) ran locally above;
-    // delegate only the congestion forward f. A shed / deadline /
-    // breaker / model error falls through to the local path below —
-    // predict() degrades, it does not fail.
-    try {
-      prediction = remote_forward_(assemble_f_input(hi_input, lo_input, context));
-      ++stats_.remote_forwards;
-      penalty_counter("remote_forwards").add(1);
-    } catch (const std::exception& e) {
-      ++stats_.remote_fallbacks;
-      penalty_counter("remote_fallbacks").add(1);
-      LACO_LOG_WARN << "CongestionPenalty: remote congestion forward failed (" << e.what()
-                    << "); using local path";
-    }
-  }
-  if (!prediction.defined() && plan::plans_enabled()) {
+  if (plan::plans_enabled()) {
     // Inference-only path: route the whole f∘g chain through the
     // compiled-plan cache (docs/PLAN.md). Keyed on the congestion net's
     // identity with a variant offset so the serve-side per-network plans
@@ -470,8 +448,6 @@ void CongestionPenalty::save_state(serial::Writer& w) const {
   w.u64(stats_.learned_failures);
   w.u64(stats_.analytic_fallbacks);
   w.u64(stats_.degradations);
-  w.u64(stats_.remote_forwards);
-  w.u64(stats_.remote_fallbacks);
   w.i32(consecutive_failures_);
   w.i32(degraded_remaining_);
 }
@@ -497,8 +473,6 @@ void CongestionPenalty::restore_state(serial::Reader& r) {
   stats_.learned_failures = r.u64("learned failures");
   stats_.analytic_fallbacks = r.u64("analytic fallbacks");
   stats_.degradations = r.u64("degradations");
-  stats_.remote_forwards = r.u64("remote forwards");
-  stats_.remote_fallbacks = r.u64("remote fallbacks");
   consecutive_failures_ = r.i32("consecutive failures");
   degraded_remaining_ = r.i32("degraded remaining");
 }

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "features/feature_stack.hpp"
@@ -47,19 +46,6 @@ struct LacoModels {
   FeatureScale scale_lo;  ///< look-ahead-resolution normalization
 };
 
-/// Inference-only delegation hook for sharded serving: maps f's fully
-/// assembled input tensor ([1, Cin, H, W]) to f's output ([1, 1, H, W]).
-/// CongestionPenalty::predict() assembles the input locally (including
-/// the look-ahead g forward) and, when a remote is set, delegates the
-/// congestion forward to it — typically serve::make_penalty_remote()
-/// wrapping an InferenceRouter. A throwing remote (shed, deadline,
-/// breaker open, model error) falls back to the local plan/eager path
-/// for that call. Gradients never cross the remote: operator()'s
-/// autograd path always runs locally. Defined here, implemented by the
-/// serve layer — laco stays below serve in the layer DAG
-/// (docs/STATIC_ANALYSIS.md).
-using RemoteCongestionForward = std::function<nn::Tensor(const nn::Tensor&)>;
-
 struct PenaltyConfig {
   FeatureConfig features_hi;  ///< congestion-model grid (e.g. 64×64)
   FeatureConfig features_lo;  ///< look-ahead grid (e.g. 32×32)
@@ -87,8 +73,6 @@ struct PenaltyStats {
   std::uint64_t learned_failures = 0;      ///< learned path threw
   std::uint64_t analytic_fallbacks = 0;    ///< analytic RUDY penalty used instead
   std::uint64_t degradations = 0;          ///< times degraded mode was entered
-  std::uint64_t remote_forwards = 0;       ///< predict() served by the remote hook
-  std::uint64_t remote_fallbacks = 0;      ///< remote threw; local path used instead
 };
 
 /// Model-free RUDY penalty: L = (1/MN) Σ (s · rudy_i)² at `extractor`'s
@@ -119,16 +103,12 @@ class CongestionPenalty {
   /// ready for a look-ahead prediction.
   bool predict(const Design& design, GridMap& out);
 
-  /// Installs (or clears, with nullptr) the remote congestion-forward
-  /// delegate used by predict(). Single-threaded with the placer loop,
-  /// like the rest of the penalty state.
-  void set_remote_forward(RemoteCongestionForward remote) { remote_forward_ = std::move(remote); }
-
   /// Snapshot codec (docs/RELIABILITY.md "Placement snapshots &
   /// resume"): serializes the penalty's loop state — frame history,
   /// degradation counters, stats — so a resumed placement replays the
-  /// uninterrupted run bitwise. The payload is versioned by kVersion.
-  static constexpr std::uint32_t kVersion = 1;
+  /// uninterrupted run bitwise. The payload is versioned by kVersion;
+  /// version 2 dropped the two remote-forward counters of version 1.
+  static constexpr std::uint32_t kVersion = 2;
   void save_state(serial::Writer& w) const;
   void restore_state(serial::Reader& r);
 
@@ -154,11 +134,6 @@ class CongestionPenalty {
   /// can trace it into a compiled plan (docs/PLAN.md).
   nn::Tensor model_forward(const nn::Tensor& hi_input, const nn::Tensor& lo_input,
                            const nn::Tensor& context) const;
-  /// Everything in model_forward up to (not including) the final f
-  /// forward: the g chain plus upsample/concat. Returns the tensor f
-  /// consumes — what a remote congestion forward receives.
-  nn::Tensor assemble_f_input(const nn::Tensor& hi_input, const nn::Tensor& lo_input,
-                              const nn::Tensor& context) const;
   FeatureFrame compute_frame(const Design& design, const FeatureExtractor& extractor,
                              const std::vector<double>* px, const std::vector<double>* py,
                              int iteration) const;
@@ -191,7 +166,6 @@ class CongestionPenalty {
   PenaltyStats stats_;
   int consecutive_failures_ = 0;  ///< learned-path failures in a row
   int degraded_remaining_ = 0;    ///< analytic-only applications left
-  RemoteCongestionForward remote_forward_;  ///< predict()'s f delegate (may be null)
 
   /// Arena workspace reused across predict() calls (single-threaded
   /// with the placer loop, like the rest of the penalty state).

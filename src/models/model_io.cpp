@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace laco {
@@ -16,6 +17,9 @@ bool FeatureScale::save(const std::string& path) const {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) return false;
     out << "feature_scale v1\n";
+    // max_digits10 round-trips every float exactly; files written at the
+    // stream's default 6 digits still parse the same way.
+    out.precision(std::numeric_limits<float>::max_digits10);
     for (const float s : scale) out << s << '\n';
     out.flush();
     if (!out) {

@@ -152,14 +152,4 @@ void fail_batch(Batch& batch, std::exception_ptr error) {
   }
 }
 
-void run_batch(Batch batch) {
-  if (batch.items.empty()) return;
-  try {
-    const nn::Tensor output = forward_batch(batch);
-    deliver_batch(batch, output);
-  } catch (...) {
-    fail_batch(batch, std::current_exception());
-  }
-}
-
 }  // namespace laco::serve

@@ -9,10 +9,11 @@
 // The batcher itself is a passive, lock-free-of-itself data structure:
 // the owner provides external synchronization (InferenceService
 // declares its batcher_ LACO_GUARDED_BY(mutex_), so the clang
-// -Wthread-safety job statically rejects unlocked access). run_batch()
-// does the actual model execution — one forward under NoGradGuard over
-// the stacked input (laco-lint's nograd-forward rule enforces the
-// guard) — and fulfills each request's promise with its output sample.
+// -Wthread-safety job statically rejects unlocked access).
+// forward_batch() does the actual model execution — one forward under
+// NoGradGuard over the stacked input (laco-lint's nograd-forward rule
+// enforces the guard) — and deliver_batch() fulfills each request's
+// promise with its output sample.
 #pragma once
 
 #include <chrono>
@@ -46,8 +47,6 @@ struct BatchItem {
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
   /// Caller-defined request tag, echoed verbatim in CompletionInfo.
-  /// The shard router stores the priority class here so its completion
-  /// hook can settle per-class admission accounting.
   int tag = 0;
 };
 
@@ -97,8 +96,7 @@ nn::Tensor take_sample(const nn::Tensor& batch, int n);
 
 /// One forward pass over the stacked batch under NoGradGuard. Throws on
 /// model/shape errors (and when the "serve.forward" failpoint fires);
-/// it never touches the items' promises, so the caller may retry a
-/// TransientError before committing the batch to failure.
+/// it never touches the items' promises.
 nn::Tensor forward_batch(const Batch& batch);
 
 /// Fulfills each item's promise with its sample of `output`.
@@ -106,11 +104,5 @@ void deliver_batch(Batch& batch, const nn::Tensor& output);
 
 /// Delivers `error` to every not-yet-fulfilled promise in the batch.
 void fail_batch(Batch& batch, std::exception_ptr error);
-
-/// Executes one batch without retries: forward_batch + deliver_batch,
-/// any exception (shape mismatch, missing look-ahead model, ...)
-/// delivered to every item's promise instead of propagating. The
-/// hardened retry/breaker path lives in InferenceService::execute.
-void run_batch(Batch batch);
 
 }  // namespace laco::serve

@@ -1,14 +1,12 @@
 // Typed request-failure errors for the inference service. Every future
 // the service hands out resolves with either a tensor or one of these
 // (or the underlying model error) — never hangs. Clients switch on the
-// type to decide between retrying elsewhere, degrading to an analytic
-// path, or surfacing the failure.
+// type to decide between backing off, degrading to an analytic path,
+// or surfacing the failure.
 #pragma once
 
 #include <stdexcept>
 #include <string>
-
-#include "util/errors.hpp"
 
 namespace laco::serve {
 
@@ -19,21 +17,11 @@ class DeadlineExceededError : public std::runtime_error {
   explicit DeadlineExceededError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// The circuit breaker for the target (model set, kind) is open: recent
-/// batches failed consecutively and the service is failing fast instead
-/// of queuing more work onto a broken model. Transient by design —
-/// the breaker half-opens after its cooldown and probes recovery.
-class CircuitOpenError : public TransientError {
- public:
-  explicit CircuitOpenError(const std::string& what) : TransientError(what) {}
-};
-
-/// The shard router refused the request at admission: every candidate
-/// shard's bounded queue is at its (priority-class) capacity. NOT a
-/// TransientError on purpose — an overloaded fleet must not absorb an
-/// immediate retry storm on top of the overload. Clients degrade
-/// instead (e.g. CongestionPenalty's analytic RUDY fallback) or retry
-/// after their own backoff.
+/// The service refused the request at submit: ServiceConfig::queue_limit
+/// requests were already in flight. NOT a TransientError on purpose —
+/// an overloaded service must not absorb an immediate retry storm on
+/// top of the overload. Clients degrade instead (e.g. the analytic
+/// RUDY penalty) or retry after their own backoff.
 class ShedError : public std::runtime_error {
  public:
   explicit ShedError(const std::string& what) : std::runtime_error(what) {}

@@ -46,10 +46,10 @@ std::size_t model_footprint_bytes(const LacoModels& models);
 /// Deep-copies a model set: fresh networks rebuilt from each source
 /// net's config with the source's parameter values copied in, frozen
 /// (requires_grad = false) before publishing. The clone has DISTINCT
-/// pointer identity from the source, which is the point — the shard
-/// router hands each shard its own replica so batcher buckets,
-/// compiled-plan cache entries, and circuit breakers key per shard
-/// instead of aliasing across the fleet.
+/// pointer identity from the source, so its batcher buckets and
+/// compiled-plan cache entries never alias the source's. Use it to
+/// serve a set loaded outside the registry without freezing the
+/// caller's copy.
 std::shared_ptr<const LacoModels> clone_frozen(const LacoModels& src);
 
 class ModelRegistry {

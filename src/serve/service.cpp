@@ -9,38 +9,21 @@
 #include "obs/trace.hpp"
 #include "serve/errors.hpp"
 #include "util/check.hpp"
-#include "util/errors.hpp"
 #include "util/timer.hpp"
 
 namespace laco::serve {
-namespace {
-
-/// splitmix64 finalizer — deterministic jitter stream for retry backoff
-/// (same construction as util/failpoint.cpp; no global RNG, no locks).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 ServiceConfig ServiceConfig::validated() const {
   ServiceConfig v = *this;
   // Hard invariants: negative durations/counts are caller bugs.
   LACO_CHECK(v.batcher.max_linger_ms >= 0.0);
   LACO_CHECK(v.deadline_ms >= 0.0);
-  LACO_CHECK(v.max_retries >= 0);
-  LACO_CHECK(v.retry_backoff_ms >= 0.0);
-  LACO_CHECK(v.retry_backoff_max_ms >= 0.0);
   // Soft knobs clamp to safe minimums. A zero linger would make the
   // flusher (which sleeps max_linger_ms / 2 per tick) spin.
   v.num_threads = std::max(1, v.num_threads);
   v.queue_capacity = std::max<std::size_t>(1, v.queue_capacity);
   v.batcher.max_batch = std::max(1, v.batcher.max_batch);
   v.batcher.max_linger_ms = std::max(kMinLingerMs, v.batcher.max_linger_ms);
-  v.retry_backoff_max_ms = std::max(v.retry_backoff_max_ms, v.retry_backoff_ms);
   v.latency_reservoir = std::max<std::size_t>(1, v.latency_reservoir);
   return v;
 }
@@ -50,11 +33,9 @@ ServiceMetrics::ServiceMetrics(obs::MetricRegistry& registry)
       completed(registry.counter("serve.completed")),
       batches(registry.counter("serve.batches")),
       batched_items(registry.counter("serve.batched_items")),
-      retried_batches(registry.counter("serve.retried_batches")),
       failed_batches(registry.counter("serve.failed_batches")),
       deadline_expired(registry.counter("serve.deadline_expired")),
-      breaker_rejected(registry.counter("serve.breaker_rejected")),
-      breaker_opens(registry.counter("serve.breaker_opens")),
+      shed(registry.counter("serve.shed")),
       in_flight(registry.gauge("serve.in_flight")),
       max_in_flight(registry.gauge("serve.max_in_flight")),
       latency_ms(registry.histogram("serve.latency_ms")),
@@ -106,23 +87,21 @@ std::future<nn::Tensor> InferenceService::submit(std::shared_ptr<const LacoModel
     ++counters_.requests;
     metrics_.requests.add(1);
 
-    // Breaker gate: a persistently failing (model set, kind) fails fast
-    // instead of queueing doomed work onto the pool.
-    const auto breaker_it = breakers_.find(breaker_key(item.models.get(), kind));
-    if (breaker_it != breakers_.end() && !breaker_it->second.allow(now)) {
-      ++counters_.breaker_rejected;
+    // Admission: at the in-flight bound the request fails now instead
+    // of queueing behind work that already fills the service.
+    if (config_.queue_limit > 0 && counters_.in_flight >= config_.queue_limit) {
+      ++counters_.shed;
       ++counters_.completed;
-      metrics_.breaker_rejected.add(1);
+      metrics_.shed.add(1);
       metrics_.completed.add(1);
-      item.result.set_exception(std::make_exception_ptr(CircuitOpenError(
-          std::string("InferenceService: circuit open for ") + to_string(kind) +
-          " model, failing fast (cooldown " +
-          std::to_string(breaker_it->second.config().cooldown_ms) + " ms)")));
+      item.result.set_exception(std::make_exception_ptr(
+          ShedError("InferenceService: request shed, queue_limit (" +
+                    std::to_string(config_.queue_limit) + ") requests already in flight")));
       lock.unlock();
       if (config_.on_complete) {
         CompletionInfo info;
         info.kind = kind;
-        info.outcome = CompletionInfo::Outcome::kBreakerRejected;
+        info.outcome = CompletionInfo::Outcome::kShed;
         info.tag = tag;
         config_.on_complete(info);
       }
@@ -155,17 +134,6 @@ void InferenceService::enqueue(Batch batch) {
   pool_.submit([this, shared] { execute(std::move(*shared)); });
 }
 
-std::chrono::duration<double, std::milli> InferenceService::backoff_delay(int attempt) {
-  const double base = config_.retry_backoff_ms * std::pow(2.0, attempt);
-  const double capped = std::min(base, config_.retry_backoff_max_ms);
-  // Deterministic jitter in [0.75, 1.25): decorrelates retries of
-  // concurrently failing batches without a shared RNG or lock.
-  const std::uint64_t n = jitter_counter_.fetch_add(1, std::memory_order_relaxed);
-  const double unit =
-      static_cast<double>(mix64(config_.retry_jitter_seed ^ mix64(n)) >> 11) * 0x1.0p-53;
-  return std::chrono::duration<double, std::milli>(capped * (0.75 + 0.5 * unit));
-}
-
 void InferenceService::execute(Batch batch) {
   const std::size_t n = batch.items.size();
 
@@ -184,34 +152,19 @@ void InferenceService::execute(Batch batch) {
                             " ms) expired before execution")));
   }
 
-  // Retry loop: transient failures back off and re-run the single
-  // forward; permanent errors (and exhausted retries) fail only this
-  // batch's futures. Nothing here can wedge the flusher or the pool.
-  bool attempted = false;
+  // One forward pass; any error fails only this batch's futures.
+  // Nothing here can wedge the flusher or the pool.
   bool succeeded = false;
-  std::uint64_t retries_used = 0;
-  double exec_ms = 0.0;  ///< forward wall time, incl. retries/backoff
+  double exec_ms = 0.0;  ///< forward wall time
   if (!live.items.empty()) {
-    attempted = true;
     obs::TraceSpan span("serve.execute_batch", "serve");
     Timer exec_timer;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        const nn::Tensor output = forward_batch(live);
-        deliver_batch(live, output);
-        succeeded = true;
-        break;
-      } catch (const TransientError&) {
-        if (attempt >= config_.max_retries) {
-          fail_batch(live, std::current_exception());
-          break;
-        }
-        ++retries_used;
-        std::this_thread::sleep_for(backoff_delay(attempt));
-      } catch (...) {
-        fail_batch(live, std::current_exception());
-        break;
-      }
+    try {
+      const nn::Tensor output = forward_batch(live);
+      deliver_batch(live, output);
+      succeeded = true;
+    } catch (...) {
+      fail_batch(live, std::current_exception());
     }
     exec_ms = exec_timer.seconds() * 1e3;
   }
@@ -222,9 +175,9 @@ void InferenceService::execute(Batch batch) {
   };
 
   // Completion reports — after the promises resolved, with no lock held
-  // (the hook may take the router's lock; never nest it under ours),
+  // (the hook may take the caller's own lock; never nest it under ours),
   // and BEFORE the in_flight decrement below: drain() returning must
-  // imply every hook has run, or router-side accounting would trail.
+  // imply every hook has run, or the caller's accounting would trail.
   if (config_.on_complete) {
     const double exec_per_item =
         live.items.empty() ? 0.0 : exec_ms / static_cast<double>(live.items.size());
@@ -264,28 +217,12 @@ void InferenceService::execute(Batch batch) {
     counters_.completed += n;
     counters_.in_flight -= n;
     counters_.deadline_expired += expired.items.size();
-    counters_.retried_batches += retries_used;
     metrics_.completed.add(n);
     metrics_.in_flight.set(static_cast<double>(counters_.in_flight));
     metrics_.deadline_expired.add(expired.items.size());
-    metrics_.retried_batches.add(retries_used);
-    if (attempted) {
-      CircuitBreaker& breaker =
-          breakers_
-              .try_emplace(breaker_key(live.items.front().models.get(),
-                                       live.items.front().kind),
-                           config_.breaker)
-              .first->second;
-      const std::uint64_t opened_before = breaker.times_opened();
-      if (succeeded) {
-        breaker.record_success();
-      } else {
-        ++counters_.failed_batches;
-        metrics_.failed_batches.add(1);
-        breaker.record_failure(now);
-      }
-      counters_.breaker_opens += breaker.times_opened() - opened_before;
-      metrics_.breaker_opens.add(breaker.times_opened() - opened_before);
+    if (!live.items.empty() && !succeeded) {
+      ++counters_.failed_batches;
+      metrics_.failed_batches.add(1);
     }
   }
   drained_.notify_all();
@@ -308,21 +245,10 @@ ServiceCounters InferenceService::counters() const {
     MutexLock lock(mutex_);
     c = counters_;
     c.pending = batcher_.pending();
-    c.breakers_open = 0;
-    for (const auto& [key, breaker] : breakers_) {
-      if (breaker.state() != BreakerState::kClosed) ++c.breakers_open;
-    }
   }
   c.pool_queue_depth = pool_.queue_depth();
   c.pool_max_queue_depth = pool_.max_queue_depth();
   return c;
-}
-
-BreakerState InferenceService::breaker_state(const std::shared_ptr<const LacoModels>& models,
-                                             ModelKind kind) const {
-  MutexLock lock(mutex_);
-  const auto it = breakers_.find(breaker_key(models.get(), kind));
-  return it == breakers_.end() ? BreakerState::kClosed : it->second.state();
 }
 
 std::vector<double> InferenceService::latency_snapshot_ms() const {

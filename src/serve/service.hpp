@@ -4,8 +4,8 @@
 // a Batcher (size + linger flush policy) and execute on a fixed
 // ThreadPool, one forward pass per batch under NoGradGuard.
 //
-//   submit ──▶ breaker gate ──▶ Batcher buckets ──(full / lingered)──▶ ThreadPool
-//                                                                       └─▶ execute ─▶ futures
+//   submit ──▶ queue_limit gate ──▶ Batcher buckets ──(full / lingered)──▶ ThreadPool
+//                                                                          └─▶ execute ─▶ futures
 //
 // A flusher thread wakes every max_linger_ms/2 to cut aged partial
 // batches, so a lone request is never stranded. Counters track
@@ -14,15 +14,12 @@
 // bounded reservoir of recent requests.
 //
 // Fault tolerance (docs/RELIABILITY.md): every future resolves — with
-// the result, or with a typed error — never hangs. Per-request
+// the result, or with a typed error — never hangs. Admission is one
+// bound: with ServiceConfig::queue_limit set, a submit that finds that
+// many requests in flight fails at once with ShedError. Per-request
 // deadlines fail expired items with DeadlineExceededError before they
-// burn a forward pass; batches failing with TransientError are retried
-// with exponential backoff and deterministic jitter; and a per-(model
-// set, kind) circuit breaker opens after consecutive batch failures so
-// a persistently broken model fails fast (CircuitOpenError) instead of
-// queueing doomed work, half-opening after a cooldown to probe
-// recovery. A failed batch fails only its own futures; the flusher and
-// pool never inherit the fault.
+// burn a forward pass. A failed batch fails only its own futures; the
+// flusher and pool never inherit the fault.
 //
 // Thread-safety: submit() may be called from any number of threads.
 // Results are independent tensors (no shared autograd state); model
@@ -32,19 +29,15 @@
 // compile time (docs/STATIC_ANALYSIS.md).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
-#include "serve/circuit_breaker.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -53,22 +46,21 @@ namespace laco::serve {
 
 /// Per-request completion report, delivered through
 /// ServiceConfig::on_complete right after the request's promise
-/// resolves. The router uses it to keep per-shard admission accounting
-/// and cost estimates without polling or wrapper threads.
+/// resolves, so callers can account per request without polling or
+/// wrapper threads.
 struct CompletionInfo {
   enum class Outcome {
     kOk,               ///< promise fulfilled with a tensor
-    kError,            ///< promise failed (model error, exhausted retries)
+    kError,            ///< promise failed (model or shape error, injected fault)
     kDeadlineExpired,  ///< triaged out before the forward pass
-    kBreakerRejected,  ///< failed fast at submit (circuit open)
+    kShed,             ///< failed at submit: queue_limit requests in flight
   };
   ModelKind kind = ModelKind::kCongestion;
   Outcome outcome = Outcome::kOk;
   int tag = 0;                       ///< the caller's submit() tag, echoed
   double latency_ms = 0.0;           ///< submit → promise resolution
   /// Forward wall time divided by the batch's live item count; 0 when
-  /// the request never reached a forward pass. Feeds the router's
-  /// per-item cost EWMA (serve/admission.hpp).
+  /// the request never reached a forward pass (expired or shed).
   double exec_ms_per_item = 0.0;
 };
 
@@ -86,11 +78,10 @@ struct ServiceConfig {
 
   // Reliability knobs (docs/RELIABILITY.md).
   double deadline_ms = 0.0;        ///< per-request deadline; 0 = none
-  int max_retries = 2;             ///< extra attempts per batch on TransientError
-  double retry_backoff_ms = 0.5;   ///< first backoff; doubles per attempt
-  double retry_backoff_max_ms = 20.0;  ///< backoff growth cap
-  std::uint64_t retry_jitter_seed = 0x1ac0;  ///< deterministic backoff jitter
-  BreakerConfig breaker;           ///< per-(model set, kind) circuit breaker
+  /// Admission bound: submit() fails the future at once with ShedError
+  /// while this many requests are in flight (submitted, not completed).
+  /// 0 = unbounded.
+  std::size_t queue_limit = 0;
   CompletionHook on_complete;      ///< per-request completion callback (may be null)
 
   /// Smallest accepted linger: the flusher wakes every max_linger_ms/2,
@@ -116,12 +107,9 @@ struct ServiceCounters {
   std::size_t pool_max_queue_depth = 0;
 
   // Fault-tolerance counters.
-  std::uint64_t retried_batches = 0;   ///< batch re-executions after a transient failure
   std::uint64_t failed_batches = 0;    ///< batches whose live items received an error
   std::uint64_t deadline_expired = 0;  ///< requests failed with DeadlineExceededError
-  std::uint64_t breaker_rejected = 0;  ///< requests failed fast with CircuitOpenError
-  std::uint64_t breaker_opens = 0;     ///< breaker transitions into the open state
-  std::size_t breakers_open = 0;       ///< breakers currently open or half-open
+  std::uint64_t shed = 0;              ///< requests failed at submit with ShedError
 
   double mean_batch_size() const {
     return batches == 0 ? 0.0 : static_cast<double>(batched_items) / static_cast<double>(batches);
@@ -140,11 +128,9 @@ struct ServiceMetrics {
   obs::Counter& completed;
   obs::Counter& batches;
   obs::Counter& batched_items;
-  obs::Counter& retried_batches;
   obs::Counter& failed_batches;
   obs::Counter& deadline_expired;
-  obs::Counter& breaker_rejected;
-  obs::Counter& breaker_opens;
+  obs::Counter& shed;
   obs::Gauge& in_flight;
   obs::Gauge& max_in_flight;
   obs::Histogram& latency_ms;   ///< submit → result, per request
@@ -164,7 +150,8 @@ class InferenceService {
   /// the channel count the target network expects; the tensor is taken
   /// by value and must not be mutated by the caller afterwards. The
   /// future yields the [1, C_out, H, W] output or a typed error
-  /// (serve/errors.hpp) — it always resolves, even under faults.
+  /// (serve/errors.hpp) — it always resolves, even under faults. At
+  /// queue_limit it is returned already failed with ShedError.
   /// `tag` is an opaque caller value echoed in CompletionInfo.
   std::future<nn::Tensor> submit(std::shared_ptr<const LacoModels> models, ModelKind kind,
                                  nn::Tensor input,  // analyze-ok(tensor-by-value): sink, moved into the batch
@@ -176,11 +163,6 @@ class InferenceService {
 
   ServiceCounters counters() const LACO_EXCLUDES(mutex_);
 
-  /// Breaker state for one (model set, kind); kClosed when no request
-  /// for that pair has ever failed (no breaker allocated yet).
-  BreakerState breaker_state(const std::shared_ptr<const LacoModels>& models,
-                             ModelKind kind) const LACO_EXCLUDES(mutex_);
-
   /// Latency (ms, submit → result) of up to `latency_reservoir` recent
   /// requests, unordered. Use `percentile` for p50/p99.
   std::vector<double> latency_snapshot_ms() const LACO_EXCLUDES(mutex_);
@@ -188,20 +170,11 @@ class InferenceService {
   const ServiceConfig& config() const { return config_; }
 
  private:
-  /// Breakers key on the same identity the batcher buckets on: the
-  /// model-set address (stable via shared_ptr) plus the network kind.
-  using BreakerKey = std::pair<const void*, int>;
-  static BreakerKey breaker_key(const LacoModels* models, ModelKind kind) {
-    return {models, static_cast<int>(kind)};
-  }
-
   /// Counts the batch and hands it to the pool. Callers must NOT hold
   /// mutex_: the pool's bounded queue blocks, and workers take mutex_.
   void enqueue(Batch batch) LACO_EXCLUDES(mutex_);
   void execute(Batch batch) LACO_EXCLUDES(mutex_);
   void flusher_loop() LACO_EXCLUDES(mutex_);
-  /// Exponential backoff with deterministic jitter for retry `attempt`.
-  std::chrono::duration<double, std::milli> backoff_delay(int attempt);
 
   ServiceConfig config_;
   /// Lock-free registry mirrors updated alongside counters_ at every
@@ -212,11 +185,9 @@ class InferenceService {
   CondVar drained_;
   Batcher batcher_ LACO_GUARDED_BY(mutex_);
   ServiceCounters counters_ LACO_GUARDED_BY(mutex_);
-  std::map<BreakerKey, CircuitBreaker> breakers_ LACO_GUARDED_BY(mutex_);
   std::vector<double> latencies_ms_ LACO_GUARDED_BY(mutex_);
   std::size_t latency_next_ LACO_GUARDED_BY(mutex_) = 0;  ///< reservoir write cursor
   bool stopping_ LACO_GUARDED_BY(mutex_) = false;
-  std::atomic<std::uint64_t> jitter_counter_{0};  ///< backoff jitter stream position
   CondVar flusher_wakeup_;
   std::thread flusher_;
 };

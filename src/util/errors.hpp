@@ -1,10 +1,12 @@
 // Error taxonomy shared by the fault-tolerance layer. The distinction
-// that matters operationally is transient vs. permanent: a transient
-// failure (injected fault, interrupted I/O, overloaded dependency) may
-// succeed on retry, while a permanent one (shape mismatch, missing
-// model) never will. Retry policies (serve::InferenceService) and the
-// placer's degradation path key on these types rather than parsing
-// message strings.
+// is transient vs. permanent: a transient failure (injected fault,
+// interrupted I/O, overloaded dependency) may succeed on a fresh
+// attempt, while a permanent one (shape mismatch, missing model) never
+// will. Nothing in the library retries on TransientError: the service
+// fails the batch's futures and callers decide (the chaos drill counts
+// transient failures separately). Its one subclass today is
+// FailpointError, so callers can tell injected faults from real ones
+// without parsing message strings.
 #pragma once
 
 #include <stdexcept>

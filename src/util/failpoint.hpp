@@ -3,8 +3,8 @@
 // that normally does nothing; tests, the chaos CLI, or the
 // LACO_FAILPOINTS environment variable arm it with a mode:
 //
-//   error  — throw FailpointError (a TransientError, so retry/fallback
-//            paths exercise their real recovery logic)
+//   error  — throw FailpointError (a TransientError, so fallback and
+//            failure-isolation paths exercise their real recovery logic)
 //   delay  — sleep delay_ms (latency injection: deadlines, backpressure)
 //   crash  — abort the process (crash-the-worker drills)
 //
@@ -47,8 +47,8 @@ struct FailpointStats {
   std::uint64_t fires = 0;        ///< times it actually fired
 };
 
-/// Thrown by a fired `error` failpoint. Derives TransientError so the
-/// serving retry policy treats injected faults as retryable.
+/// Thrown by a fired `error` failpoint. Derives TransientError: an
+/// injected fault is the kind of failure a fresh attempt may not see.
 class FailpointError : public TransientError {
  public:
   explicit FailpointError(const std::string& name)

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+#include <fstream>
+#include <vector>
+
 #include "models/congestion_fcn.hpp"
 #include "nn/ops.hpp"
 #include "models/lookahead_simvp.hpp"
@@ -194,12 +199,27 @@ TEST(ModelIo, GridMapTensorRoundTrip) {
 }
 
 TEST(ModelIo, FeatureScaleSaveLoad) {
-  FeatureScale fs;
-  fs.scale = {1.f, 2.f, 3.f, 4.f, 5.f};
+  // The second set needs 9 significant digits to round-trip exactly.
+  const std::vector<std::array<float, 5>> inputs = {
+      {1.f, 2.f, 3.f, 4.f, 5.f},
+      {1.0f / 3, 0.0715161234f, 0.118804321f, 1.f, 0.812148123f},
+  };
   const std::string path = ::testing::TempDir() + "/scale.txt";
-  ASSERT_TRUE(fs.save(path));
-  const FeatureScale loaded = FeatureScale::load(path);
-  EXPECT_EQ(loaded.scale, fs.scale);
+  for (const auto& scale : inputs) {
+    FeatureScale fs;
+    fs.scale = scale;
+    ASSERT_TRUE(fs.save(path));
+    const FeatureScale loaded = FeatureScale::load(path);
+    EXPECT_EQ(loaded.scale, fs.scale);
+  }
+  // A file written at the old default 6 digits loads as it always did.
+  {
+    std::ofstream out(path);
+    out << "feature_scale v1\n0.0715161\n0.118804\n1\n0.812148\n0.870825\n";
+  }
+  const FeatureScale legacy = FeatureScale::load(path);
+  const std::array<float, 5> expected = {0.0715161f, 0.118804f, 1.f, 0.812148f, 0.870825f};
+  EXPECT_EQ(legacy.scale, expected);
   std::remove(path.c_str());
 }
 

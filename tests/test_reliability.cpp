@@ -1,14 +1,13 @@
 // Fault-tolerance suite (docs/RELIABILITY.md): checkpoint integrity
 // (CRC-32, truncation, v1 back-compat, atomic saves), deterministic
-// failpoints, circuit-breaker state machine, per-request deadlines,
-// retry accounting, graceful degradation of the congestion penalty to
-// the analytic RUDY fallback, and a multi-client chaos run where every
-// future must resolve. Run under TSan by the CI matrix.
+// failpoints, per-request deadlines, failed-batch isolation, graceful
+// degradation of the congestion penalty to the analytic RUDY fallback,
+// and a multi-client chaos run where every future must resolve. Run
+// under TSan by the CI matrix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -25,7 +24,6 @@
 #include "models/congestion_fcn.hpp"
 #include "netlist/generator.hpp"
 #include "nn/serialize.hpp"
-#include "serve/circuit_breaker.hpp"
 #include "serve/errors.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"
@@ -36,8 +34,6 @@
 
 namespace laco {
 namespace {
-
-using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------- fixtures
 
@@ -339,64 +335,15 @@ TEST(Failpoints, SpecStringArmsAndValidates) {
   EXPECT_THROW(registry.configure_from_spec("noequals"), std::invalid_argument);
 }
 
-// --------------------------------------------------------- circuit breaker
-
-serve::CircuitBreaker::TimePoint fake_clock(double ms) {
-  return serve::CircuitBreaker::TimePoint() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double, std::milli>(ms));
-}
-
-TEST(CircuitBreaker, OpensAfterThresholdAndRejects) {
-  serve::CircuitBreaker breaker({/*failure_threshold=*/3, /*cooldown_ms=*/100.0});
-  EXPECT_EQ(breaker.state(), serve::BreakerState::kClosed);
-  breaker.record_failure(fake_clock(0));
-  breaker.record_failure(fake_clock(1));
-  EXPECT_TRUE(breaker.allow(fake_clock(2)));  // still closed below threshold
-  breaker.record_failure(fake_clock(2));
-  EXPECT_EQ(breaker.state(), serve::BreakerState::kOpen);
-  EXPECT_EQ(breaker.times_opened(), 1u);
-  EXPECT_FALSE(breaker.allow(fake_clock(50)));  // cooldown not elapsed
-}
-
-TEST(CircuitBreaker, HalfOpenAdmitsSingleProbeThenCloses) {
-  serve::CircuitBreaker breaker({2, 100.0});
-  breaker.record_failure(fake_clock(0));
-  breaker.record_failure(fake_clock(0));
-  ASSERT_EQ(breaker.state(), serve::BreakerState::kOpen);
-  EXPECT_TRUE(breaker.allow(fake_clock(150)));  // cooldown elapsed: the probe
-  EXPECT_EQ(breaker.state(), serve::BreakerState::kHalfOpen);
-  EXPECT_FALSE(breaker.allow(fake_clock(151)));  // probe in flight
-  breaker.record_success();
-  EXPECT_EQ(breaker.state(), serve::BreakerState::kClosed);
-  EXPECT_EQ(breaker.consecutive_failures(), 0);
-  EXPECT_TRUE(breaker.allow(fake_clock(152)));
-}
-
-TEST(CircuitBreaker, FailedProbeReopensWithFreshCooldown) {
-  serve::CircuitBreaker breaker({1, 100.0});
-  breaker.record_failure(fake_clock(0));
-  ASSERT_EQ(breaker.state(), serve::BreakerState::kOpen);
-  EXPECT_TRUE(breaker.allow(fake_clock(120)));
-  breaker.record_failure(fake_clock(120));  // probe fails
-  EXPECT_EQ(breaker.state(), serve::BreakerState::kOpen);
-  EXPECT_EQ(breaker.times_opened(), 2u);
-  EXPECT_FALSE(breaker.allow(fake_clock(180)));  // new cooldown from t=120
-  EXPECT_TRUE(breaker.allow(fake_clock(230)));
-}
-
 // ------------------------------------------------------- service hardening
 
 TEST(ServiceConfig, ValidationClampsSoftKnobs) {
   serve::ServiceConfig sc;
   sc.num_threads = 0;
   sc.batcher.max_linger_ms = 0.0;  // would busy-loop the flusher
-  sc.retry_backoff_ms = 5.0;
-  sc.retry_backoff_max_ms = 1.0;
   const serve::ServiceConfig v = sc.validated();
   EXPECT_EQ(v.num_threads, 1);
   EXPECT_DOUBLE_EQ(v.batcher.max_linger_ms, serve::ServiceConfig::kMinLingerMs);
-  EXPECT_GE(v.retry_backoff_max_ms, v.retry_backoff_ms);
 }
 
 TEST(ServiceConfigDeathTest, NegativeKnobsAreCallerBugs) {
@@ -404,7 +351,7 @@ TEST(ServiceConfigDeathTest, NegativeKnobsAreCallerBugs) {
   sc.batcher.max_linger_ms = -1.0;
   EXPECT_DEATH((void)sc.validated(), "LACO_CHECK failed");
   serve::ServiceConfig sc2;
-  sc2.max_retries = -2;
+  sc2.deadline_ms = -2.0;
   EXPECT_DEATH((void)sc2.validated(), "LACO_CHECK failed");
 }
 
@@ -443,7 +390,6 @@ TEST(ServiceReliability, FailedBatchFailsOnlyItsOwnFutures) {
   serve::ServiceConfig sc;
   sc.num_threads = 2;
   sc.batcher.max_batch = 1;  // every submit cuts its own batch
-  sc.breaker.failure_threshold = 1000;
   serve::InferenceService service(sc);
   const auto models = tiny_models(LacoScheme::kDreamCong);  // no look-ahead net
   auto bad = service.submit(models, serve::ModelKind::kLookAhead, random_input(3, 8, 1));
@@ -454,36 +400,6 @@ TEST(ServiceReliability, FailedBatchFailsOnlyItsOwnFutures) {
   EXPECT_EQ(service.counters().failed_batches, 1u);
 }
 
-TEST(ServiceReliability, BreakerOpensThenFailsFastWithTypedError) {
-  serve::ServiceConfig sc;
-  sc.num_threads = 1;
-  sc.batcher.max_batch = 1;
-  sc.breaker.failure_threshold = 2;
-  sc.breaker.cooldown_ms = 1e9;  // never half-opens within the test
-  serve::InferenceService service(sc);
-  const auto models = tiny_models(LacoScheme::kDreamCong);
-  for (int i = 0; i < 2; ++i) {
-    auto f = service.submit(models, serve::ModelKind::kLookAhead,
-                            random_input(3, 8, static_cast<unsigned>(i)));
-    EXPECT_THROW(f.get(), std::runtime_error);
-    service.drain();  // the failure is recorded before the next submit
-  }
-  EXPECT_EQ(service.breaker_state(models, serve::ModelKind::kLookAhead),
-            serve::BreakerState::kOpen);
-  // The congestion breaker for the same model set is independent.
-  EXPECT_EQ(service.breaker_state(models, serve::ModelKind::kCongestion),
-            serve::BreakerState::kClosed);
-  auto rejected = service.submit(models, serve::ModelKind::kLookAhead, random_input(3, 8, 9));
-  EXPECT_THROW(rejected.get(), serve::CircuitOpenError);
-  const serve::ServiceCounters c = service.counters();
-  EXPECT_EQ(c.breaker_rejected, 1u);
-  EXPECT_EQ(c.breaker_opens, 1u);
-  EXPECT_EQ(c.breakers_open, 1u);
-  // A congestion request still flows normally.
-  auto ok = service.submit(models, serve::ModelKind::kCongestion, random_input(3, 8, 10));
-  EXPECT_EQ(ok.get().dim(1), 1);
-}
-
 TEST(ServiceReliability, ChaosMixedLoadEveryFutureResolves) {
   // ~10% of requests target the look-ahead net of a set that has none;
   // 4 client threads submit concurrently. Every future must resolve —
@@ -492,7 +408,6 @@ TEST(ServiceReliability, ChaosMixedLoadEveryFutureResolves) {
   sc.num_threads = 2;
   sc.batcher.max_batch = 4;
   sc.batcher.max_linger_ms = 0.5;
-  sc.breaker.failure_threshold = 1000000;  // keep failures deterministic
   const auto models = tiny_models(LacoScheme::kDreamCong);
   constexpr int kClients = 4;
   constexpr int kPerClient = 30;
@@ -530,7 +445,7 @@ TEST(ServiceReliability, ChaosMixedLoadEveryFutureResolves) {
   EXPECT_EQ(failed.load(), kClients * (kPerClient / 10));
 }
 
-TEST(ServiceReliability, RetryAndRecoveryUnderInjectedFaults) {
+TEST(ServiceReliability, InjectedFaultFailsOnlyItsBatchThenRecovers) {
   if (!failpoints_compiled_in()) {
     GTEST_SKIP() << "LACO_FAILPOINT hook sites compiled out (build with -DLACO_FAILPOINTS=ON)";
   }
@@ -542,31 +457,20 @@ TEST(ServiceReliability, RetryAndRecoveryUnderInjectedFaults) {
   serve::ServiceConfig sc;
   sc.num_threads = 1;
   sc.batcher.max_batch = 1;
-  sc.max_retries = 2;
-  sc.retry_backoff_ms = 0.1;
-  sc.breaker.failure_threshold = 1;
-  sc.breaker.cooldown_ms = 20.0;
   serve::InferenceService service(sc);
   const auto models = tiny_models(LacoScheme::kDreamCong);
 
   auto doomed = service.submit(models, serve::ModelKind::kCongestion, random_input(3, 8, 1));
-  EXPECT_THROW(doomed.get(), FailpointError);  // transient, but retries exhausted
+  EXPECT_THROW(doomed.get(), FailpointError);  // one attempt, no retry
   service.drain();
-  serve::ServiceCounters c = service.counters();
-  EXPECT_EQ(c.retried_batches, 2u);  // max_retries extra attempts
-  EXPECT_EQ(c.failed_batches, 1u);
-  EXPECT_EQ(service.breaker_state(models, serve::ModelKind::kCongestion),
-            serve::BreakerState::kOpen);
+  EXPECT_EQ(service.counters().failed_batches, 1u);
 
-  // Heal the fault, wait out the cooldown: the next request is the
-  // half-open probe, succeeds, and closes the breaker.
+  // Heal the fault: the very next request succeeds.
   registry.disarm("serve.forward");
-  std::this_thread::sleep_for(40ms);
-  auto probe = service.submit(models, serve::ModelKind::kCongestion, random_input(3, 8, 2));
-  EXPECT_EQ(probe.get().dim(1), 1);
+  auto healed = service.submit(models, serve::ModelKind::kCongestion, random_input(3, 8, 2));
+  EXPECT_EQ(healed.get().dim(1), 1);
   service.drain();
-  EXPECT_EQ(service.breaker_state(models, serve::ModelKind::kCongestion),
-            serve::BreakerState::kClosed);
+  EXPECT_EQ(service.counters().failed_batches, 1u);
 }
 
 // ---------------------------------------------------- graceful degradation

@@ -1,19 +1,24 @@
 // Tests for the concurrent batched inference subsystem (src/serve):
 // thread pool semantics, batcher flush policy, batched-vs-sequential
-// output equivalence, concurrent submission, and model-registry
-// caching / LRU eviction.
+// output equivalence, concurrent submission, queue_limit admission,
+// the per-request completion hook on every outcome, frozen model
+// clones, and model-registry caching / LRU eviction.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <thread>
 
 #include "laco/model_zoo.hpp"
 #include "nn/ops.hpp"
+#include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
+#include "serve/errors.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"
+#include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
 namespace laco {
@@ -271,6 +276,225 @@ TEST(InferenceService, DrainCompletesOutstandingWork) {
   EXPECT_EQ(future.wait_for(0s), std::future_status::ready);
 }
 
+/// A service that cannot drain during submission: one worker, a huge
+/// batch size and a long linger hold every admitted request in the
+/// batcher until drain() forces the flush, so admission under a
+/// synchronous burst is fully deterministic.
+serve::ServiceConfig parked_config(std::size_t queue_limit) {
+  serve::ServiceConfig sc;
+  sc.num_threads = 1;
+  sc.batcher.max_batch = 1024;
+  sc.batcher.max_linger_ms = 60'000.0;
+  sc.queue_limit = queue_limit;
+  return sc;
+}
+
+TEST(InferenceService, QueueLimitShedsWithShedError) {
+  const auto models = tiny_models(LacoScheme::kDreamCong);
+  obs::Counter& shed_metric = obs::MetricRegistry::global().counter("serve.shed");
+  const std::uint64_t shed_before = shed_metric.value();
+  serve::InferenceService service(parked_config(/*queue_limit=*/2));
+  std::vector<std::future<nn::Tensor>> futures;
+  for (int i = 0; i < 5; ++i) {
+    futures.push_back(service.submit(models, serve::ModelKind::kCongestion,
+                                     random_input(3, 8, static_cast<unsigned>(i))));
+  }
+  for (std::size_t i = 2; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready) << "request " << i;
+    EXPECT_THROW(futures[i].get(), serve::ShedError) << "request " << i;
+  }
+  EXPECT_EQ(shed_metric.value() - shed_before, 3u);
+
+  service.drain();
+  for (std::size_t i = 0; i < 2; ++i) EXPECT_EQ(futures[i].get().dim(1), 1);
+  serve::ServiceCounters c = service.counters();
+  EXPECT_EQ(c.in_flight, 0u);
+  EXPECT_EQ(c.requests, 5u);
+  EXPECT_EQ(c.completed, 5u);
+  EXPECT_EQ(c.shed, 3u);
+
+  // Room again: the next request is admitted.
+  auto next = service.submit(models, serve::ModelKind::kCongestion, random_input(3, 8, 9));
+  service.drain();
+  EXPECT_EQ(next.get().dim(1), 1);
+  EXPECT_EQ(service.counters().shed, 3u);
+}
+
+TEST(InferenceService, BoundedQueueRejectsAtLimit) {
+  const auto models = tiny_models(LacoScheme::kDreamCong);
+  unsigned seed = 0;
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "queue_limit " << limit);
+    serve::InferenceService service(parked_config(limit));
+    // Two rounds: completions free every slot, so the second round
+    // admits a full queue_limit again.
+    for (int round = 0; round < 2; ++round) {
+      std::vector<std::future<nn::Tensor>> admitted;
+      for (std::size_t i = 0; i < limit; ++i) {
+        admitted.push_back(
+            service.submit(models, serve::ModelKind::kCongestion, random_input(3, 8, ++seed)));
+        ASSERT_EQ(admitted.back().wait_for(0s), std::future_status::timeout)
+            << "round " << round << " request " << i;
+      }
+      EXPECT_EQ(service.counters().in_flight, limit);
+
+      auto over = service.submit(models, serve::ModelKind::kCongestion, random_input(3, 8, ++seed));
+      ASSERT_EQ(over.wait_for(0s), std::future_status::ready) << "round " << round;
+      EXPECT_THROW(over.get(), serve::ShedError);
+      EXPECT_EQ(service.counters().in_flight, limit);
+
+      service.drain();
+      EXPECT_EQ(service.counters().in_flight, 0u);
+      for (auto& f : admitted) EXPECT_EQ(f.get().dim(1), 1);
+    }
+    const serve::ServiceCounters c = service.counters();
+    EXPECT_EQ(c.requests, 2 * (limit + 1));
+    EXPECT_EQ(c.shed, 2u);
+    EXPECT_EQ(c.max_in_flight, limit);
+  }
+}
+
+// --------------------------------------------------------- CompletionHook
+
+TEST(InferenceService, CompletionHookReportsPerRequest) {
+  const auto models = tiny_models(LacoScheme::kDreamCong);
+  const int channels = models->congestion->config().in_channels;
+  Mutex mu;
+  std::vector<serve::CompletionInfo> infos;
+  serve::ServiceConfig sc;
+  sc.num_threads = 1;
+  sc.batcher.max_batch = 2;
+  sc.batcher.max_linger_ms = 0.5;
+  sc.on_complete = [&](const serve::CompletionInfo& info) {
+    MutexLock lock(mu);
+    infos.push_back(info);
+  };
+  {
+    serve::InferenceService service(sc);
+    std::vector<std::future<nn::Tensor>> futures;
+    for (int i = 0; i < 4; ++i) {
+      futures.push_back(service.submit(models, serve::ModelKind::kCongestion,
+                                       random_input(channels, 8, 80u + i), /*tag=*/7));
+    }
+    for (auto& f : futures) f.get();
+    service.drain();
+  }
+  MutexLock lock(mu);
+  ASSERT_EQ(infos.size(), 4u);
+  for (const serve::CompletionInfo& info : infos) {
+    EXPECT_EQ(info.outcome, serve::CompletionInfo::Outcome::kOk);
+    EXPECT_EQ(info.kind, serve::ModelKind::kCongestion);
+    EXPECT_EQ(info.tag, 7);
+    EXPECT_GE(info.latency_ms, 0.0);
+    EXPECT_GT(info.exec_ms_per_item, 0.0);  // a real forward ran
+  }
+}
+
+using Reports = std::map<int, std::vector<serve::CompletionInfo>>;
+
+/// Completion reports keyed by tag.
+struct HookLog {
+  Mutex mu;
+  Reports by_tag LACO_GUARDED_BY(mu);
+
+  serve::CompletionHook hook() {
+    return [this](const serve::CompletionInfo& info) {
+      MutexLock lock(mu);
+      by_tag[info.tag].push_back(info);
+    };
+  }
+  Reports take() {
+    MutexLock lock(mu);
+    return by_tag;
+  }
+};
+
+/// Tags [first, first + n) were each reported exactly once with
+/// `outcome`; a request that never reached a forward reports no
+/// forward time.
+void expect_reported_once(const Reports& reports, int first, int n,
+                          serve::CompletionInfo::Outcome outcome) {
+  using Outcome = serve::CompletionInfo::Outcome;
+  for (int tag = first; tag < first + n; ++tag) {
+    ASSERT_EQ(reports.count(tag), 1u) << "tag " << tag;
+    ASSERT_EQ(reports.at(tag).size(), 1u) << "tag " << tag;
+    const serve::CompletionInfo& info = reports.at(tag).front();
+    EXPECT_EQ(info.outcome, outcome) << "tag " << tag;
+    EXPECT_GE(info.latency_ms, 0.0) << "tag " << tag;
+    if (outcome == Outcome::kDeadlineExpired || outcome == Outcome::kShed) {
+      EXPECT_EQ(info.exec_ms_per_item, 0.0) << "tag " << tag;
+    }
+  }
+}
+
+std::vector<std::future<nn::Tensor>> submit_tagged(serve::InferenceService& service,
+                                                   const std::shared_ptr<const LacoModels>& models,
+                                                   serve::ModelKind kind, int first, int n) {
+  std::vector<std::future<nn::Tensor>> futures;
+  for (int tag = first; tag < first + n; ++tag) {
+    futures.push_back(
+        service.submit(models, kind, random_input(3, 8, static_cast<unsigned>(tag)), tag));
+  }
+  return futures;
+}
+
+TEST(InferenceService, CompletionHookReportsErrors) {
+  const auto models = tiny_models(LacoScheme::kDreamCong);  // no look-ahead net
+  HookLog log;
+  serve::ServiceConfig sc;
+  sc.num_threads = 1;
+  sc.batcher.max_batch = 4;
+  sc.batcher.max_linger_ms = 0.5;
+  sc.on_complete = log.hook();
+  serve::InferenceService service(sc);
+  auto futures = submit_tagged(service, models, serve::ModelKind::kLookAhead, 10, 3);
+  for (auto& f : futures) EXPECT_THROW(f.get(), std::runtime_error);
+  service.drain();
+  const Reports reports = log.take();
+  EXPECT_EQ(reports.size(), 3u);
+  expect_reported_once(reports, 10, 3, serve::CompletionInfo::Outcome::kError);
+}
+
+TEST(InferenceService, CompletionHookReportsExpiredDeadlines) {
+  const auto models = tiny_models(LacoScheme::kDreamCong);
+  HookLog log;
+  serve::ServiceConfig sc;
+  sc.num_threads = 1;
+  sc.batcher.max_batch = 8;
+  sc.batcher.max_linger_ms = 5.0;  // execution happens ≥5 ms after submit
+  sc.deadline_ms = 1e-3;           // 1 µs: expired by then, deterministically
+  sc.on_complete = log.hook();
+  serve::InferenceService service(sc);
+  auto futures = submit_tagged(service, models, serve::ModelKind::kCongestion, 20, 3);
+  for (auto& f : futures) EXPECT_THROW(f.get(), serve::DeadlineExceededError);
+  service.drain();
+  const Reports reports = log.take();
+  EXPECT_EQ(reports.size(), 3u);
+  expect_reported_once(reports, 20, 3, serve::CompletionInfo::Outcome::kDeadlineExpired);
+}
+
+TEST(InferenceService, CompletionHookReportsSheds) {
+  const auto models = tiny_models(LacoScheme::kDreamCong);
+  HookLog log;
+  serve::ServiceConfig sc = parked_config(/*queue_limit=*/1);
+  sc.on_complete = log.hook();
+  serve::InferenceService service(sc);
+  auto futures = submit_tagged(service, models, serve::ModelKind::kCongestion, 30, 3);
+  // Tag 30 is parked; the two sheds are reported before submit returns.
+  EXPECT_EQ(log.take().size(), 2u);
+  expect_reported_once(log.take(), 31, 2, serve::CompletionInfo::Outcome::kShed);
+  for (std::size_t i = 1; i < 3; ++i) {
+    ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready) << "request " << i;
+    EXPECT_THROW(futures[i].get(), serve::ShedError);
+  }
+  service.drain();
+  EXPECT_EQ(futures[0].get().dim(1), 1);
+  const Reports reports = log.take();
+  EXPECT_EQ(reports.size(), 3u);
+  expect_reported_once(reports, 30, 1, serve::CompletionInfo::Outcome::kOk);
+  expect_reported_once(reports, 31, 2, serve::CompletionInfo::Outcome::kShed);
+}
+
 TEST(Percentile, NearestRank) {
   EXPECT_DOUBLE_EQ(serve::percentile({}, 50.0), 0.0);
   EXPECT_DOUBLE_EQ(serve::percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
@@ -370,6 +594,21 @@ TEST(ModelRegistry, ConcurrentGetsCoalesceIntoOneLoad) {
   }
   EXPECT_EQ(registry.stats().misses, 1u);
   std::filesystem::remove_all(dir);
+}
+
+TEST(CloneFrozen, ProducesIdenticalIndependentForward) {
+  const auto models = tiny_models(LacoScheme::kCellFlowKL);
+  const auto clone = serve::clone_frozen(*models);
+  ASSERT_NE(clone->congestion, nullptr);
+  ASSERT_NE(clone->lookahead, nullptr);
+  EXPECT_NE(clone->congestion, models->congestion);
+  EXPECT_NE(clone->lookahead, models->lookahead);
+  EXPECT_EQ(clone->scheme, models->scheme);
+  nn::NoGradGuard guard;
+  const nn::Tensor in = random_input(models->congestion->config().in_channels, 8, 5);
+  const nn::Tensor a = models->congestion->forward(in);
+  const nn::Tensor b = clone->congestion->forward(in);
+  EXPECT_EQ(a.data(), b.data());  // bitwise: same weights, same math
 }
 
 }  // namespace

@@ -473,18 +473,23 @@ TEST(CongestionPenalty, StateRoundTripIsByteStable) {
 TEST(CongestionPenalty, UnsupportedStateVersionIsRejected) {
   CongestionPenalty penalty(snapshot_test_penalty_config(),
                             snapshot_test_models(LacoScheme::kDreamCong));
-  std::ostringstream out;
-  serial::Writer w(out);
-  w.u32(99);  // bogus version word
-  std::istringstream in(out.str());
-  serial::Reader r(in, "<test blob>", "restore_penalty_state");
-  try {
-    penalty.restore_state(r);
-    FAIL() << "bogus version accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported penalty state version"),
-              std::string::npos)
-        << e.what();
+  // 99 is a bogus version word; 1 is the layout before the remote-forward
+  // counters were dropped, which must be refused, not misread.
+  for (const std::uint32_t version : {99u, 1u}) {
+    std::ostringstream out;
+    serial::Writer w(out);
+    w.u32(version);
+    std::istringstream in(out.str());
+    serial::Reader r(in, "<test blob>", "restore_penalty_state");
+    try {
+      penalty.restore_state(r);
+      FAIL() << "version " << version << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported penalty state version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -32,7 +32,7 @@
 //
 //   laco serve [--models DIR] [--threads N] [--batch B] [--linger MS]
 //              [--requests R] [--clients C] [--grid G] [--kind K]
-//              [--stats-every-ms N] [--no-plan] [--shards N]
+//              [--stats-every-ms N] [--no-plan]
 //       Stands up the resident batched inference service, drives a
 //       synthetic request load against it (from C client threads), and
 //       prints a throughput / latency / batching report against the
@@ -40,22 +40,22 @@
 //       demo model set is used (throughput only, no trained weights).
 //       --no-plan disables the compiled-plan fast path (docs/PLAN.md)
 //       so forwards run eagerly — for A/B checks and bisection.
-//       --shards N fronts N independent service shards with the
-//       admission-controlled InferenceRouter (docs/SERVING.md).
 //
-//   laco serve --chaos RATE [--requests R] [--clients C] [--retries N]
-//              [--seed K] [--shards N] [--queue-limit Q] [--saturate]
-//              [...]
+//   laco serve --chaos RATE [--requests R] [--clients C] [--seed K]
+//              [--deadline MS] [--queue-limit Q] [--saturate]
+//              [--threads N] [--batch B] [--linger MS] [--grid G] [--no-plan]
 //       Chaos drill (docs/RELIABILITY.md): drives the service while
 //       injecting faults — the "serve.forward" failpoint at probability
 //       RATE when built with -DLACO_FAILPOINTS=ON, plus a RATE fraction
 //       of requests aimed at a deliberately broken model set in every
 //       build — and reports SLO stats. Exit 0 iff every request
 //       completed (result or clean typed error; no hung futures).
-//       With --shards N the load runs through the router; --saturate
-//       shrinks the per-shard queues (--queue-limit, default 16) and
+//       --queue-limit Q sheds submits while Q requests are in flight;
+//       --saturate defaults Q to 16 and the deadline to 2000 ms, and
 //       additionally requires shed > 0 with the p99 latency of admitted
-//       requests under --deadline: shed, don't collapse.
+//       requests under the deadline: shed, don't collapse.
+//
+//   `laco serve` exits 2 on any option not listed for its mode.
 //
 // The LACO_FAILPOINTS environment variable arms failpoints in any
 // subcommand, e.g. LACO_FAILPOINTS=registry.load=error laco place ...
@@ -69,6 +69,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,7 +89,6 @@
 #include "serve/errors.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/service.hpp"
-#include "serve/shard_router.hpp"
 #include "util/errors.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
@@ -466,37 +466,23 @@ int run_chaos(const Args& args, double rate) {
   sc.batcher.max_batch = args.get_int("batch", 4);
   sc.batcher.max_linger_ms = args.get_double("linger", 1.0);
   sc.deadline_ms = args.get_double("deadline", 0.0);
-  sc.max_retries = args.get_int("retries", 1);
-  sc.retry_backoff_ms = 0.2;
-  sc.breaker.failure_threshold = args.get_int("breaker-threshold", 4);
-  sc.breaker.cooldown_ms = args.get_double("breaker-cooldown", 5.0);
   const int requests = args.get_int("requests", 256);
   const int clients = std::max(1, args.get_int("clients", 4));
   const int grid = args.get_int("grid", 16);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 0x1ac0));
-  const int shards = args.get_int("shards", 0);
   const bool saturate = args.get_int("saturate", 0) != 0;
-  if (saturate && shards <= 0) {
-    std::cerr << "chaos: --saturate requires --shards N\n";
-    return 2;
-  }
   // Saturation drill: admitted requests must still meet a deadline, so
   // default one generous enough for CI machines when none was given.
   if (saturate && sc.deadline_ms <= 0.0) sc.deadline_ms = 2000.0;
-  serve::RouterConfig rc;
-  rc.num_shards = shards;
-  rc.shard = sc;
-  // Queue bound: tight under --saturate so the burst sheds, effectively
-  // unbounded otherwise (the drill's burst must fit).
-  rc.admission.queue_limit = static_cast<std::size_t>(
-      std::max(1, args.get_int("queue-limit", saturate ? 16 : std::max(requests, 256))));
-  rc.admission.drain_width = sc.num_threads * std::max(1, sc.batcher.max_batch);
+  // Queue bound: tight under --saturate so the burst sheds, unbounded
+  // otherwise (the drill's burst must fit).
+  sc.queue_limit = static_cast<std::size_t>(
+      std::max(0, args.get_int("queue-limit", saturate ? 16 : 0)));
 
   const auto models = demo_models(false);
   // Natural fault injection that works in every build: a model set
   // whose f expects one channel more than the requests carry, so every
-  // batch against it throws a (permanent) shape error. Its consecutive
-  // failures also walk the circuit breaker through open/half-open.
+  // batch against it throws a (permanent) shape error.
   auto broken = std::make_shared<LacoModels>();
   broken->scheme = LacoScheme::kDreamCong;
   CongestionFcnConfig bc;
@@ -534,25 +520,10 @@ int run_chaos(const Args& args, double rate) {
 
   std::atomic<int> ok{0}, transient{0}, deadline{0}, permanent{0}, shed{0}, hung{0};
   serve::ServiceCounters counters;
-  serve::RouterCounters router_counters;
   std::vector<double> latencies;
   double wall_s = 0.0;
   {
-    std::unique_ptr<serve::InferenceService> service;
-    std::unique_ptr<serve::InferenceRouter> router;
-    if (shards > 0) {
-      router = std::make_unique<serve::InferenceRouter>(rc);
-    } else {
-      service = std::make_unique<serve::InferenceService>(sc);
-    }
-    // Deterministic priority mix for the router path: every 4th request
-    // interactive, every 4th best-effort, the rest batch — under
-    // saturation the classes shed in reverse priority order.
-    const auto priority_of = [](std::size_t i) {
-      if (i % 4 == 0) return serve::Priority::kInteractive;
-      if (i % 4 == 3) return serve::Priority::kBestEffort;
-      return serve::Priority::kBatch;
-    };
+    serve::InferenceService service(sc);
     Timer timer;
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
@@ -561,10 +532,7 @@ int run_chaos(const Args& args, double rate) {
         for (std::size_t i = static_cast<std::size_t>(c); i < inputs.size();
              i += static_cast<std::size_t>(clients)) {
           const auto& target = (i % static_cast<std::size_t>(stride) == 0) ? broken : models;
-          futures.push_back(
-              router ? router->submit(target, serve::ModelKind::kCongestion, inputs[i],
-                                      priority_of(i))
-                     : service->submit(target, serve::ModelKind::kCongestion, inputs[i]));
+          futures.push_back(service.submit(target, serve::ModelKind::kCongestion, inputs[i]));
         }
         for (auto& f : futures) {
           // The service contract says every future resolves; the wait
@@ -578,11 +546,11 @@ int run_chaos(const Args& args, double rate) {
             f.get();
             ++ok;
           } catch (const serve::ShedError&) {
-            ++shed;  // admission rejected: queues at class capacity
+            ++shed;  // queue_limit requests were in flight at submit
           } catch (const serve::DeadlineExceededError&) {
             ++deadline;
           } catch (const TransientError&) {
-            ++transient;  // injected faults, exhausted retries, open breaker
+            ++transient;  // injected serve.forward faults
           } catch (const std::exception&) {
             ++permanent;  // broken-model shape errors
           }
@@ -591,29 +559,9 @@ int run_chaos(const Args& args, double rate) {
     }
     for (std::thread& t : threads) t.join();
     wall_s = timer.seconds();
-    if (router) {
-      router->drain();
-      router_counters = router->counters();
-      latencies = router->latency_snapshot_ms();
-      for (int i = 0; i < router->num_shards(); ++i) {
-        const serve::ServiceCounters shard = router->shard(i).counters();
-        counters.batches += shard.batches;
-        counters.retried_batches += shard.retried_batches;
-        counters.failed_batches += shard.failed_batches;
-        counters.deadline_expired += shard.deadline_expired;
-        counters.breaker_rejected += shard.breaker_rejected;
-        counters.breaker_opens += shard.breaker_opens;
-        counters.breakers_open += shard.breakers_open;
-        std::cout << "shard " << i << ": " << shard.batches << " batches, "
-                  << shard.failed_batches << " failed, " << shard.breaker_opens
-                  << " breaker opens, " << shard.breakers_open << " breakers not closed, "
-                  << router->shard_queued(i) << " queued after drain\n";
-      }
-    } else {
-      service->drain();
-      counters = service->counters();
-      latencies = service->latency_snapshot_ms();
-    }
+    service.drain();
+    counters = service.counters();
+    latencies = service.latency_snapshot_ms();
   }
   if (failpoints_compiled_in()) {
     const FailpointStats fp = FailpointRegistry::instance().stats("serve.forward");
@@ -629,33 +577,21 @@ int run_chaos(const Args& args, double rate) {
             << "% completed (" << ok << " ok, " << transient << " transient, " << deadline
             << " deadline, " << permanent << " permanent, " << shed << " shed, " << hung
             << " hung)\n"
-            << "service: " << counters.batches << " batches, " << counters.retried_batches
-            << " retried, " << counters.failed_batches << " failed, "
-            << counters.deadline_expired << " expired, " << counters.breaker_rejected
-            << " breaker-rejected, " << counters.breaker_opens << " breaker opens\n"
+            << "service: " << counters.batches << " batches, " << counters.failed_batches
+            << " failed, " << counters.deadline_expired << " expired, " << counters.shed
+            << " shed (queue-limit " << sc.queue_limit << ")\n"
             << "latency ms (admitted): p50 " << serve::percentile(latencies, 50.0) << ", p99 "
             << p99 << '\n';
-  if (shards > 0) {
-    std::cout << "router: " << router_counters.admitted << " admitted, "
-              << router_counters.shed << " shed (" << router_counters.shed_queue_full
-              << " queue-full, " << router_counters.shed_deadline << " deadline), "
-              << router_counters.completed << " completed; shed by class:";
-    for (int c = 0; c < serve::kNumPriorities; ++c) {
-      std::cout << ' ' << serve::to_string(static_cast<serve::Priority>(c)) << '='
-                << router_counters.shed_by_class[static_cast<std::size_t>(c)];
-    }
-    std::cout << '\n';
-  }
 
   bool pass = hung == 0 && resolved == requests;
   if (!pass) std::cout << "chaos FAIL: some requests never resolved\n";
   if (pass && saturate) {
-    // Shed-don't-collapse: under deliberate overload the router must
+    // Shed-don't-collapse: under deliberate overload the service must
     // reject some load at admission AND keep the p99 of what it DID
     // admit inside the deadline.
-    if (router_counters.shed == 0) {
-      std::cout << "chaos FAIL: saturation drill shed nothing (queue-limit "
-                << rc.admission.queue_limit << " never filled)\n";
+    if (counters.shed == 0) {
+      std::cout << "chaos FAIL: saturation drill shed nothing (queue-limit " << sc.queue_limit
+                << " never filled)\n";
       pass = false;
     } else if (sc.deadline_ms > 0.0 && p99 > sc.deadline_ms) {
       std::cout << "chaos FAIL: admitted-request p99 " << p99 << " ms exceeds the "
@@ -670,9 +606,34 @@ int run_chaos(const Args& args, double rate) {
   return pass ? 0 : 1;
 }
 
+/// False (after naming the first offender) when `args` holds anything
+/// `laco serve` does not document for the chosen mode, so a script
+/// passing a removed or misspelled option fails instead of silently
+/// running a different drill.
+bool serve_args_known(const Args& args, bool chaos) {
+  static const std::set<std::string> kCommon = {"chaos",    "threads", "batch", "linger",
+                                                "requests", "clients", "grid",  "no-plan"};
+  static const std::set<std::string> kLoad = {"models", "kind", "stats-every-ms"};
+  static const std::set<std::string> kChaos = {"seed", "deadline", "queue-limit", "saturate"};
+  const std::set<std::string>& mode = chaos ? kChaos : kLoad;
+  for (const auto& [key, value] : args.options) {
+    if (kCommon.count(key) == 0 && mode.count(key) == 0) {
+      std::cerr << "serve: unknown option '--" << key << "'\n";
+      return false;
+    }
+  }
+  // A trailing `--key` with no value lands among the positionals.
+  for (const std::string& arg : args.positional) {
+    std::cerr << "serve: unknown option '" << arg << "'\n";
+    return false;
+  }
+  return true;
+}
+
 int cmd_serve(const Args& args) {
-  if (args.get_int("no-plan", 0) != 0) plan::set_plans_enabled(false);
   const double chaos = args.get_double("chaos", 0.0);
+  if (!serve_args_known(args, chaos > 0.0)) return 2;
+  if (args.get_int("no-plan", 0) != 0) plan::set_plans_enabled(false);
   if (chaos > 0.0) return run_chaos(args, chaos);
 
   serve::ServiceConfig sc;
@@ -682,7 +643,6 @@ int cmd_serve(const Args& args) {
   const int requests = args.get_int("requests", 256);
   const int clients = std::max(1, args.get_int("clients", 4));
   const int grid = args.get_int("grid", 32);
-  const int shards = args.get_int("shards", 0);
   const std::string kind_name = args.get("kind", "congestion");
 
   std::shared_ptr<const LacoModels> models;
@@ -742,23 +702,8 @@ int cmd_serve(const Args& args) {
   // --stats-every-ms N: periodic metric-registry dumps while the load
   // runs (the migrated "serve.*" counters/gauges/histograms).
   const int stats_every_ms = args.get_int("stats-every-ms", 0);
-  serve::RouterCounters router_counters;
   {
-    std::unique_ptr<serve::InferenceService> local_service;
-    std::unique_ptr<serve::InferenceRouter> router;
-    if (shards > 0) {
-      serve::RouterConfig rc;
-      rc.num_shards = shards;
-      rc.shard = sc;
-      // Throughput mode must not shed: the whole burst is in flight at
-      // once, so the per-shard bound covers it unless overridden.
-      rc.admission.queue_limit = static_cast<std::size_t>(
-          std::max(1, args.get_int("queue-limit", std::max(requests, 256))));
-      rc.admission.drain_width = sc.num_threads * std::max(1, sc.batcher.max_batch);
-      router = std::make_unique<serve::InferenceRouter>(rc);
-    } else {
-      local_service = std::make_unique<serve::InferenceService>(sc);
-    }
+    serve::InferenceService service(sc);
     std::atomic<bool> stats_stop{false};
     std::thread stats_thread;
     if (stats_every_ms > 0) {
@@ -781,8 +726,7 @@ int cmd_serve(const Args& args) {
         for (std::size_t i = static_cast<std::size_t>(c); i < inputs.size();
              i += static_cast<std::size_t>(clients)) {
           futures[static_cast<std::size_t>(c)].emplace_back(
-              i, router ? router->submit(models, kind, inputs[i])
-                        : local_service->submit(models, kind, inputs[i]));
+              i, service.submit(models, kind, inputs[i]));
         }
       });
     }
@@ -791,22 +735,9 @@ int cmd_serve(const Args& args) {
       for (auto& [i, f] : per_client) served[i] = f.get();
     }
     service_s = timer.seconds();
-    if (router) {
-      router->drain();  // futures resolve before the router's bookkeeping
-      router_counters = router->counters();
-      latencies = router->latency_snapshot_ms();
-      for (int s = 0; s < router->num_shards(); ++s) {
-        const serve::ServiceCounters shard = router->shard(s).counters();
-        counters.requests += shard.requests;
-        counters.completed += shard.completed;
-        counters.batches += shard.batches;
-        counters.batched_items += shard.batched_items;
-      }
-    } else {
-      local_service->drain();  // futures resolve before the service's bookkeeping
-      counters = local_service->counters();
-      latencies = local_service->latency_snapshot_ms();
-    }
+    service.drain();  // futures resolve before the service's bookkeeping
+    counters = service.counters();
+    latencies = service.latency_snapshot_ms();
     if (stats_thread.joinable()) {
       stats_stop.store(true, std::memory_order_relaxed);
       stats_thread.join();
@@ -826,14 +757,7 @@ int cmd_serve(const Args& args) {
   std::cout << "model: " << serve::to_string(kind) << " [" << channels << 'x' << grid << 'x'
             << grid << "], " << requests << " requests, " << clients << " clients\n"
             << "service: threads=" << sc.num_threads << " max_batch=" << sc.batcher.max_batch
-            << " linger=" << sc.batcher.max_linger_ms << "ms"
-            << (shards > 0 ? " shards=" + std::to_string(shards) : std::string()) << '\n';
-  if (shards > 0) {
-    std::cout << "router: " << router_counters.admitted << " admitted, "
-              << router_counters.shed << " shed, " << router_counters.replicated_model_sets
-              << " model set(s) replicated per shard\n";
-  }
-  std::cout
+            << " linger=" << sc.batcher.max_linger_ms << "ms\n"
             << "baseline (1 thread, batch 1): " << base_rps << " req/s\n"
             << "service: " << serve_rps << " req/s (" << serve_rps / base_rps
             << "x), mean batch " << counters.mean_batch_size() << " over " << counters.batches

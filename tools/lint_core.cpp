@@ -239,8 +239,8 @@ void check_nograd_forward(const std::vector<std::string>& lines, const std::stri
 /// Brace-matched scan over the stripped text: a `catch (...)` in the
 /// fault-handling layers must visibly do something with the exception —
 /// rethrow, log, or forward it into a promise/batch — or it swallows a
-/// fault the reliability machinery (retries, breakers, degradation)
-/// exists to surface. Runs on stripped text, so a marker inside a
+/// fault the reliability machinery (typed futures, degradation) exists
+/// to surface. Runs on stripped text, so a marker inside a
 /// comment or string does not satisfy the rule.
 void check_catch_swallow(const std::string& stripped, const std::string& relpath,
                          std::vector<Diagnostic>& out) {
