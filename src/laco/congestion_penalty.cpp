@@ -8,7 +8,6 @@
 #include "nn/ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/plan_cache.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/serial.hpp"
@@ -104,9 +103,8 @@ FeatureFrame CongestionPenalty::compute_frame(const Design& design,
   return frame;
 }
 
-void CongestionPenalty::build_feature_inputs(const Design& design, bool with_grad,
-                                             nn::Tensor& hi_input, nn::Tensor& lo_input,
-                                             nn::Tensor& context) {
+nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_input,
+                                          nn::Tensor& lo_input, bool with_grad) {
   const int f_short_channels = traits_.uses_lookahead ? (traits_.f_uses_flow ? 5 : 3) : 3;
   const std::vector<double>* px = history_.has_positions() ? &history_.prev_x() : nullptr;
   const std::vector<double>* py = history_.has_positions() ? &history_.prev_y() : nullptr;
@@ -119,7 +117,7 @@ void CongestionPenalty::build_feature_inputs(const Design& design, bool with_gra
   hi_input = frame_to_tensor(hi_frame, models_.scale_hi, f_short_channels);
   hi_input.set_requires_grad(with_grad);
 
-  if (!traits_.uses_lookahead) return;
+  if (!traits_.uses_lookahead) return hi_input;
 
   // Current frame at look-ahead resolution.
   const int nc_g = models_.lookahead->config().channels_per_frame;
@@ -129,16 +127,7 @@ void CongestionPenalty::build_feature_inputs(const Design& design, bool with_gra
   lo_input = frame_to_tensor(lo_frame, models_.scale_lo, nc_g);
   lo_input.set_requires_grad(with_grad);
 
-  context = frames_to_tensor(history_.context(), models_.scale_lo, nc_g);
-}
-
-nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_input,
-                                          nn::Tensor& lo_input, bool with_grad) {
-  nn::Tensor context;
-  build_feature_inputs(design, with_grad, hi_input, lo_input, context);
-  if (!traits_.uses_lookahead) return hi_input;
-
-  const int nc_g = models_.lookahead->config().channels_per_frame;
+  const nn::Tensor context = frames_to_tensor(history_.context(), models_.scale_lo, nc_g);
   nn::Tensor g_in = nn::cat_channels({context, lo_input});
 
   nn::Tensor prediction;
@@ -152,21 +141,6 @@ nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_i
   nn::Tensor pred_hi =
       nn::upsample_bilinear(prediction, config_.features_hi.ny, config_.features_hi.nx);
   return nn::cat_channels({pred_hi, hi_input});
-}
-
-nn::Tensor CongestionPenalty::model_forward(const nn::Tensor& hi_input,
-                                            const nn::Tensor& lo_input,
-                                            const nn::Tensor& context) const {
-  if (!traits_.uses_lookahead) return models_.congestion->forward(hi_input);
-  const int nc_g = models_.lookahead->config().channels_per_frame;
-  nn::Tensor g_in = nn::cat_channels({context, lo_input});
-  nn::Tensor prediction = models_.lookahead->forward(g_in).prediction;
-  if (!traits_.f_uses_flow && nc_g > 3) {
-    prediction = nn::slice_channels(prediction, 0, 3);  // Less-flow-KL
-  }
-  nn::Tensor pred_hi =
-      nn::upsample_bilinear(prediction, config_.features_hi.ny, config_.features_hi.nx);
-  return models_.congestion->forward(nn::cat_channels({pred_hi, hi_input}));
 }
 
 double CongestionPenalty::operator()(const Design& design, int iteration,
@@ -342,36 +316,9 @@ void CongestionPenalty::add_scaled(const Design& design, const std::vector<doubl
 bool CongestionPenalty::predict(const Design& design, GridMap& out) {
   if (traits_.uses_lookahead && !history_.ready()) return false;
   nn::NoGradGuard guard;
-  nn::Tensor hi_input, lo_input, context;
-  build_feature_inputs(design, /*with_grad=*/false, hi_input, lo_input, context);
-
-  nn::Tensor prediction;
-  if (plan::plans_enabled()) {
-    // Inference-only path: route the whole f∘g chain through the
-    // compiled-plan cache (docs/PLAN.md). Keyed on the congestion net's
-    // identity with a variant offset so the serve-side per-network plans
-    // (ModelKind-keyed) never collide on the same pointer.
-    std::vector<nn::Tensor> inputs;
-    if (traits_.uses_lookahead) {
-      inputs = {hi_input, lo_input, context};
-    } else {
-      inputs = {hi_input};
-    }
-    plan::PlanKey key{models_.congestion.get(), 1000 + static_cast<int>(models_.scheme),
-                      plan::shape_signature(inputs)};
-    auto plan_ptr = plan::shared_plan_cache().get_or_compile(
-        key, std::static_pointer_cast<const void>(models_.congestion), [&]() {
-          return plan::compile(
-              [this](const std::vector<nn::Tensor>& in) {
-                return traits_.uses_lookahead ? model_forward(in[0], in[1], in[2])
-                                              : model_forward(in[0], nn::Tensor(), nn::Tensor());
-              },
-              inputs);
-        });
-    if (plan_ptr) prediction = plan_ptr->run(inputs, plan_ws_);
-  }
-  if (!prediction.defined()) prediction = model_forward(hi_input, lo_input, context);
-  out = tensor_to_gridmap(prediction, 0, 0, design.core());
+  nn::Tensor hi_input, lo_input;
+  const nn::Tensor input = build_input(design, hi_input, lo_input, /*with_grad=*/false);
+  out = tensor_to_gridmap(models_.congestion->forward(input), 0, 0, design.core());
   return true;
 }
 

@@ -26,7 +26,6 @@
 #include "models/lookahead_simvp.hpp"
 #include "models/model_io.hpp"
 #include "placer/global_placer.hpp"
-#include "plan/plan.hpp"
 #include "train/scheme.hpp"
 #include "util/timer.hpp"
 
@@ -123,17 +122,6 @@ class CongestionPenalty {
   /// differentiable current-frame tensors (undefined if unused).
   nn::Tensor build_input(const Design& design, nn::Tensor& hi_input, nn::Tensor& lo_input,
                          bool with_grad);
-  /// Feature-assembly half of build_input: computes the current-frame
-  /// tensors (and the history context for look-ahead schemes) without
-  /// running any model.
-  void build_feature_inputs(const Design& design, bool with_grad, nn::Tensor& hi_input,
-                            nn::Tensor& lo_input, nn::Tensor& context);
-  /// Tensor-only model chain f∘g (g_in = cat(context, lo) → g → maybe
-  /// slice → upsample → f(cat(pred_hi, hi)); just f(hi) without
-  /// look-ahead). Pure function of its tensor arguments, so predict()
-  /// can trace it into a compiled plan (docs/PLAN.md).
-  nn::Tensor model_forward(const nn::Tensor& hi_input, const nn::Tensor& lo_input,
-                           const nn::Tensor& context) const;
   FeatureFrame compute_frame(const Design& design, const FeatureExtractor& extractor,
                              const std::vector<double>* px, const std::vector<double>* py,
                              int iteration) const;
@@ -166,10 +154,6 @@ class CongestionPenalty {
   PenaltyStats stats_;
   int consecutive_failures_ = 0;  ///< learned-path failures in a row
   int degraded_remaining_ = 0;    ///< analytic-only applications left
-
-  /// Arena workspace reused across predict() calls (single-threaded
-  /// with the placer loop, like the rest of the penalty state).
-  plan::Workspace plan_ws_;
 };
 
 }  // namespace laco

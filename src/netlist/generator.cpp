@@ -224,10 +224,12 @@ Design generate_design(const GeneratorConfig& cfg) {
     const int cl = rng.uniform_int(0, num_clusters - 1);
     std::vector<CellId> members;
     double member_area = 0.0;
+    double widest_member = 0.0;
     for (const CellId cid : clusters[static_cast<std::size_t>(cl)].members) {
       if (fenced[static_cast<std::size_t>(cid)]) continue;
       members.push_back(cid);
       member_area += design.cell(cid).area();
+      widest_member = std::max(widest_member, design.cell(cid).width);
       if (members.size() >= cells_per_fence) break;
     }
     if (members.size() < 4) continue;
@@ -259,6 +261,9 @@ Design generate_design(const GeneratorConfig& cfg) {
       region.xl = std::max(region.xl, core.xl);
       region.xh = std::min(region.xh, core.xh);
       if (region.area() < region_area * 0.9) continue;
+      // A member wider than the region fits no row of it, so no
+      // legalizer could place it.
+      if (region.width() < widest_member) continue;
       bool clash = false;
       for (const Rect& m : macro_rects) {
         if (overlap_area(region, m) > 0.0) { clash = true; break; }

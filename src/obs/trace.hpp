@@ -8,9 +8,9 @@
 // small per-thread tid so nested spans from concurrent workers render
 // as separate, well-nested tracks.
 //
-// PhaseSpan is the migration bridge: one RAII object that both
-// accumulates into a RuntimeBreakdown (the Fig. 8 phase tables) and
-// emits a trace span, replacing the optional<ScopedPhase> pattern.
+// PhaseSpan is the bridge to the phase tables: one RAII object that
+// both accumulates into a RuntimeBreakdown (the Fig. 8 phase tables)
+// and emits a trace span.
 #pragma once
 
 #include <atomic>

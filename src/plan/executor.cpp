@@ -1,7 +1,7 @@
-// Plan executor — THE hot path of the serving and penalty inner
-// loops. This translation unit must stay allocation-free: no Tensor
-// factories, no make_shared/make_unique, no container growth
-// (push_back/emplace_back/resize/reserve). laco-lint enforces this
+// Plan executor — THE hot path of the serving inner loop. This
+// translation unit must stay allocation-free: no Tensor factories, no
+// make_shared/make_unique, no container growth
+// (push_back/emplace_back/resize/reserve). laco-analyze enforces this
 // with the `plan-hot-alloc` rule; preallocation belongs in
 // Workspace::prepare (src/plan/plan.cpp).
 #include <cstring>

@@ -97,7 +97,7 @@ class Plan {
   /// Test/debug introspection of the arena layout.
   const std::vector<ArenaSpan>& arena_spans() const { return spans_; }
 
-  /// Hot path (src/plan/executor.cpp — allocation-free, lint-gated):
+  /// Hot path (src/plan/executor.cpp — allocation-free, analyzer-gated):
   /// replays the node list. `inputs` must hold num_inputs() pointers
   /// whose tensors match input_shapes(); `output` must have room for
   /// output_numel() floats; `ws` must be prepare()d for this plan.

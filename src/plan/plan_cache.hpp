@@ -99,9 +99,8 @@ class PlanCache {
   PlanCacheStats stats_ LACO_GUARDED_BY(mutex_);
 };
 
-/// Process-wide cache shared by serve::Batcher forwards and
-/// laco::CongestionPenalty; hung off serve::ModelRegistry (which
-/// invalidates entries for evicted models).
+/// Process-wide cache behind serve::Batcher forwards; hung off
+/// serve::ModelRegistry (which invalidates entries for evicted models).
 PlanCache& shared_plan_cache();
 
 /// Global plan-path switch (default on). `laco serve --no-plan` and

@@ -11,7 +11,7 @@
 // declares its batcher_ LACO_GUARDED_BY(mutex_), so the clang
 // -Wthread-safety job statically rejects unlocked access).
 // forward_batch() does the actual model execution — one forward under
-// NoGradGuard over the stacked input (laco-lint's nograd-forward rule
+// NoGradGuard over the stacked input (laco-analyze's nograd-forward rule
 // enforces the guard) — and deliver_batch() fulfills each request's
 // promise with its output sample.
 #pragma once

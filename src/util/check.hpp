@@ -4,7 +4,7 @@
 // silently corrupts those maps under NDEBUG. LACO_CHECK aborts with
 // file:line in every build type; LACO_DCHECK keeps assert's
 // debug-only cost model for hot-loop checks that are too expensive to
-// ship. laco-lint rejects bare assert() in src/ in favor of these.
+// ship. laco-analyze rejects bare assert() in src/ in favor of these.
 //
 // The failure path writes to stderr with fprintf (not util/logging):
 // a failed invariant must report even when the logger itself is the

@@ -67,6 +67,6 @@
   LACO_THREAD_ANNOTATION_ATTRIBUTE(acquired_after(__VA_ARGS__))
 
 /// Escape hatch: disables analysis for one function. Every use must
-/// carry a justification comment (enforced by review, not laco-lint).
+/// carry a justification comment (enforced by review, not laco-analyze).
 #define LACO_NO_THREAD_SAFETY_ANALYSIS \
   LACO_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)

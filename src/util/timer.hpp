@@ -37,19 +37,4 @@ class RuntimeBreakdown {
   std::map<std::string, double> seconds_;
 };
 
-/// RAII phase timer: adds elapsed time to a breakdown on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(RuntimeBreakdown& breakdown, std::string phase)
-      : breakdown_(breakdown), phase_(std::move(phase)) {}
-  ~ScopedPhase() { breakdown_.add(phase_, timer_.seconds()); }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  RuntimeBreakdown& breakdown_;
-  std::string phase_;
-  Timer timer_;
-};
-
 }  // namespace laco

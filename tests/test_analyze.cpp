@@ -1,10 +1,14 @@
 // Fixture tests for laco-analyze (tools/analyze_core.hpp): every rule
-// has at least one failing fixture pinning the exact diagnostic text,
-// plus tokenizer unit tests for the cases the old line-oriented
-// stripper got wrong (raw strings, digit separators, spliced
-// literals).
+// has at least one failing fixture under tests/analyze_fixtures pinning
+// the exact diagnostic (path, line, rule id, message), so a rule that
+// silently stops firing breaks the build. The AnalyzeRules/AnalyzeTree
+// suites cover the token and include-graph rules, LintRules/LintTree
+// the text and tests/ registration rules, and LintStripper plus
+// AnalyzeTokenizer the cases the old line-oriented stripper got wrong
+// (raw strings, digit separators, spliced literals, macro bodies).
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -21,22 +25,19 @@ fs::path fixture(const std::string& name) {
   return fs::path(LACO_ANALYZE_FIXTURE_DIR) / name;
 }
 
-/// Runs the per-file rules on one fixture under a fake src/ relpath
-/// and renders the diagnostics.
-std::vector<std::string> file_diags(const std::string& name) {
+/// Runs the per-file rules on one fixture as if it lived at `relpath`
+/// (which decides every rule's scope) and renders the diagnostics.
+std::vector<std::string> diags(const std::string& name, const std::string& relpath) {
   std::vector<std::string> out;
-  for (const analyze::Diagnostic& d :
-       analyze::analyze_file(fixture(name), "src/fixture/" + name)) {
+  for (const analyze::Diagnostic& d : analyze::analyze_file(fixture(name), relpath)) {
     out.push_back(d.str());
   }
   return out;
 }
 
-std::vector<std::string> tree_diags(const std::string& tree_name) {
+std::vector<std::string> tree_diags(const fs::path& root) {
   std::vector<std::string> out;
-  for (const analyze::Diagnostic& d : analyze::analyze_tree(fixture(tree_name))) {
-    out.push_back(d.str());
-  }
+  for (const analyze::Diagnostic& d : analyze::analyze_tree(root)) out.push_back(d.str());
   return out;
 }
 
@@ -44,7 +45,7 @@ std::vector<std::string> tree_diags(const std::string& tree_name) {
 
 TEST(AnalyzeRules, TensorByValueFlagsValueParamsAndHonorsSuppression) {
   EXPECT_EQ(
-      file_diags("tensor_by_value.cpp"),
+      diags("tensor_by_value.cpp", "src/fixture/tensor_by_value.cpp"),
       (std::vector<std::string>{
           "src/fixture/tensor_by_value.cpp:7: [tensor-by-value] parameter 'dense' takes "
           "nn::Tensor by value (one shared-impl copy per call); pass const Tensor& — or, "
@@ -56,7 +57,7 @@ TEST(AnalyzeRules, TensorByValueFlagsValueParamsAndHonorsSuppression) {
 
 TEST(AnalyzeRules, DeterministicRegionsRejectUnorderedAccumulation) {
   EXPECT_EQ(
-      file_diags("nondet_accum.cpp"),
+      diags("nondet_accum.cpp", "src/fixture/nondet_accum.cpp"),
       (std::vector<std::string>{
           "src/fixture/nondet_accum.cpp:11: [nondeterministic-accum] atomic fetch_add "
           "inside a LACO_DETERMINISTIC region: cross-thread accumulation order is "
@@ -73,7 +74,7 @@ TEST(AnalyzeRules, TiledReductionPatternPassesAndSharedAccumulateFails) {
   // The kernel-pool idiom (docs/KERNELS.md): per-tile partials merged
   // in index order are clean; one shared atomic across tiles is not.
   EXPECT_EQ(
-      file_diags("tiled_reduction.cpp"),
+      diags("tiled_reduction.cpp", "src/fixture/tiled_reduction.cpp"),
       (std::vector<std::string>{
           "src/fixture/tiled_reduction.cpp:34: [nondeterministic-accum] atomic fetch_add "
           "inside a LACO_DETERMINISTIC region: cross-thread accumulation order is "
@@ -84,7 +85,7 @@ TEST(AnalyzeRules, GuardedAccessRequiresLockOrAnnotation) {
   // Only Counter::bump fires: locked_bump holds a MutexLock,
   // annotated_bump is LACO_REQUIRES, and the declaration line itself
   // is exempt.
-  EXPECT_EQ(file_diags("guarded_access.cpp"),
+  EXPECT_EQ(diags("guarded_access.cpp", "src/fixture/guarded_access.cpp"),
             (std::vector<std::string>{
                 "src/fixture/guarded_access.cpp:24: [guarded-access] field 'value_' is "
                 "LACO_GUARDED_BY a mutex but is touched with no MutexLock in scope and "
@@ -92,20 +93,20 @@ TEST(AnalyzeRules, GuardedAccessRequiresLockOrAnnotation) {
 }
 
 TEST(AnalyzeRules, DuplicateIncludeFlagsSecondOccurrence) {
-  EXPECT_EQ(file_diags("dup_include.cpp"),
+  EXPECT_EQ(diags("dup_include.cpp", "src/fixture/dup_include.cpp"),
             (std::vector<std::string>{
                 "src/fixture/dup_include.cpp:4: [duplicate-include] \"cstddef\" is "
                 "already included by this file — drop the duplicate"}));
 }
 
 TEST(AnalyzeRules, CleanFixtureProducesNoDiagnostics) {
-  EXPECT_EQ(file_diags("clean.cpp"), std::vector<std::string>{});
+  EXPECT_EQ(diags("clean.cpp", "src/fixture/clean.cpp"), std::vector<std::string>{});
 }
 
 TEST(AnalyzeRules, SerialVersionedDemandsExplicitFormatVersion) {
   // GoodBlob (kVersion) and PlainStruct (no serial usage) stay quiet;
   // SuppressedBlob is analyze-ok'd.
-  EXPECT_EQ(file_diags("serial_versioned.cpp"),
+  EXPECT_EQ(diags("serial_versioned.cpp", "src/fixture/serial_versioned.cpp"),
             (std::vector<std::string>{
                 "src/fixture/serial_versioned.cpp:13: [serial-versioned] 'BadBlob' is "
                 "serialized through laco::serial but declares no kVersion — every "
@@ -124,7 +125,7 @@ TEST(AnalyzeTree, LayerDagCycleAndIwyuFireOnSeededTree) {
   // (upward include), two util headers including each other (cycle),
   // and a .cpp including a header it never references (IWYU).
   EXPECT_EQ(
-      tree_diags("layer_tree"),
+      tree_diags(fixture("layer_tree")),
       (std::vector<std::string>{
           "src/nn/bad_upward.hpp:3: [layer-dag] include of \"src/serve/svc.hpp\" breaks "
           "the layer DAG: layer 'nn' must not depend on layer 'serve' "
@@ -139,7 +140,7 @@ TEST(AnalyzeTree, LayerDagCycleAndIwyuFireOnSeededTree) {
 TEST(AnalyzeTree, SerialRoundTripCoverageFlagsUntestedCodecs) {
   // serial_tree/ has two versioned codec structs; only CoveredBlob is
   // mentioned by its tests/test_snapshot.cpp.
-  EXPECT_EQ(tree_diags("serial_tree"),
+  EXPECT_EQ(tree_diags(fixture("serial_tree")),
             (std::vector<std::string>{
                 "src/util/blob.hpp:12: [serial-roundtrip] 'UncoveredBlob' is serialized "
                 "through laco::serial but never appears in tests/test_snapshot.cpp — "
@@ -260,6 +261,189 @@ TEST(AnalyzeTokenizer, PreprocessorDirectivesProduceNoTokens) {
   EXPECT_EQ(tf.includes[0].line, 3);
   ASSERT_EQ(tf.defines.size(), 1u);
   EXPECT_EQ(tf.defines[0], "FIXTURE_MACRO");
+}
+
+// ------------------------------------------------------------ text rules
+
+TEST(LintRules, PragmaOnceMissing) {
+  EXPECT_EQ(diags("missing_pragma.hpp", "src/fixture/missing_pragma.hpp"),
+            std::vector<std::string>{
+                "src/fixture/missing_pragma.hpp:1: [pragma-once] header must use '#pragma once'"});
+}
+
+TEST(LintRules, BareAssertOnlyInSrc) {
+  EXPECT_EQ(diags("bare_assert.cpp", "src/fixture/bare_assert.cpp"),
+            std::vector<std::string>{
+                "src/fixture/bare_assert.cpp:10: [bare-assert] use LACO_CHECK/LACO_DCHECK "
+                "(util/check.hpp); bare asserts vanish under NDEBUG"});
+  // The same file under tests/ is fine: GoogleTest code may assert.
+  EXPECT_TRUE(diags("bare_assert.cpp", "tests/bare_assert.cpp").empty());
+}
+
+TEST(LintRules, NakedNewAndDelete) {
+  const std::vector<std::string> expected = {
+      "src/fixture/naked_new.cpp:8: [naked-new] use std::make_unique/std::make_shared or "
+      "containers instead of naked allocation",
+      "src/fixture/naked_new.cpp:9: [naked-new] use RAII owners instead of manual deallocation"};
+  EXPECT_EQ(diags("naked_new.cpp", "src/fixture/naked_new.cpp"), expected);
+}
+
+TEST(LintRules, RandForbiddenEverywhereButRngImpl) {
+  const std::vector<std::string> expected = {
+      "src/fixture/uses_rand.cpp:7: [rand] use util/rng.hpp (seeded, reproducible) instead of "
+      "the C PRNG",
+      "src/fixture/uses_rand.cpp:8: [rand] use util/rng.hpp (seeded, reproducible) instead of "
+      "the C PRNG"};
+  EXPECT_EQ(diags("uses_rand.cpp", "src/fixture/uses_rand.cpp"), expected);
+  // The rng implementation itself is the one allowed wrapper point.
+  EXPECT_TRUE(diags("uses_rand.cpp", "src/util/rng.cpp").empty());
+}
+
+TEST(LintRules, IostreamOnlyOutsideLoggingToolsBench) {
+  const std::vector<std::string> expected = {
+      "src/fixture/uses_cout.cpp:6: [iostream] use util/logging.hpp (LACO_LOG_*) for library "
+      "output",
+      "src/fixture/uses_cout.cpp:7: [iostream] use util/logging.hpp (LACO_LOG_*) for library "
+      "output"};
+  EXPECT_EQ(diags("uses_cout.cpp", "src/fixture/uses_cout.cpp"), expected);
+  EXPECT_TRUE(diags("uses_cout.cpp", "bench/uses_cout.cpp").empty());
+  EXPECT_TRUE(diags("uses_cout.cpp", "tools/uses_cout.cpp").empty());
+  EXPECT_TRUE(diags("uses_cout.cpp", "src/util/logging.cpp").empty());
+}
+
+TEST(LintRules, UnguardedMutexMember) {
+  EXPECT_EQ(diags("unguarded_mutex.hpp", "src/fixture/unguarded_mutex.hpp"),
+            std::vector<std::string>{
+                "src/fixture/unguarded_mutex.hpp:12: [mutex-guard] mutex member without any "
+                "LACO_GUARDED_BY annotation in this header"});
+  // util/mutex.hpp wraps the raw std::mutex and is exempt.
+  EXPECT_TRUE(diags("unguarded_mutex.hpp", "src/util/mutex.hpp").empty());
+}
+
+TEST(LintRules, ForwardOutsideNoGradGuard) {
+  const std::vector<std::string> expected = {
+      "src/serve/nograd_missing.cpp:7: [nograd-forward] model forward() in src/serve must run "
+      "under nn::NoGradGuard",
+      "src/serve/nograd_missing.cpp:12: [nograd-forward] model forward() in src/serve must run "
+      "under nn::NoGradGuard"};
+  EXPECT_EQ(diags("nograd_missing.cpp", "src/serve/nograd_missing.cpp"), expected);
+  // Outside src/serve the contract is out of scope.
+  EXPECT_TRUE(diags("nograd_missing.cpp", "src/laco/nograd_missing.cpp").empty());
+}
+
+TEST(LintRules, CatchSwallowInFaultHandlingLayers) {
+  const std::vector<std::string> expected = {
+      "src/serve/catch_swallow.cpp:10: [catch-swallow] catch (...) in src/serve//src/laco must "
+      "rethrow, log (LACO_LOG_*), or forward the exception (set_exception/fail_batch); "
+      "swallowed faults defeat the reliability layer"};
+  EXPECT_EQ(diags("catch_swallow.cpp", "src/serve/catch_swallow.cpp"), expected);
+  // src/laco is the other fault-handling layer; elsewhere out of scope.
+  EXPECT_EQ(diags("catch_swallow.cpp", "src/laco/catch_swallow.cpp").size(), 1u);
+  EXPECT_TRUE(diags("catch_swallow.cpp", "src/placer/catch_swallow.cpp").empty());
+  EXPECT_TRUE(diags("catch_swallow.cpp", "tools/catch_swallow.cpp").empty());
+}
+
+TEST(LintRules, PlanHotPathMustNotAllocate) {
+  const auto expect_line = [](int line) {
+    return "src/plan/executor_fixture.cpp:" + std::to_string(line) +
+           ": [plan-hot-alloc] no allocations in the plan executor hot path: Tensor "
+           "factories, make_shared/make_unique, and container growth belong in "
+           "Workspace::prepare (docs/PLAN.md)";
+  };
+  const std::vector<std::string> expected = {expect_line(8),  expect_line(9),
+                                             expect_line(10), expect_line(11),
+                                             expect_line(12), expect_line(13),
+                                             expect_line(14), expect_line(15)};
+  EXPECT_EQ(diags("plan_hot_alloc.cpp", "src/plan/executor_fixture.cpp"), expected);
+  // The rule is scoped to executor translation units: the compiler and
+  // cache (cold path) allocate freely, as does everything outside
+  // src/plan.
+  EXPECT_TRUE(diags("plan_hot_alloc.cpp", "src/plan/compiler.cpp").empty());
+  EXPECT_TRUE(diags("plan_hot_alloc.cpp", "src/serve/batcher.cpp").empty());
+  // The real executor stays clean under its real relpath.
+  EXPECT_TRUE(diags("../../src/plan/executor.cpp", "src/plan/executor.cpp").empty());
+}
+
+TEST(LintRules, CleanFileHasNoDiagnostics) {
+  EXPECT_TRUE(diags("clean.hpp", "src/fixture/clean.hpp").empty());
+}
+
+TEST(LintRules, StripperRemovesCommentsAndStringsOnly) {
+  const std::string stripped = analyze::strip_source(
+      "int x = 1; // trailing\nconst char* s = \"str\\\"ing\";\n/* multi\nline */ int y;\n");
+  EXPECT_EQ(stripped,
+            "int x = 1;            \nconst char* s =           ;\n        \n        int y;\n");
+}
+
+// ---------------------------------------------- test registration, tree gate
+
+TEST(LintTree, UnregisteredTestFileIsFlagged) {
+  // Synthesized tree: test_good.cpp is registered, test_orphan.cpp is
+  // not — only the orphan may be diagnosed, and only by this rule.
+  const fs::path root = fs::path(::testing::TempDir()) / "lint_reg_tree";
+  fs::remove_all(root);
+  fs::create_directories(root / "tests");
+  const auto put = [](const fs::path& p, const std::string& text) {
+    std::ofstream out(p);
+    out << text;
+  };
+  put(root / "tests" / "test_good.cpp", "int main() { return 0; }\n");
+  put(root / "tests" / "test_orphan.cpp", "int main() { return 0; }\n");
+  put(root / "tests" / "helper.cpp", "int helper() { return 1; }\n");  // not a test: exempt
+  put(root / "tests" / "CMakeLists.txt", "laco_add_test(test_good)\n");
+
+  EXPECT_EQ(tree_diags(root),
+            std::vector<std::string>{
+                "tests/test_orphan.cpp:1: [test-registered] register it with "
+                "laco_add_test(test_orphan) in tests/CMakeLists.txt — unregistered tests "
+                "never run"});
+
+  // Registering the orphan clears the diagnostic (whitespace-tolerant).
+  put(root / "tests" / "CMakeLists.txt",
+      "laco_add_test(test_good)\nlaco_add_test( test_orphan )\n");
+  EXPECT_TRUE(analyze::analyze_tree(root).empty());
+  fs::remove_all(root);
+}
+
+TEST(LintTree, RepoIsCleanAndWalkSkipsFixtures) {
+  // The ctest gate runs the binary; this is the API-level equivalent,
+  // and proves the walk never descends into analyze_fixtures/.
+  const fs::path root = fs::path(LACO_ANALYZE_FIXTURE_DIR) / ".." / "..";
+  const std::vector<std::string> files = analyze::collect_files(root);
+  ASSERT_FALSE(files.empty());
+  for (const std::string& rel : files) {
+    EXPECT_EQ(rel.find("analyze_fixtures"), std::string::npos) << rel;
+  }
+  EXPECT_EQ(tree_diags(root), std::vector<std::string>{});
+}
+
+// ------------------------------------------------------------- stripping
+
+// Regression pins for the tokenizer-based stripper: each of these
+// fixtures made the old hand-rolled state machine misfire or drift line
+// numbers.
+
+TEST(LintStripper, RawStringBodiesNeverMatchRules) {
+  // Violations spelled inside R"doc(...)doc" are prose; the one real
+  // allocation after the literal keeps its exact line number.
+  EXPECT_EQ(diags("raw_string.cpp", "src/fixture/raw_string.cpp"),
+            std::vector<std::string>{
+                "src/fixture/raw_string.cpp:12: [naked-new] use "
+                "std::make_unique/std::make_shared or containers instead of naked allocation"});
+}
+
+TEST(LintStripper, MacroContinuationLinesAreNotCode) {
+  EXPECT_EQ(diags("macro_continuation.cpp", "src/fixture/macro_continuation.cpp"),
+            std::vector<std::string>{});
+}
+
+TEST(LintStripper, SplicedStringLiteralKeepsLineNumbers) {
+  // The backslash-newline splice inside the literal used to swallow a
+  // newline and shift every later diagnostic up a line.
+  EXPECT_EQ(diags("spliced_string.cpp", "src/fixture/spliced_string.cpp"),
+            std::vector<std::string>{
+                "src/fixture/spliced_string.cpp:7: [naked-new] use "
+                "std::make_unique/std::make_shared or containers instead of naked allocation"});
 }
 
 }  // namespace

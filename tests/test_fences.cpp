@@ -176,5 +176,22 @@ TEST(Fence, SuiteVariantsCarryConstraints) {
   EXPECT_EQ(plain.fences().size(), 0u);
 }
 
+TEST(Fence, SuiteFencesFitTheirWidestMember) {
+  // A fence narrower than one of its members leaves that cell no legal
+  // site. matrix_mult_c seed 4 once generated a 5.87-wide fence around
+  // a 6.00-wide cell.
+  for (const std::string& name : ispd2015_design_names()) {
+    for (std::uint64_t seed = 0; seed < 10; ++seed) {
+      const Design d = make_ispd2015_analog(name, 0.004, seed);
+      for (const Fence& fence : d.fences()) {
+        for (const CellId member : fence.members) {
+          EXPECT_LE(d.cell(member).width, fence.region.width())
+              << name << " seed " << seed << " " << fence.name << " cell " << member;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace laco

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "laco/congestion_penalty.hpp"
-#include "netlist/generator.hpp"
 #include "nn/kernel_pool.hpp"
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
@@ -439,40 +438,6 @@ TEST(PlanServe, ForwardBatchMatchesEagerBitwise) {
   EXPECT_EQ(plan::shared_plan_cache().stats().misses, misses + 1);
   // … and produced the exact eager bits.
   EXPECT_TRUE(bitwise_equal(planned, eager));
-  plan::shared_plan_cache().invalidate(models->congestion.get());
-}
-
-// ----------------------------------------------------- penalty integration
-
-TEST(PlanPenalty, PredictMatchesEagerBitwise) {
-  GeneratorConfig gcfg;
-  gcfg.num_cells = 80;
-  Design d = generate_design(gcfg);
-  PenaltyConfig pc;
-  pc.features_hi = FeatureConfig{16, 16, QuasiVoxScheme::kWeightedSum, true};
-  pc.features_lo = FeatureConfig{8, 8, QuasiVoxScheme::kWeightedSum, true};
-  pc.frames = 3;
-  pc.spacing = 5;
-  pc.start_iteration = 15;
-  pc.apply_every = 1;
-  const auto models = tiny_models(LacoScheme::kCellFlowKL, 17);
-  CongestionPenalty penalty(pc, *models);
-  std::vector<double> gx(d.num_cells(), 0.0), gy(d.num_cells(), 0.0);
-  gx[static_cast<std::size_t>(d.movable_cells()[0])] = 1.0;
-  for (int iter = 0; iter <= 10; ++iter) penalty(d, iter, gx, gy);
-
-  GridMap planned, eager;
-  plan::set_plans_enabled(true);
-  const std::uint64_t misses = plan::shared_plan_cache().stats().misses;
-  ASSERT_TRUE(penalty.predict(d, planned));
-  EXPECT_EQ(plan::shared_plan_cache().stats().misses, misses + 1);
-  plan::set_plans_enabled(false);
-  ASSERT_TRUE(penalty.predict(d, eager));
-  plan::set_plans_enabled(true);
-  ASSERT_EQ(planned.data().size(), eager.data().size());
-  for (std::size_t i = 0; i < planned.data().size(); ++i) {
-    EXPECT_EQ(planned.data()[i], eager.data()[i]) << "bin " << i;
-  }
   plan::shared_plan_cache().invalidate(models->congestion.get());
 }
 

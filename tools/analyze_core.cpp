@@ -1,11 +1,17 @@
 #include "analyze_core.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <regex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+
+#include "util/thread_pool.hpp"
 
 namespace laco::analyze {
 namespace {
@@ -344,7 +350,7 @@ const std::map<std::string, std::set<std::string>>& layer_deps() {
       {"router", {"netlist", "gridmap", "placer", "metrics"}},
       {"flows", {"placer", "router"}},
       {"train", {"models", "placer", "router", "flows", "metrics", "nn"}},
-      {"laco", {"train", "plan"}},
+      {"laco", {"train"}},
       {"serve", {"laco", "plan"}},
   };
   return deps;
@@ -736,6 +742,226 @@ void check_duplicate_includes(const TokenizedFile& tf, const std::string& relpat
   }
 }
 
+// ------------------------------------------------------------ text rules
+//
+// Regexes over TokenizedFile::line_text, one finding per rule per line.
+// These rules honour no analyze-ok comment: a misfire is fixed in the
+// scope table below, with a comment justifying the exemption.
+
+bool in_tests(const std::string& p) { return starts_with(p, "tests/"); }
+bool in_serve_source(const std::string& p) { return starts_with(p, "src/serve/") && is_source(p); }
+// The plan executor hot path (docs/PLAN.md): every per-forward
+// allocation there defeats the arena design, so allocating constructs
+// are banned outright; preallocation belongs in Workspace::prepare.
+bool in_plan_hot_path(const std::string& p) {
+  return starts_with(p, "src/plan/") && p.find("executor") != std::string::npos;
+}
+// Fault-handling layers (docs/RELIABILITY.md): the serving stack and
+// the placement flow, where a silently swallowed exception turns into
+// a hung future or a placement that skips its penalty without a trace.
+bool in_fault_scope(const std::string& p) {
+  return starts_with(p, "src/serve/") || starts_with(p, "src/laco/");
+}
+
+bool iostream_exempt(const std::string& p) {
+  // util/logging owns the terminal; tools and bench are end-user
+  // programs whose stdout IS the product (CSV tables, CLI output).
+  return starts_with(p, "tools/") || starts_with(p, "bench/") ||
+         starts_with(p, "src/util/logging");
+}
+
+bool rand_exempt(const std::string& p) { return starts_with(p, "src/util/rng"); }
+bool mutex_rule_exempt(const std::string& p) {
+  // util/mutex.hpp wraps the raw std::mutex everything else annotates.
+  return p == "src/util/mutex.hpp";
+}
+
+// Patterns are spliced ("as" "sert") so the analyzer never flags its
+// own source: string literals are stripped before matching, but keeping
+// the tokens out of this file entirely is cheap insurance.
+const std::regex& assert_re() {
+  static const std::regex re("(^|[^A-Za-z0-9_])as" "sert\\s*\\(");
+  return re;
+}
+const std::regex& new_re() {
+  static const std::regex re("(^|[^A-Za-z0-9_])n" "ew[^A-Za-z0-9_]");
+  return re;
+}
+const std::regex& delete_re() {
+  static const std::regex re("(^|[^A-Za-z0-9_])del" "ete([^A-Za-z0-9_]|$)");
+  return re;
+}
+const std::regex& rand_re() {
+  static const std::regex re("(^|[^A-Za-z0-9_])s?ra" "nd\\s*\\(");
+  return re;
+}
+const std::regex& iostream_re() {
+  static const std::regex re("std::c" "(out|err)[^A-Za-z0-9_]");
+  return re;
+}
+const std::regex& mutex_member_re() {
+  static const std::regex re("^\\s*(mutable\\s+)?(std::mu" "tex|laco::Mutex|Mutex)\\s+[A-Za-z_][A-Za-z0-9_]*\\s*;");
+  return re;
+}
+const std::regex& forward_call_re() {
+  static const std::regex re("(->|\\.)\\s*forward\\s*\\(");
+  return re;
+}
+const std::regex& catch_all_re() {
+  static const std::regex re("(^|[^A-Za-z0-9_])ca" "tch\\s*\\(\\s*\\.\\.\\.\\s*\\)");
+  return re;
+}
+const std::regex& plan_alloc_re() {
+  static const std::regex re(
+      "Tensor::(ze" "ros|fu" "ll|from" "_data|sca" "lar)\\s*\\(|"
+      "make_sh" "ared|make_un" "ique|"
+      "(^|[^A-Za-z0-9_])(push_b" "ack|emplace_b" "ack|res" "ize|res" "erve)\\s*\\(");
+  return re;
+}
+
+/// `= delete;` (deleted special members) is not memory management.
+bool is_deleted_function(const std::string& line, std::size_t match_pos) {
+  for (std::size_t i = match_pos; i-- > 0;) {
+    const char c = line[i];
+    if (c == ' ' || c == '\t') continue;
+    return c == '=';
+  }
+  return false;
+}
+
+void check_line_rules(const std::vector<std::string>& lines, const std::string& relpath,
+                      std::vector<Diagnostic>& out) {
+  const bool src = in_src(relpath);
+  const bool check_iostream = (src || in_tests(relpath)) && !iostream_exempt(relpath);
+  const bool check_rand = !rand_exempt(relpath);
+  const bool hot_path = in_plan_hot_path(relpath);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    const int lineno = static_cast<int>(i) + 1;
+    std::smatch m;
+    if (hot_path && std::regex_search(line, m, plan_alloc_re())) {
+      add(out, relpath, lineno, "plan-hot-alloc",
+          "no allocations in the plan executor hot path: Tensor factories, make_shared/"
+          "make_unique, and container growth belong in Workspace::prepare (docs/PLAN.md)");
+    }
+    if (src && std::regex_search(line, m, assert_re())) {
+      add(out, relpath, lineno, "bare-assert",
+          "use LACO_CHECK/LACO_DCHECK (util/check.hpp); bare asserts vanish under NDEBUG");
+    }
+    if (src && std::regex_search(line, m, new_re())) {
+      add(out, relpath, lineno, "naked-new",
+          "use std::make_unique/std::make_shared or containers instead of naked allocation");
+    }
+    if (src && std::regex_search(line, m, delete_re()) &&
+        !is_deleted_function(line, static_cast<std::size_t>(m.position(0)))) {
+      add(out, relpath, lineno, "naked-new",
+          "use RAII owners instead of manual deallocation");
+    }
+    if (check_rand && std::regex_search(line, m, rand_re())) {
+      add(out, relpath, lineno, "rand",
+          "use util/rng.hpp (seeded, reproducible) instead of the C PRNG");
+    }
+    if (check_iostream && std::regex_search(line, m, iostream_re())) {
+      add(out, relpath, lineno, "iostream",
+          "use util/logging.hpp (LACO_LOG_*) for library output");
+    }
+  }
+}
+
+void check_mutex_guarded(const std::vector<std::string>& lines, const std::string& line_text,
+                         const std::string& relpath, std::vector<Diagnostic>& out) {
+  if (!in_src(relpath) || !is_header(relpath) || mutex_rule_exempt(relpath)) return;
+  if (line_text.find("LACO_GUARDED_BY(") != std::string::npos) return;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (std::regex_search(lines[i], mutex_member_re())) {
+      add(out, relpath, static_cast<int>(i) + 1, "mutex-guard",
+          "mutex member without any LACO_GUARDED_BY annotation in this header");
+    }
+  }
+}
+
+/// Brace-depth scan: every model forward in src/serve must execute
+/// under an nn::NoGradGuard in an enclosing scope (tensor.hpp
+/// concurrency contract — grad recording on shared weights is a race).
+void check_nograd_forward(const std::vector<std::string>& lines, const std::string& relpath,
+                          std::vector<Diagnostic>& out) {
+  if (!in_serve_source(relpath)) return;
+  int depth = 0;
+  std::vector<int> guard_depths;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    if (line.find("NoGradGuard") != std::string::npos) guard_depths.push_back(depth);
+    if (std::regex_search(line, forward_call_re()) && guard_depths.empty()) {
+      add(out, relpath, static_cast<int>(i) + 1, "nograd-forward",
+          "model forward() in src/serve must run under nn::NoGradGuard");
+    }
+    for (const char c : line) {
+      if (c == '{') ++depth;
+      if (c == '}') --depth;
+    }
+    while (!guard_depths.empty() && depth < guard_depths.back()) guard_depths.pop_back();
+  }
+}
+
+/// Brace-matched scan over the stripped text: a `catch (...)` in the
+/// fault-handling layers must visibly do something with the exception —
+/// rethrow, log, or forward it into a promise/batch — or it swallows a
+/// fault the reliability machinery (typed futures, degradation) exists
+/// to surface. A marker inside a comment or string does not count.
+void check_catch_swallow(const std::string& line_text, const std::string& relpath,
+                         std::vector<Diagnostic>& out) {
+  if (!in_fault_scope(relpath)) return;
+  static const char* const kHandlingMarkers[] = {
+      "throw",              // rethrow / throw-new / std::rethrow_exception
+      "LACO_LOG_",          // at minimum, the fault leaves a trace
+      "set_exception",      // forwarded into a promise
+      "fail_batch",         // forwarded into a batch's promises
+      "current_exception",  // captured for later propagation
+      "abort",              // deliberate crash is not a swallow
+  };
+  const auto end = std::sregex_iterator();
+  for (auto it = std::sregex_iterator(line_text.begin(), line_text.end(), catch_all_re());
+       it != end; ++it) {
+    const std::size_t match_pos = static_cast<std::size_t>(it->position(0));
+    const std::size_t open =
+        line_text.find('{', match_pos + static_cast<std::size_t>(it->length(0)));
+    if (open == std::string::npos) continue;
+    int depth = 0;
+    std::size_t close = open;
+    for (; close < line_text.size(); ++close) {
+      if (line_text[close] == '{') ++depth;
+      if (line_text[close] == '}' && --depth == 0) break;
+    }
+    const std::string block = line_text.substr(open, close - open + 1);
+    const bool handled = std::any_of(std::begin(kHandlingMarkers), std::end(kHandlingMarkers),
+                                     [&block](const char* marker) {
+                                       return block.find(marker) != std::string::npos;
+                                     });
+    if (handled) continue;
+    // Group 1 is the non-identifier prefix (possibly a newline): count
+    // lines up to the keyword itself, not the character before it.
+    const std::size_t keyword_pos = match_pos + static_cast<std::size_t>((*it)[1].length());
+    const int lineno = 1 + static_cast<int>(std::count(
+                               line_text.begin(),
+                               line_text.begin() + static_cast<std::ptrdiff_t>(keyword_pos), '\n'));
+    add(out, relpath, lineno, "catch-swallow",
+        "catch (...) in src/serve//src/laco must rethrow, log (LACO_LOG_*), or forward the "
+        "exception (set_exception/fail_batch); swallowed faults defeat the reliability layer");
+  }
+}
+
+void check_text_rules(const TokenizedFile& tf, const std::string& relpath,
+                      std::vector<Diagnostic>& out) {
+  const std::vector<std::string> lines = split_lines(tf.line_text);
+  if (is_header(relpath) && !tf.has_pragma_once) {
+    add(out, relpath, 1, "pragma-once", "header must use '#pragma once'");
+  }
+  check_line_rules(lines, relpath, out);
+  check_mutex_guarded(lines, tf.line_text, relpath, out);
+  check_nograd_forward(lines, relpath, out);
+  check_catch_swallow(tf.line_text, relpath, out);
+}
+
 // --------------------------------------------------------- include graph
 
 struct TreeFile {
@@ -947,6 +1173,68 @@ void check_serial_roundtrip(const fs::path& root, const std::vector<TreeFile>& f
   }
 }
 
+/// Tree rule: every tests/test_*.cpp among `relpaths` must appear as
+/// laco_add_test(<stem>) in tests/CMakeLists.txt under `root` — an
+/// unregistered test compiles nowhere and silently never runs in CI.
+/// No-op when the CMake list is absent (fixture trees).
+void check_tests_registered(const fs::path& root, const std::vector<std::string>& relpaths,
+                            std::vector<Diagnostic>& out) {
+  const fs::path cmake_list = root / "tests" / "CMakeLists.txt";
+  if (!fs::exists(cmake_list)) return;
+  const std::string cmake = read_file(cmake_list);
+  for (const std::string& rel : relpaths) {
+    if (!starts_with(rel, "tests/test_") || rel.find('/', 6) != std::string::npos) continue;
+    if (!ends_with(rel, ".cpp")) continue;
+    const std::string stem = rel.substr(6, rel.size() - 6 - 4);  // "test_*"
+    const std::regex registered("laco_add_test\\s*\\(\\s*" + stem + "\\s*\\)");
+    if (!std::regex_search(cmake, registered)) {
+      add(out, rel, 1, "test-registered",
+          "register it with laco_add_test(" + stem +
+              ") in tests/CMakeLists.txt — unregistered tests never run");
+    }
+  }
+}
+
+// ---------------------------------------------------------- self-contained
+
+/// Compiles `header` standalone (-fsyntax-only) to prove it includes
+/// what it uses. The translation unit lives in `scratch_dir`, so it
+/// names the header by absolute path: a relative root would not
+/// resolve from there. Returns the compiler exit status.
+int compile_header(const std::string& cxx, const std::string& flags, const fs::path& header,
+                   const fs::path& scratch_dir, std::size_t index) {
+  const fs::path tu = scratch_dir / ("header_" + std::to_string(index) + ".cpp");
+  {
+    std::ofstream out(tu);
+    out << "#include \"" << fs::absolute(header).generic_string() << "\"\n";
+  }
+  const std::string command =
+      cxx + " " + flags + " -fsyntax-only " + tu.string() + " > /dev/null 2>&1";
+  return std::system(command.c_str());
+}
+
+/// The per-file rules over one tokenized file. `paired_header`, when
+/// given, contributes the guarded fields and LACO_REQUIRES methods it
+/// declares: the annotations live on the declarations.
+std::vector<Diagnostic> file_rules(const TokenizedFile& tf, const TokenizedFile* paired_header,
+                                   const std::string& relpath) {
+  GuardInfo guards;
+  harvest_guards(tf, guards);
+  if (paired_header != nullptr) harvest_guards(*paired_header, guards);
+
+  std::vector<Diagnostic> out;
+  check_tensor_by_value(tf, relpath, out);
+  check_deterministic_regions(tf, relpath, out);
+  check_guarded_access(tf, guards, relpath, out);
+  check_duplicate_includes(tf, relpath, out);
+  check_serial_versioned(tf, relpath, out);
+  check_text_rules(tf, relpath, out);
+
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Diagnostic& a, const Diagnostic& b) { return a.line < b.line; });
+  return out;
+}
+
 }  // namespace
 
 std::string Diagnostic::str() const {
@@ -954,24 +1242,6 @@ std::string Diagnostic::str() const {
 }
 
 std::string strip_source(const std::string& source) { return strip_impl(source, nullptr); }
-
-std::string strip_for_line_rules(const std::string& source) {
-  const std::string stripped = strip_impl(source, nullptr);
-  std::vector<std::string> lines = split_lines(stripped);
-  std::vector<bool> directive, continuation;
-  mark_directive_lines(lines, directive, continuation);
-  std::string out;
-  out.reserve(stripped.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (continuation[i]) {
-      out.append(lines[i].size(), ' ');
-    } else {
-      out += lines[i];
-    }
-    if (i + 1 < lines.size()) out += '\n';
-  }
-  return out;
-}
 
 TokenizedFile tokenize(const std::string& source) {
   TokenizedFile tf;
@@ -993,6 +1263,16 @@ TokenizedFile tokenize(const std::string& source) {
   const std::vector<std::string> raw_lines = split_lines(source);
   std::vector<bool> directive, continuation;
   mark_directive_lines(stripped_lines, directive, continuation);
+
+  tf.line_text.reserve(stripped.size());
+  for (std::size_t i = 0; i < stripped_lines.size(); ++i) {
+    if (continuation[i]) {
+      tf.line_text.append(stripped_lines[i].size(), ' ');
+    } else {
+      tf.line_text += stripped_lines[i];
+    }
+    if (i + 1 < stripped_lines.size()) tf.line_text += '\n';
+  }
 
   static const std::regex pragma_once_re("^\\s*#\\s*pragma\\s+once\\b");
   static const std::regex include_re("^\\s*#\\s*include");
@@ -1044,26 +1324,12 @@ bool layer_may_include(const std::string& from, const std::string& to) {
 std::vector<Diagnostic> analyze_file(const fs::path& file, const std::string& relpath,
                                      const fs::path& root) {
   const TokenizedFile tf = tokenize(read_file(file));
-  std::vector<Diagnostic> out;
-
-  GuardInfo guards;
-  harvest_guards(tf, guards);
-  if (!root.empty() && is_source(relpath)) {
-    // Pull guarded fields and LACO_REQUIRES methods from the paired
-    // header: the annotations live on the declarations.
-    const fs::path header = root / fs::path(relpath).replace_extension(".hpp");
-    if (fs::exists(header)) harvest_guards(tokenize(read_file(header)), guards);
+  const fs::path header = root / fs::path(relpath).replace_extension(".hpp");
+  if (root.empty() || !is_source(relpath) || !fs::exists(header)) {
+    return file_rules(tf, nullptr, relpath);
   }
-
-  check_tensor_by_value(tf, relpath, out);
-  check_deterministic_regions(tf, relpath, out);
-  check_guarded_access(tf, guards, relpath, out);
-  check_duplicate_includes(tf, relpath, out);
-  check_serial_versioned(tf, relpath, out);
-
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Diagnostic& a, const Diagnostic& b) { return a.line < b.line; });
-  return out;
+  const TokenizedFile paired = tokenize(read_file(header));
+  return file_rules(tf, &paired, relpath);
 }
 
 std::vector<std::string> collect_files(const fs::path& root) {
@@ -1086,41 +1352,82 @@ std::vector<std::string> collect_files(const fs::path& root) {
   return files;
 }
 
-std::vector<Diagnostic> analyze_tree(const fs::path& root, const Options& options) {
+std::vector<Diagnostic> analyze_tree(const fs::path& root) {
+  // Each file is tokenized once: its per-file rules, the .cpp that pairs
+  // with it as a header, and the include-graph rules share the result.
   const std::vector<std::string> relpaths = collect_files(root);
+  std::map<std::string, TokenizedFile> parsed;
+  for (const std::string& rel : relpaths) parsed.emplace(rel, tokenize(read_file(root / rel)));
+
   std::vector<Diagnostic> out;
-
-  if (options.file_rules) {
-    for (const std::string& rel : relpaths) {
-      std::vector<Diagnostic> file_diags = analyze_file(root / rel, rel, root);
-      out.insert(out.end(), file_diags.begin(), file_diags.end());
-    }
+  for (const auto& [rel, tf] : parsed) {
+    const auto header = is_source(rel)
+                            ? parsed.find(fs::path(rel).replace_extension(".hpp").generic_string())
+                            : parsed.end();
+    std::vector<Diagnostic> file_diags =
+        file_rules(tf, header == parsed.end() ? nullptr : &header->second, rel);
+    out.insert(out.end(), file_diags.begin(), file_diags.end());
   }
 
-  if (options.tree_rules) {
-    std::vector<TreeFile> files;
-    for (const std::string& rel : relpaths) {
-      if (!in_src(rel)) continue;
-      TreeFile f;
-      f.relpath = rel;
-      f.tf = tokenize(read_file(root / rel));
-      for (const IncludeDirective& inc : f.tf.includes) {
-        if (inc.angled) continue;
-        const std::string target = resolve_include(root, rel, inc.path);
-        if (!target.empty()) f.project_includes.emplace_back(target, inc.line);
-      }
-      files.push_back(std::move(f));
+  std::vector<TreeFile> files;
+  for (auto& [rel, tf] : parsed) {
+    if (!in_src(rel)) continue;
+    TreeFile f;
+    f.relpath = rel;
+    f.tf = std::move(tf);
+    for (const IncludeDirective& inc : f.tf.includes) {
+      if (inc.angled) continue;
+      const std::string target = resolve_include(root, rel, inc.path);
+      if (!target.empty()) f.project_includes.emplace_back(target, inc.line);
     }
-    check_layer_dag(files, out);
-    check_include_cycles(files, out);
-    check_iwyu(root, files, out);
-    check_serial_roundtrip(root, files, out);
+    files.push_back(std::move(f));
   }
+  check_layer_dag(files, out);
+  check_include_cycles(files, out);
+  check_iwyu(root, files, out);
+  check_serial_roundtrip(root, files, out);
+  check_tests_registered(root, relpaths, out);
 
   std::stable_sort(out.begin(), out.end(), [](const Diagnostic& a, const Diagnostic& b) {
     if (a.relpath != b.relpath) return a.relpath < b.relpath;
     return a.line < b.line;
   });
+  return out;
+}
+
+std::vector<Diagnostic> check_headers(const fs::path& root,
+                                      const std::vector<std::string>& relpaths,
+                                      const std::string& cxx, const std::string& cxx_flags) {
+  const std::string compiler = cxx.empty() ? "c++" : cxx;
+  const std::string flags =
+      cxx_flags.empty() ? "-std=c++20 -I " + (root / "src").string() : cxx_flags;
+  std::vector<std::string> headers;
+  for (const std::string& rel : relpaths) {
+    if (is_header(rel)) headers.push_back(rel);
+  }
+  const fs::path scratch =
+      fs::temp_directory_path() / ("laco_analyze_" + std::to_string(::getpid()));
+  fs::create_directories(scratch);
+  std::vector<int> status(headers.size(), 0);  // slot i written only by task i
+  {
+    ThreadPool pool(static_cast<int>(std::max(1u, std::thread::hardware_concurrency())),
+                    headers.size() + 1);
+    for (std::size_t i = 0; i < headers.size(); ++i) {
+      pool.submit(
+          [&, i] { status[i] = compile_header(compiler, flags, root / headers[i], scratch, i); });
+    }
+    pool.shutdown();
+  }
+  std::error_code ec;
+  fs::remove_all(scratch, ec);
+
+  std::vector<Diagnostic> out;
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    if (status[i] != 0) {
+      add(out, headers[i], 1, "self-contained",
+          "header does not compile standalone (missing includes?)");
+    }
+  }
   return out;
 }
 

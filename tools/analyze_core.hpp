@@ -1,6 +1,5 @@
-// laco-analyze — second-generation static analysis for the LACO tree
-// (docs/STATIC_ANALYSIS.md). Where laco-lint matches regexes against
-// stripped lines, laco-analyze lexes real C++ tokens (comments,
+// laco-analyze — the static analyzer for the LACO tree
+// (docs/STATIC_ANALYSIS.md). It lexes real C++ tokens (comments,
 // string/char literals, raw strings, and line-spliced literals all
 // removed with exact line numbers preserved) and builds the project
 // include graph, so it can prove structural invariants:
@@ -19,11 +18,18 @@
 //     (serial-versioned) and must appear in tests/test_snapshot.cpp's
 //     round-trip suite (serial-roundtrip).
 //
+// The same pass runs the project-invariant text rules over the stripped
+// lines (pragma-once, bare-assert, naked-new, rand, iostream,
+// mutex-guard, nograd-forward, catch-swallow, plan-hot-alloc), the tree
+// rule test-registered, and — on request — compiles every header on its
+// own (self-contained).
+//
 // This header is the library half: tools/laco_analyze.cpp wraps it in
-// a CLI (registered as the `laco_analyze` ctest gate) and
-// tests/test_analyze.cpp drives it over fixtures asserting exact
-// diagnostics. A violating line can be suppressed with a trailing
-// `// analyze-ok(rule-id)` comment stating why.
+// a CLI (registered as the `laco_analyze` and `laco_analyze_headers`
+// ctest gates) and tests/test_analyze.cpp drives it over fixtures
+// asserting exact diagnostics. A token-rule finding can be suppressed
+// with a trailing `// analyze-ok(rule-id)` comment stating why; the
+// text rules have scope tables only.
 #pragma once
 
 #include <filesystem>
@@ -70,6 +76,11 @@ struct TokenizedFile {
   std::vector<int> deterministic_marks;
   /// line -> rule ids suppressed by `// analyze-ok(rule)` on that line.
   std::map<int, std::set<std::string>> suppressions;
+  /// The stripped source with preprocessor *continuation* lines (the
+  /// lines after a `#…\` splice) blanked: what the text rules match, so
+  /// macro bodies never trip them while a directive's first line
+  /// (`#define NAME \`) stays visible.
+  std::string line_text;
 };
 
 /// Strips //, /* */ comments and string/char literals — including raw
@@ -77,13 +88,6 @@ struct TokenizedFile {
 /// preserving line structure exactly, so downstream patterns never
 /// match inside prose and diagnostics keep true line numbers.
 std::string strip_source(const std::string& source);
-
-/// strip_source plus blanked preprocessor *continuation* lines (the
-/// lines after a `#…\` splice): line-oriented rule engines (laco-lint)
-/// use this so macro bodies never trip per-line rules, while the
-/// directive's first line (`#pragma once`, `#define NAME \`) stays
-/// visible.
-std::string strip_for_line_rules(const std::string& source);
 
 /// Full tokenization of `source` (see TokenizedFile).
 TokenizedFile tokenize(const std::string& source);
@@ -98,15 +102,12 @@ std::string layer_of(const std::string& relpath);
 /// closure of the CMake link graph in src/CMakeLists.txt).
 bool layer_may_include(const std::string& from, const std::string& to);
 
-struct Options {
-  bool file_rules = true;  ///< token-level per-file rules
-  bool tree_rules = true;  ///< include-graph rules over src/
-};
-
-/// Runs the per-file token rules (tensor-by-value, guarded-access,
-/// nondeterministic-accum, duplicate-include) on one file. `relpath`
-/// decides scope; `root` locates the paired header for guarded-field
-/// harvesting (pass an empty path to skip pairing — fixture mode).
+/// Runs every per-file rule — the token rules and the text rules — on
+/// one file. `relpath` decides scope (e.g. bare-assert only fires under
+/// src/); the file itself may live anywhere, which is how the fixture
+/// tests exercise scoped rules. `root` locates the paired header for
+/// guarded-field harvesting (pass an empty path to skip pairing —
+/// fixture mode).
 std::vector<Diagnostic> analyze_file(const std::filesystem::path& file,
                                      const std::string& relpath,
                                      const std::filesystem::path& root = {});
@@ -115,10 +116,21 @@ std::vector<Diagnostic> analyze_file(const std::filesystem::path& file,
 /// (src/ tests/ tools/ bench/, skipping *_fixtures/ directories).
 std::vector<std::string> collect_files(const std::filesystem::path& root);
 
-/// Whole-tree analysis: per-file rules plus the include-graph rules
-/// (layer-dag, include-cycle, iwyu-unused-include) over src/.
-/// Diagnostics are sorted by path then line.
-std::vector<Diagnostic> analyze_tree(const std::filesystem::path& root,
-                                     const Options& options = {});
+/// Whole-tree analysis: the per-file rules on every collected file plus
+/// the tree rules — layer-dag, include-cycle, iwyu-unused-include and
+/// serial-roundtrip over src/, and test-registered (every
+/// tests/test_*.cpp appears as laco_add_test(<stem>) in
+/// tests/CMakeLists.txt; a no-op when that list is absent, as in
+/// fixture trees). Diagnostics are sorted by path then line.
+std::vector<Diagnostic> analyze_tree(const std::filesystem::path& root);
+
+/// Rule "self-contained": compiles each header among `relpaths` on its
+/// own (`cxx cxx_flags -fsyntax-only`, one compile per hardware thread)
+/// to prove it includes what it uses. An empty `cxx` means "c++"; empty
+/// `cxx_flags` mean "-std=c++20 -I <root>/src". Relative include paths
+/// in `cxx_flags` resolve against the current directory.
+std::vector<Diagnostic> check_headers(const std::filesystem::path& root,
+                                      const std::vector<std::string>& relpaths,
+                                      const std::string& cxx, const std::string& cxx_flags);
 
 }  // namespace laco::analyze

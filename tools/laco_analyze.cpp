@@ -1,16 +1,17 @@
-// laco-analyze CLI — second-generation, token-aware static analysis
-// (tools/analyze_core.hpp, docs/STATIC_ANALYSIS.md). Registered as the
-// tier-1 `laco_analyze` ctest gate, so `ctest` fails on any layer-DAG
-// break, include cycle, unused project include, unlocked
-// LACO_GUARDED_BY access, Tensor-by-value parameter, or unordered
-// accumulation inside a LACO_DETERMINISTIC region.
+// laco-analyze CLI — the static analyzer for the LACO tree
+// (tools/analyze_core.hpp, docs/STATIC_ANALYSIS.md). Registered as two
+// tier-1 ctest gates, so `ctest` fails on any violation: `laco_analyze`
+// runs every rule over the whole tree, and `laco_analyze_headers`
+// compiles each header on its own.
 //
 // Usage:
-//   laco-analyze --root DIR [options] [relpath...]
-//     --root DIR      repository root (default: current directory)
-//     --no-file       skip the per-file token rules
-//     --no-tree       skip the include-graph rules (layer DAG, cycles, IWYU)
-//     relpath...      run only the per-file rules on these files
+//   laco-analyze --root DIR [--headers [--cxx PATH] [--cxxflags FLAGS]] [relpath...]
+//     --root DIR        repository root (default: current directory)
+//     --headers         compile each header standalone instead of running the rules
+//     --cxx PATH        compiler for --headers (default: c++)
+//     --cxxflags FLAGS  flags for --headers (default: -std=c++20 -I DIR/src)
+//     relpath...        only these root-relative files: the per-file rules,
+//                       or with --headers the header compiles
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -21,7 +22,8 @@
 namespace {
 
 int usage(const char* argv0) {
-  std::cerr << "usage: " << argv0 << " --root DIR [--no-file] [--no-tree] [relpath...]\n";
+  std::cerr << "usage: " << argv0
+            << " --root DIR [--headers [--cxx PATH] [--cxxflags FLAGS]] [relpath...]\n";
   return 2;
 }
 
@@ -29,7 +31,9 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  laco::analyze::Options options;
+  bool headers = false;
+  std::string cxx;
+  std::string cxx_flags;
   std::vector<std::string> explicit_files;
 
   for (int i = 1; i < argc; ++i) {
@@ -39,10 +43,16 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) return usage(argv[0]);
       root = v;
-    } else if (arg == "--no-file") {
-      options.file_rules = false;
-    } else if (arg == "--no-tree") {
-      options.tree_rules = false;
+    } else if (arg == "--headers") {
+      headers = true;
+    } else if (arg == "--cxx") {
+      const char* v = next();
+      if (!v) return usage(argv[0]);
+      cxx = v;
+    } else if (arg == "--cxxflags") {
+      const char* v = next();
+      if (!v) return usage(argv[0]);
+      cxx_flags = v;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -55,8 +65,12 @@ int main(int argc, char** argv) {
 
   std::vector<laco::analyze::Diagnostic> diagnostics;
   try {
-    if (explicit_files.empty()) {
-      diagnostics = laco::analyze::analyze_tree(root, options);
+    if (headers) {
+      diagnostics = laco::analyze::check_headers(
+          root, explicit_files.empty() ? laco::analyze::collect_files(root) : explicit_files,
+          cxx, cxx_flags);
+    } else if (explicit_files.empty()) {
+      diagnostics = laco::analyze::analyze_tree(root);
     } else {
       for (const std::string& rel : explicit_files) {
         auto file_diags =
