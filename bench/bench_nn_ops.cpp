@@ -3,9 +3,10 @@
 // and input-gradient-only with frozen weights as in placement) against
 // the naive nn::reference oracle at DREAM-Cong model shapes
 // (CongestionFcn, base_width 16, grid 64) and at two conv shapes of the
-// look-ahead model's Inception block, checks bitwise agreement of
-// every output and gradient, and sweeps the kernel pool over thread
-// counts.
+// look-ahead model's Inception block, times leaky_relu and
+// upsample_bilinear forward + backward against the scalar expressions
+// and nn::reference, checks bitwise agreement of every output and
+// gradient, and sweeps the kernel pool over thread counts.
 //
 // Writes BENCH_nn_ops.json. Timing rows are machine-dependent; the
 // strict CI drift gate pins only the scale-invariant metrics
@@ -163,9 +164,9 @@ int main() {
     }
   }
 
-  // Backward: one forward plus sum(y).backward() per call, every
-  // gradient diffed bitwise against nn::reference. conv2d_bwd trains
-  // all operands (dW/db + dX); the *_bwd_x cases freeze the weights as
+  // Backward: one forward plus a backward per call, every gradient
+  // diffed bitwise against its reference. conv2d_bwd trains all
+  // operands (dW/db + dX); the *_bwd_x cases freeze the weights as
   // placement does, so only dX runs, through the other op's forward tile.
   using Grads = std::vector<std::vector<float>>;
   const auto conv2d_grads = [&](bool reference, bool train) {
@@ -187,10 +188,45 @@ int main() {
     nn::sum(y).backward();
     return Grads{x.grad()};
   };
+  // leaky_relu at the conv_s1 shape and upsample_bilinear from grid/2
+  // to grid: a forward, then the op's own backward closure with a fixed
+  // upstream gradient, so each case times one op in both directions.
+  const auto own_backward = [](const nn::Tensor& x, const nn::Tensor& up, const nn::Tensor& y) {
+    y.impl()->grad = up.data();
+    y.impl()->backward_fn(*y.impl());
+    return Grads{y.data(), x.grad()};
+  };
+  const float slope = 0.1f;
+  nn::Tensor x_act = randn({1, width, grid, grid}, 25);
+  const nn::Tensor up_act = randn({1, width, grid, grid}, 26);
+  x_act.set_requires_grad(true);
+  const auto leaky_grads = [&](bool reference) {
+    x_act.zero_grad();
+    if (!reference) return own_backward(x_act, up_act, nn::leaky_relu(x_act, slope));
+    // The scalar expressions the vectorized loops must equal.
+    Grads g{std::vector<float>(x_act.data().size()), x_act.grad()};
+    for (std::size_t i = 0; i < g[0].size(); ++i) {
+      const float x = x_act.data()[i];
+      g[0][i] = x >= 0.0f ? x : slope * x;
+      g[1][i] += (x >= 0.0f ? 1.0f : slope) * up_act.data()[i];
+    }
+    return g;
+  };
+  nn::Tensor x_lo = randn({1, 5, grid / 2, grid / 2}, 27);
+  const nn::Tensor up_hi = randn({1, 5, grid, grid}, 28);
+  x_lo.set_requires_grad(true);
+  const auto upsample_grads = [&](bool reference) {
+    x_lo.zero_grad();
+    return own_backward(x_lo, up_hi,
+                        reference ? nn::reference::upsample_bilinear(x_lo, grid, grid)
+                                  : nn::upsample_bilinear(x_lo, grid, grid));
+  };
   const std::pair<std::string, std::function<Grads(bool)>> bwd_cases[] = {
       {"conv2d_bwd", [&](bool reference) { return conv2d_grads(reference, true); }},
       {"conv2d_bwd_x", [&](bool reference) { return conv2d_grads(reference, false); }},
       {"conv_transpose2d_bwd_x", convt_grads},
+      {"leaky_relu", leaky_grads},
+      {"upsample_bilinear", upsample_grads},
   };
   for (const auto& [name, grads] : bwd_cases) {
     const Grads g_opt = grads(false);

@@ -1,6 +1,8 @@
 // Kernel execution runtime for the nn op library (docs/KERNELS.md):
 // a process-wide ThreadPool the tiled conv/norm kernels fan work out
-// on, plus the per-op timing counters (`nn.op.<name>.{calls,ns}`).
+// on, the per-op timing counters (`nn.op.<name>.{calls,ns}`), and
+// make_op_output, which wires an op's output into the autograd graph
+// under the op's name.
 //
 // Determinism contract: parallel_tiles() distributes *tiles* — disjoint
 // slices of an op's output — over the pool. Each output element is
@@ -15,7 +17,11 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "nn/tensor.hpp"
 #include "obs/metrics.hpp"
 
 namespace laco::nn {
@@ -65,5 +71,39 @@ class OpTimer {
   const OpStats& stats_;
   std::uint64_t start_ns_;
 };
+
+/// An op name as a template argument: make_op_output<"conv2d">(…). The
+/// constructor is implicit so that a string literal converts to it.
+template <std::size_t N>
+struct OpName {
+  constexpr OpName(const char (&s)[N]) {
+    for (std::size_t i = 0; i < N; ++i) name[i] = s[i];
+  }
+  char name[N];
+};
+
+/// `nn.op.<kName>_bwd.{calls,ns}`: one registry lookup per op name, at
+/// the first backward that op records.
+template <OpName kName>
+const OpStats& backward_op_stats() {
+  static const OpStats stats = make_op_stats((std::string(kName.name) + "_bwd").c_str());
+  return stats;
+}
+
+/// Creates an output tensor wired into the autograd graph: if grad mode
+/// is on and any input requires grad, the closure and parent edges are
+/// recorded and the output requires grad. Tensor::backward() times
+/// every closure call under `backward_stats()`.
+Tensor make_op_output(const OpStats& (*backward_stats)(), Shape shape,
+                      std::vector<const Tensor*> inputs,
+                      std::function<void(TensorImpl&)> backward_fn);
+
+/// Op `kName`'s output: its backward counts as `nn.op.<kName>_bwd`.
+template <OpName kName>
+Tensor make_op_output(Shape shape, std::vector<const Tensor*> inputs,
+                      std::function<void(TensorImpl&)> backward_fn) {
+  return make_op_output(&backward_op_stats<kName>, std::move(shape), std::move(inputs),
+                        std::move(backward_fn));
+}
 
 }  // namespace laco::nn

@@ -1,12 +1,13 @@
 #include <stdexcept>
 
+#include "nn/kernel_pool.hpp"
 #include "nn/ops.hpp"
 
 namespace laco::nn {
 
 Tensor sum(const Tensor& a) {
   auto ai = a.impl();
-  Tensor out = make_op_output({1}, {&a}, [ai](TensorImpl& self) {
+  Tensor out = make_op_output<"sum">({1}, {&a}, [ai](TensorImpl& self) {
     if (!ai->requires_grad) return;
     ai->ensure_grad();
     const float g = self.grad[0];

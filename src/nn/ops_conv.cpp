@@ -13,16 +13,18 @@
 //
 // Bitwise contract: every kernel reproduces the naive nn::reference
 // accumulation order *per output element* — bias first, then taps in
-// the reference loop order, with the same skip conditions — so
-// outputs and gradients are bitwise-identical to nn::reference and
-// across ThreadPool sizes (pinned by tests/test_nn_kernels.cpp and the
-// golden e2e test). Change an accumulation order here and the golden
-// file changes; don't.
+// the reference loop order, with the same skip conditions (or added
+// terms that change no bit) — so outputs and gradients are
+// bitwise-identical to nn::reference and across ThreadPool sizes
+// (pinned by tests/test_nn_kernels.cpp and the golden e2e test).
+// Change an accumulation order here and the golden file changes; don't.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "nn/kernel_pool.hpp"
@@ -134,21 +136,25 @@ const float* pad_rows(const float* xd, std::size_t rows, int w, int lead, int s,
 /// Starts a register block of NC channels × 32 columns: acc[c][t] lane
 /// j is column 8t + j of channel c, stored at ys + c·plane + (8t + j)·
 /// step. Chains start from bias[c] (0 without a bias) or, with
-/// `from_y`, from the first mb columns of y.
+/// `from_y`, from the first mb columns of y. Returns whether some start
+/// is −0 or a NaN, where adding a ±0 term would change its bits.
 template <int NC>
-void block_load(Vec8 (&acc)[NC][4], const float* ys, std::size_t plane, int step, int mb,
+bool block_load(Vec8 (&acc)[NC][4], const float* ys, std::size_t plane, int step, int mb,
                 const float* bias, bool from_y) {
   float lanes[8];
+  bool fragile = false;
   for (int c = 0; c < NC; ++c) {
     for (int t = 0; t < 4; ++t) {
       for (int j = 0; j < 8; ++j) {
         const int m = 8 * t + j;
         lanes[j] = from_y && m < mb ? ys[c * plane + static_cast<std::size_t>(m) * step]
                                     : (bias != nullptr ? bias[c] : 0.0f);
+        fragile |= std::isnan(lanes[j]) || (lanes[j] == 0.0f && std::signbit(lanes[j]));
       }
       std::memcpy(&acc[c][t], lanes, sizeof lanes);
     }
   }
+  return fragile;
 }
 
 /// Stores the block's first mb columns (lanes past them are dropped).
@@ -351,9 +357,15 @@ struct ConvT2dParams {
 /// reads *contiguous* input columns per tap. Each pass keeps 32 class
 /// columns of all NC channels in registers across every tap, iterating
 /// (ci asc, dy desc, dx desc) — the reference's (ci, iy, ix) ascending
-/// order. One input load and one x == 0 mask feed NC chains; the mask
-/// is a per-lane bit-select, so skipped lanes keep their bits verbatim.
-/// Chains start from the bias, or with `accumulate` from y (conv2d dX).
+/// order. The taps step instead of dividing: dy −= s is the next input
+/// row, and dx −= s the next input column. One input load feeds NC
+/// chains.
+///
+/// The forward starts the chains from the bias and skips x == 0 lanes
+/// with a per-lane bit-select, so they keep their bits verbatim. With
+/// `accumulate` (conv2d dX) they start from y, and a block adds every
+/// tap unless a start is −0 or a NaN: each skipped term is w·(±0) = ±0
+/// for finite w, and adding ±0 changes no other value (docs/KERNELS.md).
 template <int NC>
 void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_t pitch,
                            const float* wd, const float* bd, bool accumulate, float* y, int b,
@@ -369,50 +381,66 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
       wd + (static_cast<std::size_t>(g) * p.cin_g * p.cout_g + cog % p.cout_g) * wchan;
   const float* bias = bd != nullptr ? bd + cog : nullptr;
   for (int oy = y0; oy < y1; ++oy) {
+    // Tap rows: dy ≡ oy + padding (mod s), from the largest whose input
+    // row iy = (oy + padding − dy)/s is ≥ 0, while dy ≥ 0 and iy < h.
+    const int top = oy + p.padding;
+    const int dy_hi = std::min(p.kh - 1, top);
+    const int dy0 = dy_hi < 0 ? -1 : dy_hi - (s - (top - dy_hi) % s) % s;
+    const int iy0 = (top - dy0) / s;
     float* yrow = y + off4(b, cog, oy, 0, p.cout, p.oh, p.ow);
     for (int r = 0; r < classes; ++r) {
       const int len = q + (r < rem ? 1 : 0);
       const int dmod = (r + p.padding) % s;
-      // Largest tap dx < kw in this class (taps step by -s), or -1.
-      const int dx_start = dmod < p.kw ? dmod + ((p.kw - 1 - dmod) / s) * s : -1;
+      // Largest tap dx < kw in this class (taps step by -s), or -1. Lane j
+      // of tap dx reads column (r + padding − dx)/s + m0 + j; the division
+      // is exact (a multiple of s), even when negative.
+      const int dx0 = dmod < p.kw ? dmod + ((p.kw - 1 - dmod) / s) * s : -1;
+      const int ix0 = (r + p.padding - dx0) / s;
       for (int m0 = 0; m0 < len; m0 += 32) {
         // acc[c][t] lane j: class column m0 + 8t + j of channel cog + c.
         const int mb = std::min(32, len - m0);
         float* ys = yrow + r + static_cast<std::size_t>(m0) * s;
         Vec8 acc[NC][4];
-        block_load<NC>(acc, ys, yplane, s, mb, bias, accumulate);
-        for (int ci = 0; ci < p.cin_g; ++ci) {
-          const float* xchan = xg0 + static_cast<std::size_t>(ci) * p.h * pitch;
-          const float* wci = wg0 + static_cast<std::size_t>(ci) * p.cout_g * wchan;
-          for (int dy = p.kh - 1; dy >= 0; --dy) {
-            const int ty = oy + p.padding - dy;
-            if (ty < 0 || ty % s != 0 || ty / s >= p.h) continue;
-            const float* xrow = xchan + static_cast<std::size_t>(ty / s) * pitch;
-            for (int dx = dx_start; dx >= 0; dx -= s) {
-              // Lane j reads column (r + padding − dx)/s + m0 + j; the
-              // division is exact (a multiple of s), even when negative.
-              const float* xs = xrow + (r + p.padding - dx) / s + m0;
-              float wk[NC] = {};
-              for (int c = 0; c < NC; ++c) wk[c] = wci[c * wchan + dy * p.kw + dx];
-              for (int t = 0; t < 4 && 8 * t < mb; ++t) {
+        const bool fragile = block_load<NC>(acc, ys, yplane, s, mb, bias, accumulate);
+        const auto add_taps = [&](auto skip_zero) {
+          for (int ci = 0; ci < p.cin_g; ++ci) {
+            const float* xchan = xg0 + static_cast<std::size_t>(ci) * p.h * pitch + m0;
+            const float* wci = wg0 + static_cast<std::size_t>(ci) * p.cout_g * wchan;
+            for (int dy = dy0, iy = iy0; dy >= 0 && iy < p.h; dy -= s, ++iy) {
+              const float* xrow = xchan + static_cast<std::size_t>(iy) * pitch;
+              for (int dx = dx0, ix = ix0; dx >= 0; dx -= s, ++ix) {
+                const float* xs = xrow + ix;
+                float wk[NC] = {};
+                for (int c = 0; c < NC; ++c) wk[c] = wci[c * wchan + dy * p.kw + dx];
+                for (int t = 0; t < 4 && 8 * t < mb; ++t) {
 #if LACO_HAVE_VEC8
-                Vec8 xv = {};
-                std::memcpy(&xv, xs + 8 * t, sizeof xv);
-                const Vec8i skip = (xv == 0.0f);
-                for (int c = 0; c < NC; ++c) {
-                  const Vec8 sum = acc[c][t] + wk[c] * xv;
-                  acc[c][t] = (Vec8)(((Vec8i)acc[c][t] & skip) | ((Vec8i)sum & ~skip));
-                }
+                  Vec8 xv = {};
+                  std::memcpy(&xv, xs + 8 * t, sizeof xv);
+                  if constexpr (decltype(skip_zero)::value) {
+                    const Vec8i skip = (xv == 0.0f);
+                    for (int c = 0; c < NC; ++c) {
+                      const Vec8 sum = acc[c][t] + wk[c] * xv;
+                      acc[c][t] = (Vec8)(((Vec8i)acc[c][t] & skip) | ((Vec8i)sum & ~skip));
+                    }
+                  } else {
+                    for (int c = 0; c < NC; ++c) acc[c][t] += wk[c] * xv;
+                  }
 #else
-                for (int j = 0; j < 8; ++j) {
-                  const float xv = xs[8 * t + j];
-                  if (xv == 0.0f) continue;
-                  for (int c = 0; c < NC; ++c) acc[c][t][j] += wk[c] * xv;
-                }
+                  for (int j = 0; j < 8; ++j) {
+                    const float xv = xs[8 * t + j];
+                    if (decltype(skip_zero)::value && xv == 0.0f) continue;
+                    for (int c = 0; c < NC; ++c) acc[c][t][j] += wk[c] * xv;
+                  }
 #endif
+                }
               }
             }
           }
+        };
+        if (!accumulate || fragile) {
+          add_taps(std::true_type{});
+        } else {
+          add_taps(std::false_type{});
         }
         block_store<NC>(acc, ys, yplane, s, mb);
       }
@@ -540,11 +568,9 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"conv2d">(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
-        static const OpStats bstats = make_op_stats("conv2d_bwd");
-        OpTimer timer(bstats);
         const bool need_x = xi->requires_grad;
         const bool need_w = wi->requires_grad;
         const bool need_b = bi && bi->requires_grad;
@@ -558,7 +584,9 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
         }
         // Reference chain per x.grad element: the existing value, then
         // (co, y, xo) ascending with the gout == 0 skip — the tile's
-        // accumulate start and (ci, iy, ix) order with its x == 0 skip.
+        // accumulate start and (ci, iy, ix) order. The tile adds the
+        // skipped w·(±0) terms too, except in blocks holding a −0 or NaN
+        // start, which changes no bit for finite weights.
         if (need_x) {
           conv_transpose2d_run(dx_params, self.grad.data(), wi->data.data(), nullptr,
                                /*accumulate=*/true, xi->grad.data());
@@ -611,11 +639,9 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"conv_transpose2d">(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
-        static const OpStats bstats = make_op_stats("conv_transpose2d_bwd");
-        OpTimer timer(bstats);
         const bool need_x = xi->requires_grad;
         const bool need_w = wi->requires_grad;
         const bool need_b = bi && bi->requires_grad;

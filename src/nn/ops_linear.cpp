@@ -1,5 +1,6 @@
 #include <stdexcept>
 
+#include "nn/kernel_pool.hpp"
 #include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
@@ -36,8 +37,8 @@ Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
   auto xi = x.impl();
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
-  Tensor out = make_op_output({n, out_f}, {&x, &weight, &bias},
-                              [xi, wi, bi, n, in, out_f](TensorImpl& self) {
+  Tensor out = make_op_output<"linear">({n, out_f}, {&x, &weight, &bias},
+                                        [xi, wi, bi, n, in, out_f](TensorImpl& self) {
     if (xi->requires_grad) {
       xi->ensure_grad();
       for (int r = 0; r < n; ++r) {

@@ -100,11 +100,9 @@ Tensor group_norm(const Tensor& x, int num_groups, const Tensor& gamma, const Te
   auto xi = x.impl();
   auto gi = gamma.impl();
   auto bi = beta.impl();
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"group_norm">(
       x.shape(), {&x, &gamma, &beta},
       [=](TensorImpl& self) {
-        static const OpStats bstats = make_op_stats("group_norm_bwd");
-        OpTimer timer(bstats);
         const bool need_x = xi->requires_grad;
         const bool need_g = gi->requires_grad;
         const bool need_b = bi->requires_grad;

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "nn/kernel_pool.hpp"
 #include "nn/op_trace.hpp"
 #include "nn/ops.hpp"
 
@@ -12,7 +13,7 @@ Tensor reshape(const Tensor& a, Shape new_shape) {
                                 " -> " + shape_str(new_shape));
   }
   auto ai = a.impl();
-  Tensor out = make_op_output(new_shape, {&a}, [ai](TensorImpl& self) {
+  Tensor out = make_op_output<"reshape">(new_shape, {&a}, [ai](TensorImpl& self) {
     if (!ai->requires_grad) return;
     ai->ensure_grad();
     for (std::size_t i = 0; i < ai->grad.size(); ++i) ai->grad[i] += self.grad[i];
@@ -46,7 +47,7 @@ Tensor cat_channels(const std::vector<Tensor>& tensors) {
     channels.push_back(t.dim(1));
   }
 
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"cat_channels">(
       {n, total_c, h, w}, inputs,
       [impls, channels, n, total_c, plane](TensorImpl& self) {
         int c_off = 0;
@@ -108,7 +109,7 @@ Tensor slice_channels(const Tensor& a, int begin, int end) {
   const int oc = end - begin;
   const std::size_t plane = static_cast<std::size_t>(h) * w;
   auto ai = a.impl();
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"slice_channels">(
       {n, oc, h, w}, {&a}, [ai, n, c, oc, begin, plane](TensorImpl& self) {
         if (!ai->requires_grad) return;
         ai->ensure_grad();
@@ -166,17 +167,18 @@ Tensor stack_batch(const std::vector<Tensor>& tensors) {
     sizes.push_back(t.data().size());
   }
 
-  Tensor out = make_op_output(out_shape, inputs, [impls, sizes](TensorImpl& self) {
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < impls.size(); ++i) {
-      auto& in = impls[i];
-      if (in->requires_grad) {
-        in->ensure_grad();
-        for (std::size_t j = 0; j < sizes[i]; ++j) in->grad[j] += self.grad[offset + j];
-      }
-      offset += sizes[i];
-    }
-  });
+  Tensor out = make_op_output<"stack_batch">(
+      out_shape, inputs, [impls, sizes](TensorImpl& self) {
+        std::size_t offset = 0;
+        for (std::size_t i = 0; i < impls.size(); ++i) {
+          auto& in = impls[i];
+          if (in->requires_grad) {
+            in->ensure_grad();
+            for (std::size_t j = 0; j < sizes[i]; ++j) in->grad[j] += self.grad[offset + j];
+          }
+          offset += sizes[i];
+        }
+      });
   std::size_t offset = 0;
   for (const Tensor& t : tensors) {
     std::copy(t.data().begin(), t.data().end(), out.data().begin() + static_cast<std::ptrdiff_t>(offset));

@@ -1,12 +1,16 @@
 // The naive kernels these files' optimized counterparts are diffed
-// against. Bodies are the pre-tiling ops_conv.cpp / ops_norm.cpp code,
-// unchanged: the accumulation order here *defines* the bitwise contract
-// the tiled kernels must reproduce (docs/KERNELS.md).
+// against. Bodies are the pre-tiling ops_conv.cpp / ops_norm.cpp code
+// and the pre-reordering ops_resample.cpp upsample, unchanged: the
+// accumulation order here *defines* the bitwise contract the optimized
+// kernels must reproduce (docs/KERNELS.md).
 #include "nn/reference_kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
+
+#include "nn/kernel_pool.hpp"
 
 namespace laco::nn::reference {
 namespace {
@@ -19,6 +23,21 @@ void check_4d(const Tensor& t, const char* what) {
 
 std::size_t off4(int a, int b, int c, int d, int B, int C, int D) {
   return ((static_cast<std::size_t>(a) * B + b) * C + c) * D + d;
+}
+
+/// Bilinear source sample for output index `o` (align_corners=false).
+struct Lerp {
+  int i0, i1;
+  float w0, w1;
+};
+
+Lerp lerp_coeff(int o, int out_size, int in_size) {
+  const float src = (static_cast<float>(o) + 0.5f) * in_size / out_size - 0.5f;
+  const float clamped = std::clamp(src, 0.0f, static_cast<float>(in_size - 1));
+  const int i0 = static_cast<int>(std::floor(clamped));
+  const int i1 = std::min(i0 + 1, in_size - 1);
+  const float t = clamped - static_cast<float>(i0);
+  return {i0, i1, 1.0f - t, t};
 }
 
 }  // namespace
@@ -43,7 +62,7 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"reference_conv2d">(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -134,7 +153,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"reference_conv_transpose2d">(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -266,7 +285,7 @@ Tensor group_norm(const Tensor& x, int num_groups, const Tensor& gamma, const Te
   auto xi = x.impl();
   auto gi = gamma.impl();
   auto bi = beta.impl();
-  Tensor out = make_op_output(
+  Tensor out = make_op_output<"reference_group_norm">(
       x.shape(), {&x, &gamma, &beta},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -329,6 +348,63 @@ Tensor group_norm(const Tensor& x, int num_groups, const Tensor& gamma, const Te
         for (std::size_t i = 0; i < plane; ++i) {
           const std::size_t idx = base + static_cast<std::size_t>(cc) * plane + i;
           y[idx] = gam * (xd[idx] - m) * is + bet;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w) {
+  if (x.shape().size() != 4) {
+    throw std::invalid_argument("reference::upsample_bilinear: expected NCHW");
+  }
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  if (out_h <= 0 || out_w <= 0) {
+    throw std::invalid_argument("reference::upsample_bilinear: bad size");
+  }
+
+  auto xi = x.impl();
+  Tensor out = make_op_output<"reference_upsample_bilinear">(
+      {n, c, out_h, out_w}, {&x}, [xi, n, c, h, w, out_h, out_w](TensorImpl& self) {
+        if (!xi->requires_grad) return;
+        xi->ensure_grad();
+        for (int oy = 0; oy < out_h; ++oy) {
+          const Lerp ly = lerp_coeff(oy, out_h, h);
+          for (int ox = 0; ox < out_w; ++ox) {
+            const Lerp lx = lerp_coeff(ox, out_w, w);
+            for (int b = 0; b < n; ++b) {
+              for (int ch = 0; ch < c; ++ch) {
+                const std::size_t in_base = (static_cast<std::size_t>(b) * c + ch) * h * w;
+                const std::size_t out_base =
+                    (static_cast<std::size_t>(b) * c + ch) * out_h * out_w;
+                const float g = self.grad[out_base + static_cast<std::size_t>(oy) * out_w + ox];
+                if (g == 0.0f) continue;
+                xi->grad[in_base + static_cast<std::size_t>(ly.i0) * w + lx.i0] += g * ly.w0 * lx.w0;
+                xi->grad[in_base + static_cast<std::size_t>(ly.i0) * w + lx.i1] += g * ly.w0 * lx.w1;
+                xi->grad[in_base + static_cast<std::size_t>(ly.i1) * w + lx.i0] += g * ly.w1 * lx.w0;
+                xi->grad[in_base + static_cast<std::size_t>(ly.i1) * w + lx.i1] += g * ly.w1 * lx.w1;
+              }
+            }
+          }
+        }
+      });
+
+  const float* xd = x.data().data();
+  float* y = out.data().data();
+  for (int oy = 0; oy < out_h; ++oy) {
+    const Lerp ly = lerp_coeff(oy, out_h, h);
+    for (int ox = 0; ox < out_w; ++ox) {
+      const Lerp lx = lerp_coeff(ox, out_w, w);
+      for (int b = 0; b < n; ++b) {
+        for (int ch = 0; ch < c; ++ch) {
+          const std::size_t in_base = (static_cast<std::size_t>(b) * c + ch) * h * w;
+          const std::size_t out_base = (static_cast<std::size_t>(b) * c + ch) * out_h * out_w;
+          y[out_base + static_cast<std::size_t>(oy) * out_w + ox] =
+              ly.w0 * (lx.w0 * xd[in_base + static_cast<std::size_t>(ly.i0) * w + lx.i0] +
+                       lx.w1 * xd[in_base + static_cast<std::size_t>(ly.i0) * w + lx.i1]) +
+              ly.w1 * (lx.w0 * xd[in_base + static_cast<std::size_t>(ly.i1) * w + lx.i0] +
+                       lx.w1 * xd[in_base + static_cast<std::size_t>(ly.i1) * w + lx.i1]);
         }
       }
     }

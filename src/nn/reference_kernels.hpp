@@ -1,14 +1,16 @@
 // nn::reference — the pre-tiling naive conv2d / conv_transpose2d /
-// group_norm implementations, kept verbatim as the differential-testing
-// oracle for the optimized kernels in ops_conv.cpp / ops_norm.cpp
+// group_norm implementations and the pre-reordering upsample_bilinear,
+// kept verbatim as the differential-testing oracle for the optimized
+// kernels in ops_conv.cpp / ops_norm.cpp / ops_resample.cpp
 // (docs/KERNELS.md).
 //
 // The optimized kernels preserve these kernels' per-output-element
 // accumulation order, so tests pin *bitwise* equality of forwards and
 // backwards (tests/test_nn_kernels.cpp), not just rtol closeness.
 // Reference ops record the same autograd closures the naive ops did;
-// they are single-threaded, untimed, and never traced for plans —
-// production code must not call them.
+// they are single-threaded and never traced for plans, their forwards
+// are untimed, and their backwards count as `nn.op.reference_<op>_bwd`
+// — production code must not call them.
 #pragma once
 
 #include "nn/tensor.hpp"
@@ -27,5 +29,8 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
 /// Naive nn::group_norm.
 Tensor group_norm(const Tensor& x, int num_groups, const Tensor& gamma, const Tensor& beta,
                   float eps = 1e-5f);
+
+/// nn::upsample_bilinear looping (oy, ox, b, ch).
+Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w);
 
 }  // namespace laco::nn::reference

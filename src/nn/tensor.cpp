@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nn/kernel_pool.hpp"
 #include "nn/op_trace.hpp"
 #include "obs/metrics.hpp"
 
@@ -100,7 +101,8 @@ Tensor Tensor::detach() const {
 
 Tensor Tensor::clone() const { return detach(); }
 
-Tensor make_op_output(Shape shape, std::vector<const Tensor*> inputs,
+Tensor make_op_output(const OpStats& (*backward_stats)(), Shape shape,
+                      std::vector<const Tensor*> inputs,
                       std::function<void(TensorImpl&)> backward_fn) {
   Tensor out = Tensor::zeros(std::move(shape));
   // Tracing sees *every* op output, including ops that never call
@@ -118,6 +120,7 @@ Tensor make_op_output(Shape shape, std::vector<const Tensor*> inputs,
   if (!needs) return out;
   out.impl()->requires_grad = true;
   out.impl()->backward_fn = std::move(backward_fn);
+  out.impl()->backward_stats = backward_stats;
   for (const Tensor* in : inputs) {
     if (in->defined()) out.impl()->parents.push_back(in->impl());
   }
@@ -161,6 +164,7 @@ void Tensor::backward() {
     TensorImpl* node = *it;
     if (node->backward_fn) {
       node->ensure_grad();
+      OpTimer timer(node->backward_stats());
       node->backward_fn(*node);
     }
   }

@@ -10,12 +10,13 @@
 // Concurrency contract (relied on by src/serve):
 //  - grad mode is thread-local: one thread's NoGradGuard never affects
 //    another thread's graph recording.
-//  - Ops never mutate their *input* impls. make_op_output only writes
-//    parents/backward_fn on the freshly created output, and under
-//    NoGradGuard it returns before even reading requires_grad, so
-//    concurrent inference forwards over shared (frozen) weight tensors
-//    are data-race free: weights are read-only, and grad/parents/
-//    backward_fn of shared impls are never touched.
+//  - Ops never mutate their *input* impls. make_op_output
+//    (nn/kernel_pool.hpp) only writes parents/backward_fn on the
+//    freshly created output, and under NoGradGuard it returns before
+//    even reading requires_grad, so concurrent inference forwards
+//    over shared (frozen) weight tensors are data-race free: weights
+//    are read-only, and grad/parents/backward_fn of shared impls are
+//    never touched.
 //  - backward() and ensure_grad() DO mutate reachable impls
 //    (grad accumulation). Training, backward(), zero_grad(), and
 //    set_requires_grad() require exclusive ownership of the tensors
@@ -38,6 +39,7 @@ std::int64_t numel(const Shape& shape);
 std::string shape_str(const Shape& shape);
 
 class Tensor;
+struct OpStats;  // nn/kernel_pool.hpp
 
 struct TensorImpl {
   Shape shape;
@@ -48,6 +50,9 @@ struct TensorImpl {
   std::vector<std::shared_ptr<TensorImpl>> parents;
   /// Accumulates this tensor's grad into its parents' grads.
   std::function<void(TensorImpl&)> backward_fn;
+  /// The recording op's `nn.op.<name>_bwd` counters, set together with
+  /// backward_fn by make_op_output; backward() times each call with them.
+  const OpStats& (*backward_stats)() = nullptr;
 
   void ensure_grad() {
     if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
@@ -117,12 +122,6 @@ class Tensor {
  private:
   std::shared_ptr<TensorImpl> impl_;
 };
-
-/// Creates an output tensor wired into the autograd graph: if grad mode
-/// is on and any input requires grad, the closure and parent edges are
-/// recorded and the output requires grad.
-Tensor make_op_output(Shape shape, std::vector<const Tensor*> inputs,
-                      std::function<void(TensorImpl&)> backward_fn);
 
 /// Process-wide count of TensorImpl storage allocations (every zeros/
 /// full/from_data/detach/op-output). Exported as the `nn.tensor.allocs`

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "models/congestion_fcn.hpp"
@@ -12,6 +15,7 @@
 #include "models/vae_branch.hpp"
 #include "nn/autograd.hpp"
 #include "nn/optimizer.hpp"
+#include "obs/metrics.hpp"
 
 namespace laco {
 namespace {
@@ -135,6 +139,56 @@ TEST(LookAhead, LearnsToCopyLastFrame) {
     last = loss.item();
   }
   EXPECT_LT(last, first * 0.5);
+}
+
+TEST(NamedOps, FrozenFgApplicationCountsEveryBackwardOp) {
+  // One penalty application as CongestionPenalty::build_input runs it,
+  // on small frozen models: g on the stacked frames, its prediction
+  // upsampled to f's grid and concatenated with the current frame, the
+  // mean square of f's output, then backward to both feature inputs.
+  nn::reset_init_seed(31);
+  LookAheadConfig gc;
+  gc.frames = 2;
+  gc.base_width = 8;
+  gc.inception_blocks = 1;
+  gc.with_vae = false;
+  const LookAheadModel g(gc);
+  CongestionFcnConfig fc;
+  fc.in_channels = 10;
+  fc.base_width = 4;
+  const CongestionFcn f(fc);
+  for (nn::Tensor p : g.parameters()) p.set_requires_grad(false);
+  for (nn::Tensor p : f.parameters()) p.set_requires_grad(false);
+  nn::Tensor context = nn::Tensor::zeros({1, 5, 8, 8});
+  nn::Tensor lo = nn::Tensor::zeros({1, 5, 8, 8});
+  nn::Tensor hi = nn::Tensor::zeros({1, 5, 16, 16});
+  nn::fill_uniform(context, 0.0f, 1.0f, 32);
+  nn::fill_uniform(lo, 0.0f, 1.0f, 33);
+  nn::fill_uniform(hi, 0.0f, 1.0f, 34);
+  lo.set_requires_grad(true);
+  hi.set_requires_grad(true);
+
+  const nn::Tensor pred = g.forward(nn::cat_channels({context, lo})).prediction;
+  const nn::Tensor f_in = nn::cat_channels({nn::upsample_bilinear(pred, 16, 16), hi});
+  nn::Tensor loss = nn::mean_square(f.forward(f_in));
+
+  // Every op kind in that graph: mean_square is scale(sum(square(·))),
+  // and add is the Inception block's residual.
+  const char* const kinds[] = {"conv2d",       "conv_transpose2d",  "group_norm", "leaky_relu",
+                               "cat_channels", "upsample_bilinear", "add",        "square",
+                               "sum",          "scale"};
+  obs::MetricRegistry& reg = obs::MetricRegistry::global();
+  std::vector<std::uint64_t> before;
+  for (const char* kind : kinds) {
+    before.push_back(reg.counter(std::string("nn.op.") + kind + "_bwd.calls").value());
+  }
+  loss.backward();
+  for (std::size_t i = 0; i < std::size(kinds); ++i) {
+    const std::string name = std::string("nn.op.") + kinds[i] + "_bwd";
+    EXPECT_GT(reg.counter(name + ".calls").value(), before[i]) << name;
+  }
+  EXPECT_FALSE(lo.grad().empty());
+  EXPECT_FALSE(hi.grad().empty());
 }
 
 TEST(VaeBranch, ShapesAndLoss) {

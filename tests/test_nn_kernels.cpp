@@ -1,18 +1,24 @@
-// Differential tests for the tiled conv/norm kernels (docs/KERNELS.md):
-// the optimized nn:: ops must reproduce the naive nn::reference oracle
-// *bitwise* — forwards and autograd backwards — across a shape sweep
-// covering strides, paddings, groups, non-square kernels/inputs, and
-// the zero-skip paths and the 4-channel blocks' remainders; the input
-// gradients, which run through the other op's forward kernel, with
-// frozen weights, shared inputs and sparse upstream gradients; plus
+// Differential tests for the tiled conv/norm kernels and the
+// vectorized elementwise and resample ops (docs/KERNELS.md): the
+// optimized nn:: ops must reproduce the naive nn::reference oracle (or,
+// for the unary ops, the scalar expressions) *bitwise* — forwards and
+// autograd backwards — across a shape sweep covering strides, paddings,
+// groups, non-square kernels/inputs, and the zero-skip paths and the
+// 4-channel blocks' remainders; the input gradients, which run through
+// the other op's forward kernel, with frozen weights, shared inputs,
+// sparse upstream gradients and −0/NaN gradient starts; plus
 // finite-difference gradient checks and bitwise determinism across
 // ThreadPool sizes {1, 2, 8}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "nn/autograd.hpp"
@@ -20,6 +26,7 @@
 #include "nn/ops.hpp"
 #include "nn/reference_kernels.hpp"
 #include "obs/metrics.hpp"
+#include "plan/plan.hpp"
 
 namespace laco::nn {
 namespace {
@@ -285,7 +292,7 @@ INSTANTIATE_TEST_SUITE_P(ShapeSweep, ConvT2dDifferential, testing::ValuesIn(kCon
 TEST(ConvT2dDifferential, ZeroRegionInputBitwise) {
   // A half-zero input makes the skip path dominate.
   Tensor x = randn({1, 2, 6, 6}, 61);
-  for (std::size_t i = 0; i < x.numel() / 2; ++i) x.data()[i] = 0.0f;
+  for (std::size_t i = 0; i < x.data().size() / 2; ++i) x.data()[i] = 0.0f;
   Tensor w = randn({2, 3, 4, 4}, 62);
   Tensor y = conv_transpose2d(x, w, Tensor(), 2, 1);
   Tensor yr = reference::conv_transpose2d(copy_of(x), copy_of(w), Tensor(), 2, 1);
@@ -435,6 +442,171 @@ TEST(KernelOpCounters, RoutedInputGradientsCountOnlyAsBackward) {
   EXPECT_EQ(after[1] - forward[1], 0u);
   EXPECT_EQ(after[2] - forward[2], 1u);
   EXPECT_EQ(after[3] - forward[3], 1u);
+}
+
+/// Frozen-weight conv2d whose x.grad starts from `start` in channel 4
+/// and from +0 or ordinary values elsewhere, not from ensure_grad's +0
+/// alone, with an all-zero or a relu-sparse upstream gradient. The
+/// reference leaves an element whose terms are all skipped at its
+/// start; the dX tile keeps the x == 0 select in exactly those register
+/// blocks whose starts include a −0 or a NaN (here the ones holding
+/// channel 4; channels 0–3 add every tap).
+Grads conv_seeded_grad_run(const ConvOps& ops, int stride, bool relu_upstream, float start) {
+  Tensor x = randn({1, 5, 9, 10}, 85);
+  x.set_requires_grad(true);
+  x.grad() = randn(x.shape(), 86).data();
+  for (std::size_t i = 0; i < x.grad().size(); i += 3) x.grad()[i] = 0.0f;
+  std::fill(x.grad().begin() + 4 * 90, x.grad().end(), start);
+  const Tensor w = randn({6, 5, 3, 3}, 87), b = randn({6}, 88);
+  const Tensor y = ops.conv(x, w, b, stride, 1, 1);
+  if (relu_upstream) {
+    sum(relu(y)).backward();
+  } else {
+    sum(mul(y, Tensor::zeros(y.shape()))).backward();
+  }
+  return Grads{x.grad()};
+}
+
+TEST(InputGradPaths, NegativeZeroAndNaNStartsSurviveSkippedTaps) {
+  for (const float start : {-0.0f, std::numeric_limits<float>::signaling_NaN()}) {
+    for (const int stride : {1, 2}) {
+      for (const bool relu_upstream : {false, true}) {
+        EXPECT_TRUE(grads_equal(conv_seeded_grad_run(kTiled, stride, relu_upstream, start),
+                                conv_seeded_grad_run(kReference, stride, relu_upstream, start)))
+            << "start " << start << ", stride " << stride << ", relu " << relu_upstream;
+      }
+    }
+  }
+}
+
+TEST(KernelOpCounters, ReferenceOpsCountUnderTheirOwnNames) {
+  obs::MetricRegistry& reg = obs::MetricRegistry::global();
+  obs::Counter& production = reg.counter("nn.op.conv2d_bwd.calls");
+  obs::Counter& reference = reg.counter("nn.op.reference_conv2d_bwd.calls");
+  const std::uint64_t p0 = production.value(), r0 = reference.value();
+  Tensor x = randn({1, 2, 6, 6}, 89);
+  x.set_requires_grad(true);
+  sum(reference::conv2d(x, randn({3, 2, 3, 3}, 90), Tensor(), 1, 1)).backward();
+  EXPECT_EQ(production.value() - p0, 0u);
+  EXPECT_EQ(reference.value() - r0, 1u);
+}
+
+// ---------------------------------------------------- upsample_bilinear
+
+struct UpsampleCase {
+  int h, w, out_h, out_w;
+};
+
+const UpsampleCase kUpsampleCases[] = {
+    {32, 32, 64, 64},  // the model's 2x upsampling
+    {5, 4, 7, 9},      // non-square, non-integer ratios
+    {8, 8, 3, 3},      // downsampling
+    {4, 6, 1, 1},      // a single output
+    {1, 1, 3, 2},      // a single input: every tap clamps onto it
+};
+
+using UpsampleParam = std::tuple<int, int, UpsampleCase>;  // n, c, sizes
+
+/// {y, x.grad} of one upsample with an upstream gradient holding exact
+/// zeros, x.grad starting from +0 or, with `seeded`, from random values.
+Grads upsample_run(Tensor (*op)(const Tensor&, int, int), const UpsampleParam& param,
+                   bool seeded) {
+  const auto& [n, c, u] = param;
+  Tensor x = randn({n, c, u.h, u.w}, 1000 + 7 * u.h + u.w);
+  x.set_requires_grad(true);
+  if (seeded) x.grad() = randn(x.shape(), 1001).data();
+  Tensor up = randn({n, c, u.out_h, u.out_w}, 1002 + u.out_w);
+  for (std::size_t i = 0; i < up.data().size(); i += 3) up.data()[i] = 0.0f;
+  const Tensor y = op(x, u.out_h, u.out_w);
+  sum(mul(y, up)).backward();
+  return Grads{y.data(), x.grad()};
+}
+
+class UpsampleDifferential : public testing::TestWithParam<UpsampleParam> {};
+
+TEST_P(UpsampleDifferential, BitwiseMatchesReferenceForwardAndBackward) {
+  for (const bool seeded : {false, true}) {
+    EXPECT_TRUE(grads_equal(upsample_run(upsample_bilinear, GetParam(), seeded),
+                            upsample_run(reference::upsample_bilinear, GetParam(), seeded)))
+        << "seeded " << seeded;
+  }
+}
+
+std::string upsample_case_name(const testing::TestParamInfo<UpsampleParam>& info) {
+  const auto& [n, c, u] = info.param;
+  return std::to_string(n) + "x" + std::to_string(c) + "_" + std::to_string(u.h) + "x" +
+         std::to_string(u.w) + "_to_" + std::to_string(u.out_h) + "x" + std::to_string(u.out_w);
+}
+
+INSTANTIATE_TEST_SUITE_P(ShapeSweep, UpsampleDifferential,
+                         testing::Combine(testing::Values(1, 2), testing::Values(1, 3, 5),
+                                          testing::ValuesIn(kUpsampleCases)),
+                         upsample_case_name);
+
+// ------------------------------------------------------------ unary ops
+
+/// A vectorized unary op and the scalar expressions it must equal.
+struct UnaryCase {
+  const char* name;
+  Tensor (*op)(const Tensor&);
+  float (*f)(float);
+  float (*df)(float);
+};
+
+const UnaryCase kUnaryCases[] = {
+    {"leaky_relu", [](const Tensor& a) { return leaky_relu(a, 0.1f); },
+     [](float x) { return x >= 0.0f ? x : 0.1f * x; },
+     [](float x) { return x >= 0.0f ? 1.0f : 0.1f; }},
+    {"relu", [](const Tensor& a) { return relu(a); },
+     [](float x) { return x >= 0.0f ? x : 0.0f * x; },
+     [](float x) { return x >= 0.0f ? 1.0f : 0.0f; }},
+    {"square", [](const Tensor& a) { return square(a); }, [](float x) { return x * x; },
+     [](float x) { return 2.0f * x; }},
+    {"scale", [](const Tensor& a) { return scale(a, -0.3f); }, [](float x) { return x * -0.3f; },
+     [](float) { return -0.3f; }},
+};
+
+/// Random values with ±0, ±inf, NaN and subnormals at every third element.
+std::vector<float> special_values(std::size_t n, unsigned seed) {
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -3e-39f,
+                            1e-40f};
+  std::vector<float> v = randn({static_cast<int>(n)}, seed, -2.0f, 2.0f).data();
+  for (std::size_t i = 0; i < n; i += 3) v[i] = specials[(i / 3 + seed) % std::size(specials)];
+  return v;
+}
+
+TEST(UnaryOps, EagerAndPlanBitwiseMatchScalarExpressions) {
+  for (const UnaryCase& c : kUnaryCases) {
+    for (const std::size_t n : {1u, 7u, 33u, 4099u}) {
+      const std::vector<float> xs = special_values(n, 7), ups = special_values(n, 11);
+      std::vector<float> y(n), gx(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        y[i] = c.f(xs[i]);
+        // The chain sum(mul(y, up)) hands the op: dy = 0 + up·1.
+        gx[i] = 0.0f + c.df(xs[i]) * (0.0f + ups[i] * 1.0f);
+      }
+      const Shape shape{static_cast<int>(n)};
+      Tensor x = Tensor::from_data(shape, xs, /*requires_grad=*/true);
+      const Tensor out = c.op(x);
+      sum(mul(out, Tensor::from_data(shape, ups))).backward();
+      EXPECT_TRUE(bitwise_equal(out.data(), y, "forward")) << c.name << ", n " << n;
+      EXPECT_TRUE(bitwise_equal(x.grad(), gx, "x.grad")) << c.name << ", n " << n;
+
+      const Tensor frozen = Tensor::from_data(shape, xs);
+      plan::CompileResult compiled =
+          plan::compile([&](const std::vector<Tensor>& in) { return c.op(in[0]); }, {frozen});
+      ASSERT_NE(compiled.plan, nullptr) << c.name << ": " << compiled.error;
+      plan::Workspace ws;
+      EXPECT_TRUE(bitwise_equal(compiled.plan->run({frozen}, ws).data(), y, "plan replay"))
+          << c.name << ", n " << n;
+    }
+  }
 }
 
 // ----------------------------------------------------------- group_norm
