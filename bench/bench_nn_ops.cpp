@@ -1,5 +1,5 @@
 // nn kernel bench (docs/KERNELS.md): times the tiled conv2d /
-// conv_transpose2d / group_norm kernels and the conv backwards (full,
+// conv_transpose2d / group_norm kernels and both conv backwards (full,
 // and input-gradient-only with frozen weights as in placement) against
 // the naive nn::reference oracle at DREAM-Cong model shapes
 // (CongestionFcn, base_width 16, grid 64) and at two conv shapes of the
@@ -165,9 +165,10 @@ int main() {
   }
 
   // Backward: one forward plus a backward per call, every gradient
-  // diffed bitwise against its reference. conv2d_bwd trains all
-  // operands (dW/db + dX); the *_bwd_x cases freeze the weights as
-  // placement does, so only dX runs, through the other op's forward tile.
+  // diffed bitwise against its reference. conv2d_bwd and
+  // conv_transpose2d_bwd train all operands (the weight-gradient pass
+  // plus dX); the *_bwd_x cases freeze the weights as placement does, so
+  // only dX runs, through the other op's forward tile.
   using Grads = std::vector<std::vector<float>>;
   const auto conv2d_grads = [&](bool reference, bool train) {
     nn::Tensor x = randn({1, width, grid, grid}, 21);
@@ -180,13 +181,17 @@ int main() {
     nn::sum(y).backward();
     return train ? Grads{x.grad(), w.grad(), b.grad()} : Grads{x.grad()};
   };
-  const auto convt_grads = [&](bool reference) {
+  const auto convt_grads = [&](bool reference, bool train) {
     nn::Tensor x = randn({1, 2 * width, grid / 2, grid / 2}, 24);
+    nn::Tensor w = train ? randn({2 * width, width, 4, 4}, 29) : w_up;
+    nn::Tensor b = train ? randn({width}, 30) : b_up;
     x.set_requires_grad(true);
-    nn::Tensor y = reference ? nn::reference::conv_transpose2d(x, w_up, b_up, 2, 1)
-                             : nn::conv_transpose2d(x, w_up, b_up, 2, 1);
+    w.set_requires_grad(train);
+    b.set_requires_grad(train);
+    nn::Tensor y = reference ? nn::reference::conv_transpose2d(x, w, b, 2, 1)
+                             : nn::conv_transpose2d(x, w, b, 2, 1);
     nn::sum(y).backward();
-    return Grads{x.grad()};
+    return train ? Grads{x.grad(), w.grad(), b.grad()} : Grads{x.grad()};
   };
   // leaky_relu at the conv_s1 shape and upsample_bilinear from grid/2
   // to grid: a forward, then the op's own backward closure with a fixed
@@ -224,7 +229,8 @@ int main() {
   const std::pair<std::string, std::function<Grads(bool)>> bwd_cases[] = {
       {"conv2d_bwd", [&](bool reference) { return conv2d_grads(reference, true); }},
       {"conv2d_bwd_x", [&](bool reference) { return conv2d_grads(reference, false); }},
-      {"conv_transpose2d_bwd_x", convt_grads},
+      {"conv_transpose2d_bwd", [&](bool reference) { return convt_grads(reference, true); }},
+      {"conv_transpose2d_bwd_x", [&](bool reference) { return convt_grads(reference, false); }},
       {"leaky_relu", leaky_grads},
       {"upsample_bilinear", upsample_grads},
   };

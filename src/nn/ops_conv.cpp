@@ -7,9 +7,11 @@
 // per output-column stride class. Both are parallelized over disjoint
 // output tiles via nn::parallel_tiles. Input gradients run through
 // the *other* op's forward kernel (conv2d dX is a conv_transpose2d of
-// dY, and vice versa); only the weight gradients, which training alone
-// needs, keep gather passes of their own (one task per
-// gradient-owning channel).
+// dY, and vice versa). The weight gradients, which training alone
+// needs, run through one pass both ops share (weight_grad): its
+// vector lanes are output channels, read from a channel-last copy of
+// dY, and each task keeps a block of w.grad in registers for its
+// whole chain.
 //
 // Bitwise contract: every kernel reproduces the naive nn::reference
 // accumulation order *per output element* — bias first, then taps in
@@ -304,44 +306,178 @@ void conv2d_forward(const Conv2dParams& p, const float* xd, const float* wd, con
   conv2d_run(p, xd, wd, bd, y);
 }
 
-/// dW/db pass: one task per output channel (it owns w.grad[co, ·] and
-/// bias.grad[co]); contributions accumulate in (b, y, xo) ascending
-/// order with the reference's gout == 0 skip.
-void conv2d_backward_wb(const Conv2dParams& p, const float* gout_d, const float* xd, float* wg,
-                        float* bg) {
-  // LACO_DETERMINISTIC: task-per-co ownership; (b, y, xo) ascending chain.
-  parallel_tiles(static_cast<std::size_t>(p.cout), [&](std::size_t co_t) {
-    const int co = static_cast<int>(co_t);
-    const int g = co / p.cout_g;
-    const std::size_t K = static_cast<std::size_t>(p.cin_g) * p.kh * p.kw;
-    float* wrow = wg != nullptr ? wg + static_cast<std::size_t>(co) * K : nullptr;
-    for (int b = 0; b < p.n; ++b) {
-      for (int y = 0; y < p.oh; ++y) {
-        // In-bounds tap ranges, hoisted: iy = y·stride − padding + dy ∈
-        // [0, h), and per column ix = xo·stride − padding + dx ∈ [0, w).
-        const int dy0 = std::max(0, p.padding - y * p.stride);
-        const int dy1 = std::min(p.kh, p.h + p.padding - y * p.stride);
-        for (int xo = 0; xo < p.ow; ++xo) {
-          const float gout = gout_d[off4(b, co, y, xo, p.cout, p.oh, p.ow)];
-          if (gout == 0.0f) continue;
-          if (bg != nullptr) bg[static_cast<std::size_t>(co)] += gout;
-          if (wrow == nullptr) continue;
-          const int dx0 = std::max(0, p.padding - xo * p.stride);
-          const int dx1 = std::min(p.kw, p.w + p.padding - xo * p.stride);
-          const int xbase = xo * p.stride - p.padding;
-          for (int ci = 0; ci < p.cin_g; ++ci) {
-            const int cig = g * p.cin_g + ci;
-            for (int dy = dy0; dy < dy1; ++dy) {
-              const int iy = y * p.stride - p.padding + dy;
-              const float* __restrict xrow =
-                  xd + off4(b, cig, iy, 0, p.cin, p.h, p.w) + xbase;
-              float* __restrict wtap = wrow + (ci * p.kh + dy) * p.kw;
-              for (int dx = dx0; dx < dx1; ++dx) wtap[dx] += gout * xrow[dx];
-            }
-          }
+// ---------------------------------------------------- weight gradients
+
+/// The weight-gradient pass's geometry. x is [n, groups·cin_g, h, w]
+/// and dY is [n, groups·cout_g, oh, ow]. w.grad element (co, ci, dy,
+/// dx) of group g sits at g·cin_g·cout_g·kh·kw + co·w_co + ci·w_ci +
+/// dy·kw + dx. A chain pixel (u, v) meets its tap (dy, dx) at
+/// (u·stride − padding + dy, v·stride − padding + dx): conv2d's chains
+/// walk dY's pixels and read x at the tap, conv_transpose2d's
+/// (`transposed`) walk x's pixels and read dY at the tap.
+struct WgradParams {
+  int n, groups, cin_g, cout_g, kh, kw, stride, padding, h, w, oh, ow;
+  std::size_t w_co, w_ci;
+  bool transposed;
+};
+
+thread_local std::vector<float> tl_dy_last;  // see weight_grad
+
+/// Starts a block of NCI vectors: lane j < `lanes` of acc[c] from
+/// at[c·cstride + j·lstride], the unused lanes from 0.
+template <int NCI>
+void lanes_load(Vec8 (&acc)[NCI], const float* at, std::size_t cstride, std::size_t lstride,
+                int lanes) {
+  for (int c = 0; c < NCI; ++c) {
+    float v[8] = {};
+    for (int j = 0; j < lanes; ++j) v[j] = at[c * cstride + j * lstride];
+    std::memcpy(&acc[c], v, sizeof v);
+  }
+}
+
+/// Stores the block's first `lanes` lanes back (see lanes_load).
+template <int NCI>
+void lanes_store(const Vec8 (&acc)[NCI], float* at, std::size_t cstride, std::size_t lstride,
+                 int lanes) {
+  for (int c = 0; c < NCI; ++c) {
+    float v[8];
+    std::memcpy(v, &acc[c], sizeof v);
+    for (int j = 0; j < lanes; ++j) at[c * cstride + j * lstride] = v[j];
+  }
+}
+
+/// One task of weight_grad: w.grad at tap (dy, dx) for input channels
+/// [ci0, ci0 + NCI) × lane block `cb` (output channels 8cb … 8cb + 7)
+/// of group g, held in registers across the whole chain. Every chain
+/// starts from the existing w.grad and walks (b, u, v) ascending, the
+/// reference's order. Chain pixels whose tap falls outside the tap
+/// grid are the same for every lane, so the loop bounds drop them; the
+/// reference's gout == 0 skip is a per-lane select that keeps the
+/// skipped lanes' bits verbatim.
+template <int NCI>
+void wgrad_block(const WgradParams& p, const float* dyl, int cpad, const float* xd, float* wg,
+                 int g, int cb, int dy, int dx, int ci0) {
+  const int s = p.stride;
+  const int ch = p.transposed ? p.h : p.oh, cw = p.transposed ? p.w : p.ow;
+  const int th = p.transposed ? p.oh : p.h, tw = p.transposed ? p.ow : p.w;
+  // Chain pixels u with 0 ≤ u·s − padding + dy < th, and likewise v.
+  const int u0 = std::max(0, div_ceil(p.padding - dy, s));
+  const int u1 = std::min(ch, div_ceil(th + p.padding - dy, s));
+  const int v0 = std::max(0, div_ceil(p.padding - dx, s));
+  const int v1 = std::min(cw, div_ceil(tw + p.padding - dx, s));
+  float* wt = wg + static_cast<std::size_t>(g) * p.cin_g * p.cout_g * p.kh * p.kw +
+              8 * cb * p.w_co + ci0 * p.w_ci + dy * p.kw + dx;
+  const int lanes = std::min(8, p.cout_g - 8 * cb);
+  Vec8 acc[NCI];
+  lanes_load<NCI>(acc, wt, p.w_ci, p.w_co, lanes);
+  const std::size_t xplane = static_cast<std::size_t>(p.h) * p.w;
+  const std::size_t lane0 = static_cast<std::size_t>(8) * (g * div_ceil(p.cout_g, 8) + cb);
+  // Along a chain row dY advances one pixel per step (s when it is read
+  // at the tap), x advances s (one when it is read at the chain pixel).
+  const std::size_t gstep = static_cast<std::size_t>(p.transposed ? s : 1) * cpad;
+  const int xstep = p.transposed ? 1 : s;
+  const int tv0 = v0 * s - p.padding + dx;
+  for (int b = 0; b < p.n && v0 < v1; ++b) {
+    for (int u = u0; u < u1; ++u) {
+      const int tu = u * s - p.padding + dy;
+      const float* gp =
+          dyl + (static_cast<std::size_t>(b * p.oh + (p.transposed ? tu : u)) * p.ow +
+                 (p.transposed ? tv0 : v0)) * cpad + lane0;
+      const float* xp = xd +
+                        (static_cast<std::size_t>(b * p.groups + g) * p.cin_g + ci0) * xplane +
+                        static_cast<std::size_t>(p.transposed ? u : tu) * p.w +
+                        (p.transposed ? v0 : tv0);
+      for (int v = v0; v < v1; ++v, gp += gstep, xp += xstep) {
+#if LACO_HAVE_VEC8
+        Vec8 gv;
+        std::memcpy(&gv, gp, sizeof gv);
+        const Vec8i skip = (gv == 0.0f);
+        for (int c = 0; c < NCI; ++c) {
+          const Vec8 sum = acc[c] + gv * xp[c * xplane];
+          acc[c] = skip ? acc[c] : sum;
         }
+#else
+        for (int j = 0; j < 8; ++j) {
+          if (gp[j] == 0.0f) continue;
+          for (int c = 0; c < NCI; ++c) acc[c][j] += gp[j] * xp[c * xplane];
+        }
+#endif
       }
     }
+  }
+  lanes_store<NCI>(acc, wt, p.w_ci, p.w_co, lanes);
+}
+
+/// conv2d's b.grad for lane block `cb` of group g: one chain per lane
+/// over every dY pixel, (b, y, xo) ascending, with the gout == 0 skip.
+void bgrad_block(const WgradParams& p, const float* dyl, int cpad, float* bg, int g, int cb) {
+  const int lanes = std::min(8, p.cout_g - 8 * cb);
+  float* bt = bg + static_cast<std::size_t>(g) * p.cout_g + 8 * cb;
+  Vec8 acc[1];
+  lanes_load<1>(acc, bt, 0, 1, lanes);
+  const std::size_t pixels = static_cast<std::size_t>(p.n) * p.oh * p.ow;
+  const float* gp = dyl + static_cast<std::size_t>(8) * (g * div_ceil(p.cout_g, 8) + cb);
+  for (std::size_t i = 0; i < pixels; ++i, gp += cpad) {
+#if LACO_HAVE_VEC8
+    Vec8 gv;
+    std::memcpy(&gv, gp, sizeof gv);
+    const Vec8i skip = (gv == 0.0f);
+    const Vec8 sum = acc[0] + gv;
+    acc[0] = skip ? acc[0] : sum;
+#else
+    for (int j = 0; j < 8; ++j) {
+      if (gp[j] != 0.0f) acc[0][j] += gp[j];
+    }
+#endif
+  }
+  lanes_store<1>(acc, bt, 0, 1, lanes);
+}
+
+/// The weight-gradient pass of both ops (training only; placement
+/// freezes the weights). dY is first copied channel-last, each group's
+/// output channels padded with zeros to whole 8-lane blocks, so one
+/// load gives a pixel's gradient for eight output channels. Then one
+/// task per (group, lane block, tap, block of up to four input
+/// channels) runs wgrad_block, and with `bg` (conv2d's bias) one task
+/// per (group, lane block) runs bgrad_block. Either pointer may be null.
+void weight_grad(const WgradParams& p, const float* dyd, const float* xd, float* wg, float* bg) {
+  const int cblocks = div_ceil(p.cout_g, 8);
+  const int cpad = 8 * cblocks * p.groups;
+  const std::size_t plane = static_cast<std::size_t>(p.oh) * p.ow;
+  tl_dy_last.assign(p.n * plane * cpad, 0.0f);
+  for (int b = 0; b < p.n; ++b) {
+    for (int g = 0; g < p.groups; ++g) {
+      for (int co = 0; co < p.cout_g; ++co) {
+        const float* src =
+            dyd + (static_cast<std::size_t>(b * p.groups + g) * p.cout_g + co) * plane;
+        float* dst = tl_dy_last.data() + b * plane * cpad + 8 * cblocks * g + co;
+        for (std::size_t i = 0; i < plane; ++i) dst[i * cpad] = src[i];
+      }
+    }
+  }
+  const float* dyl = tl_dy_last.data();  // the tasks run on pool threads
+  const int taps = p.kh * p.kw, ciblocks = div_ceil(p.cin_g, 4);
+  const std::size_t btasks = bg != nullptr ? static_cast<std::size_t>(p.groups) * cblocks : 0;
+  const std::size_t wtasks =
+      wg != nullptr ? static_cast<std::size_t>(p.groups) * cblocks * taps * ciblocks : 0;
+  using Block = void (*)(const WgradParams&, const float*, int, const float*, float*, int, int,
+                         int, int, int);
+  static constexpr Block kBlocks[] = {wgrad_block<1>, wgrad_block<2>, wgrad_block<3>,
+                                      wgrad_block<4>};
+  // LACO_DETERMINISTIC: each task owns a disjoint slice of w.grad or
+  // b.grad, and each chain runs whole inside one task in the
+  // reference's ascending order.
+  parallel_tiles(btasks + wtasks, [&](std::size_t t) {
+    if (t < btasks) {
+      bgrad_block(p, dyl, cpad, bg, static_cast<int>(t) / cblocks, static_cast<int>(t) % cblocks);
+      return;
+    }
+    t -= btasks;
+    const int cib = static_cast<int>(t % ciblocks);
+    const int tap = static_cast<int>(t / ciblocks % taps);
+    const int gcb = static_cast<int>(t / ciblocks / taps);  // g·cblocks + cb
+    kBlocks[std::min(4, p.cin_g - 4 * cib) - 1](p, dyl, cpad, xd, wg, gcb / cblocks,
+                                                gcb % cblocks, tap / p.kw, tap % p.kw, 4 * cib);
   });
 }
 
@@ -499,40 +635,6 @@ void conv_transpose2d_backward_b(const ConvT2dParams& p, const float* gout_d, fl
   });
 }
 
-/// dW pass (training only): one task per input channel (it owns
-/// w.grad[ci, ·]); the loop body is the reference backward's dW half
-/// with the batch loop moved inside the channel loop, preserving every
-/// per-tap (b, iy, ix) ascending chain.
-void conv_transpose2d_backward_w(const ConvT2dParams& p, const float* gout_d, const float* xd,
-                                 float* wg) {
-  // LACO_DETERMINISTIC: task-per-ci ownership; (b, iy, ix) ascending chains.
-  parallel_tiles(static_cast<std::size_t>(p.cin), [&](std::size_t ci_t) {
-    const int ci = static_cast<int>(ci_t);
-    const int g = ci / p.cin_g;
-    for (int b = 0; b < p.n; ++b) {
-      for (int iy = 0; iy < p.h; ++iy) {
-        for (int ix = 0; ix < p.w; ++ix) {
-          const float xval = xd[off4(b, ci, iy, ix, p.cin, p.h, p.w)];
-          for (int co = 0; co < p.cout_g; ++co) {
-            const int cog = g * p.cout_g + co;
-            for (int dy = 0; dy < p.kh; ++dy) {
-              const int oy = iy * p.stride - p.padding + dy;
-              if (oy < 0 || oy >= p.oh) continue;
-              for (int dx = 0; dx < p.kw; ++dx) {
-                const int ox = ix * p.stride - p.padding + dx;
-                if (ox < 0 || ox >= p.ow) continue;
-                const float gout = gout_d[off4(b, cog, oy, ox, p.cout, p.oh, p.ow)];
-                if (gout == 0.0f) continue;
-                wg[off4(ci, co, dy, dx, p.cout_g, p.kh, p.kw)] += gout * xval;
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-}
-
 }  // namespace
 
 Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int stride,
@@ -563,6 +665,9 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
   // [cout, cin_g, kh, kw] is its [cin', cout'_g, kh, kw] layout.
   const ConvT2dParams dx_params{n,  cout, oh, ow, cin, cout_g, cin_g,
                                 groups, kh, kw, h, w, stride, padding};
+  const std::size_t taps = static_cast<std::size_t>(kh) * kw;
+  const WgradParams wgrad_params{n, groups, cin_g, cout_g, kh, kw,        stride, padding,
+                                 h, w,      oh,    ow,     cin_g * taps, taps,  false};
 
   auto xi = x.impl();
   auto wi = weight.impl();
@@ -578,9 +683,8 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
         if (need_w) wi->ensure_grad();
         if (need_b) bi->ensure_grad();
         if (need_w || need_b) {
-          conv2d_backward_wb(params, self.grad.data(), xi->data.data(),
-                             need_w ? wi->grad.data() : nullptr,
-                             need_b ? bi->grad.data() : nullptr);
+          weight_grad(wgrad_params, self.grad.data(), xi->data.data(),
+                      need_w ? wi->grad.data() : nullptr, need_b ? bi->grad.data() : nullptr);
         }
         // Reference chain per x.grad element: the existing value, then
         // (co, y, xo) ascending with the gout == 0 skip — the tile's
@@ -634,6 +738,9 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   // kw] is its [cout', cin'_g, kh, kw] layout.
   const Conv2dParams dx_params{n,  cout, oh, ow, cin,   cout_g, kh,
                                kw, h,    w,  cin_g, groups, stride, padding};
+  const std::size_t taps = static_cast<std::size_t>(kh) * kw;
+  const WgradParams wgrad_params{n, groups, cin_g, cout_g, kh,   kw,           stride, padding,
+                                 h, w,      oh,    ow,     taps, cout_g * taps, true};
 
   auto xi = x.impl();
   auto wi = weight.impl();
@@ -650,7 +757,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
         if (need_b) bi->ensure_grad();
         if (need_b) conv_transpose2d_backward_b(params, self.grad.data(), bi->grad.data());
         if (need_w) {
-          conv_transpose2d_backward_w(params, self.grad.data(), xi->data.data(), wi->grad.data());
+          weight_grad(wgrad_params, self.grad.data(), xi->data.data(), wi->grad.data(), nullptr);
         }
         if (need_x) {
           // The reference builds each element's sum from +0 in (co, dy,

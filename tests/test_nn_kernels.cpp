@@ -6,9 +6,11 @@
 // groups, non-square kernels/inputs, and the zero-skip paths and the
 // 4-channel blocks' remainders; the input gradients, which run through
 // the other op's forward kernel, with frozen weights, shared inputs,
-// sparse upstream gradients and −0/NaN gradient starts; plus
-// finite-difference gradient checks and bitwise determinism across
-// ThreadPool sizes {1, 2, 8}.
+// sparse upstream gradients and −0/NaN gradient starts; the weight
+// gradients at the training shapes, with partial and second lane
+// blocks, −0/NaN starts in skipped chains and non-finite border
+// gradients; plus finite-difference gradient checks and bitwise
+// determinism across ThreadPool sizes {1, 2, 8}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,6 +63,29 @@ testing::AssertionResult bitwise_equal(const std::vector<float>& a, const std::v
   return testing::AssertionSuccess();
 }
 
+// The two ops every differential run below uses: the tiled kernels or
+// the nn::reference oracle. Every run builds fresh, identically seeded
+// tensors, so the two see the same bits.
+struct ConvOps {
+  Tensor (*conv)(const Tensor&, const Tensor&, const Tensor&, int, int, int);
+  Tensor (*convt)(const Tensor&, const Tensor&, const Tensor&, int, int, int, int);
+};
+const ConvOps kTiled{conv2d, conv_transpose2d};
+const ConvOps kReference{reference::conv2d, reference::conv_transpose2d};
+
+/// Every output and gradient a run produced, compared element-wise.
+using Grads = std::vector<std::vector<float>>;
+
+testing::AssertionResult grads_equal(const Grads& a, const Grads& b) {
+  if (a.size() != b.size()) return testing::AssertionFailure() << "gradient count differs";
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::string what = "result " + std::to_string(i);
+    testing::AssertionResult r = bitwise_equal(a[i], b[i], what.c_str());
+    if (!r) return r;
+  }
+  return testing::AssertionSuccess();
+}
+
 // ------------------------------------------------------------- conv2d
 
 struct ConvCase {
@@ -99,26 +124,22 @@ const ConvCase kConvCases[] = {
 
 class Conv2dDifferential : public testing::TestWithParam<ConvCase> {};
 
-TEST_P(Conv2dDifferential, BitwiseMatchesReferenceForwardAndBackward) {
-  const ConvCase c = GetParam();
-  Tensor x = randn({c.n, c.cin, c.h, c.w}, 100 + c.h, -1.0f, 1.0f);
+/// Trained weights: {y, x.grad, w.grad, b.grad}, the weight gradients
+/// through the weight-gradient pass.
+Grads conv_trained_run(const ConvCase& c, const ConvOps& ops) {
+  Tensor x = randn({c.n, c.cin, c.h, c.w}, 100 + c.h);
   Tensor w = randn({c.cout, c.cin / c.groups, c.kh, c.kw}, 200 + c.kh);
   Tensor b = randn({c.cout}, 300 + c.cout);
-  x.set_requires_grad(true);
-  w.set_requires_grad(true);
-  b.set_requires_grad(true);
-  Tensor xr = copy_of(x, true), wr = copy_of(w, true), br = copy_of(b, true);
-
-  Tensor y = conv2d(x, w, b, c.stride, c.padding, c.groups);
-  Tensor yr = reference::conv2d(xr, wr, br, c.stride, c.padding, c.groups);
-  ASSERT_EQ(y.shape(), yr.shape()) << conv_case_name(c);
-  EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward")) << conv_case_name(c);
-
+  for (Tensor* t : {&x, &w, &b}) t->set_requires_grad(true);
+  const Tensor y = ops.conv(x, w, b, c.stride, c.padding, c.groups);
   sum(square(y)).backward();
-  sum(square(yr)).backward();
-  EXPECT_TRUE(bitwise_equal(x.grad(), xr.grad(), "x.grad")) << conv_case_name(c);
-  EXPECT_TRUE(bitwise_equal(w.grad(), wr.grad(), "w.grad")) << conv_case_name(c);
-  EXPECT_TRUE(bitwise_equal(b.grad(), br.grad(), "b.grad")) << conv_case_name(c);
+  return Grads{y.data(), x.grad(), w.grad(), b.grad()};
+}
+
+TEST_P(Conv2dDifferential, BitwiseMatchesReferenceForwardAndBackward) {
+  const ConvCase c = GetParam();
+  EXPECT_TRUE(grads_equal(conv_trained_run(c, kTiled), conv_trained_run(c, kReference)))
+      << conv_case_name(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeSweep, Conv2dDifferential, testing::ValuesIn(kConvCases),
@@ -178,29 +199,6 @@ TEST(Conv2dDifferential, SparseUpstreamGradientBitwise) {
   EXPECT_TRUE(bitwise_equal(w.grad(), wr.grad(), "w.grad"));
 }
 
-// The two ops the input-gradient runs below use: the tiled kernels or
-// the nn::reference oracle. Every run builds fresh, identically seeded
-// tensors, so the two see the same bits.
-struct ConvOps {
-  Tensor (*conv)(const Tensor&, const Tensor&, const Tensor&, int, int, int);
-  Tensor (*convt)(const Tensor&, const Tensor&, const Tensor&, int, int, int, int);
-};
-const ConvOps kTiled{conv2d, conv_transpose2d};
-const ConvOps kReference{reference::conv2d, reference::conv_transpose2d};
-
-/// Every output and gradient a run produced, compared element-wise.
-using Grads = std::vector<std::vector<float>>;
-
-testing::AssertionResult grads_equal(const Grads& a, const Grads& b) {
-  if (a.size() != b.size()) return testing::AssertionFailure() << "gradient count differs";
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::string what = "result " + std::to_string(i);
-    testing::AssertionResult r = bitwise_equal(a[i], b[i], what.c_str());
-    if (!r) return r;
-  }
-  return testing::AssertionSuccess();
-}
-
 /// Frozen weights, as in placement: only x.grad is computed, and
 /// conv2d's dX runs through the conv_transpose2d forward tile.
 Grads conv_frozen_run(const ConvCase& c, const ConvOps& ops) {
@@ -258,30 +256,24 @@ const ConvTCase kConvTCases[] = {
 
 class ConvT2dDifferential : public testing::TestWithParam<ConvTCase> {};
 
-TEST_P(ConvT2dDifferential, BitwiseMatchesReferenceForwardAndBackward) {
-  const ConvTCase c = GetParam();
+/// Trained weights: {y, x.grad, w.grad, b.grad}.
+Grads convt_trained_run(const ConvTCase& c, const ConvOps& ops) {
   Tensor x = randn({c.n, c.cin, c.h, c.w}, 400 + c.h);
   Tensor w = randn({c.cin, c.cout_g, c.kh, c.kw}, 500 + c.kw);
   Tensor b = randn({c.cout_g * c.groups}, 600 + c.cout_g);
   // Exact zeros in the input exercise the x == 0 contribution skip.
   x.data()[0] = 0.0f;
   x.data()[x.numel() / 2] = 0.0f;
-  x.set_requires_grad(true);
-  w.set_requires_grad(true);
-  b.set_requires_grad(true);
-  Tensor xr = copy_of(x, true), wr = copy_of(w, true), br = copy_of(b, true);
-
-  Tensor y = conv_transpose2d(x, w, b, c.stride, c.padding, c.output_padding, c.groups);
-  Tensor yr =
-      reference::conv_transpose2d(xr, wr, br, c.stride, c.padding, c.output_padding, c.groups);
-  ASSERT_EQ(y.shape(), yr.shape()) << convt_case_name(c);
-  EXPECT_TRUE(bitwise_equal(y.data(), yr.data(), "forward")) << convt_case_name(c);
-
+  for (Tensor* t : {&x, &w, &b}) t->set_requires_grad(true);
+  const Tensor y = ops.convt(x, w, b, c.stride, c.padding, c.output_padding, c.groups);
   sum(square(y)).backward();
-  sum(square(yr)).backward();
-  EXPECT_TRUE(bitwise_equal(x.grad(), xr.grad(), "x.grad")) << convt_case_name(c);
-  EXPECT_TRUE(bitwise_equal(w.grad(), wr.grad(), "w.grad")) << convt_case_name(c);
-  EXPECT_TRUE(bitwise_equal(b.grad(), br.grad(), "b.grad")) << convt_case_name(c);
+  return Grads{y.data(), x.grad(), w.grad(), b.grad()};
+}
+
+TEST_P(ConvT2dDifferential, BitwiseMatchesReferenceForwardAndBackward) {
+  const ConvTCase c = GetParam();
+  EXPECT_TRUE(grads_equal(convt_trained_run(c, kTiled), convt_trained_run(c, kReference)))
+      << convt_case_name(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShapeSweep, ConvT2dDifferential, testing::ValuesIn(kConvTCases),
@@ -489,6 +481,242 @@ TEST(KernelOpCounters, ReferenceOpsCountUnderTheirOwnNames) {
   sum(reference::conv2d(x, randn({3, 2, 3, 3}, 90), Tensor(), 1, 1)).backward();
   EXPECT_EQ(production.value() - p0, 0u);
   EXPECT_EQ(reference.value() - r0, 1u);
+}
+
+// ---------------------------------------------------- weight gradients
+
+/// One trained layer for the weight-gradient tests: conv2d, or with
+/// `transposed` conv_transpose2d (weight [cin, cout/groups, k, k]).
+struct Layer {
+  bool transposed;
+  int n, cin, h, w, cout, k, stride, padding, groups;
+};
+
+std::string layer_name(const Layer& l) {
+  return std::string(l.transposed ? "conv_transpose2d " : "conv2d ") + std::to_string(l.n) + "x" +
+         std::to_string(l.cin) + "x" + std::to_string(l.h) + "x" + std::to_string(l.w) + " -> " +
+         std::to_string(l.cout) + ", k" + std::to_string(l.k) + " s" + std::to_string(l.stride) +
+         " p" + std::to_string(l.padding) + " g" + std::to_string(l.groups);
+}
+
+/// The upstream gradient a run hands the layer: sum(mul(y, up)) gives
+/// dY = 0 + 1·up, which is `up` bit for bit except that −0 becomes +0.
+using Upstream = Tensor (*)(const Shape&);
+
+Tensor random_upstream(const Shape& shape) { return randn(shape, 140); }
+
+/// Random, with exact zeros at every third element: most lane blocks
+/// mix skipped and added lanes.
+Tensor sparse_upstream(const Shape& shape) {
+  Tensor up = randn(shape, 141);
+  for (std::size_t i = 0; i < up.data().size(); i += 3) up.data()[i] = 0.0f;
+  return up;
+}
+
+/// x, w and b all trained, w.grad and b.grad starting from `w_start`
+/// and `b_start` when given (else autograd's +0). Returns {y, x.grad,
+/// w.grad, b.grad}.
+Grads layer_run(const Layer& l, const ConvOps& ops, const Tensor& up,
+                const std::vector<float>& w_start = {}, const std::vector<float>& b_start = {}) {
+  Tensor x = randn({l.n, l.cin, l.h, l.w}, 110 + l.h);
+  Tensor w = l.transposed ? randn({l.cin, l.cout / l.groups, l.k, l.k}, 120 + l.k)
+                          : randn({l.cout, l.cin / l.groups, l.k, l.k}, 120 + l.k);
+  Tensor b = randn({l.cout}, 130 + l.cout);
+  for (Tensor* t : {&x, &w, &b}) t->set_requires_grad(true);
+  if (!w_start.empty()) w.grad() = w_start;
+  if (!b_start.empty()) b.grad() = b_start;
+  const Tensor y = l.transposed ? ops.convt(x, w, b, l.stride, l.padding, 0, l.groups)
+                                : ops.conv(x, w, b, l.stride, l.padding, l.groups);
+  sum(mul(y, up)).backward();
+  return Grads{y.data(), x.grad(), w.grad(), b.grad()};
+}
+
+/// layer_run's output shape, from a frozen forward.
+Shape layer_out_shape(const Layer& l) {
+  NoGradGuard guard;
+  const Tensor x = Tensor::zeros({l.n, l.cin, l.h, l.w});
+  const Tensor w = l.transposed ? Tensor::zeros({l.cin, l.cout / l.groups, l.k, l.k})
+                                : Tensor::zeros({l.cout, l.cin / l.groups, l.k, l.k});
+  return (l.transposed ? conv_transpose2d(x, w, Tensor(), l.stride, l.padding, 0, l.groups)
+                       : conv2d(x, w, Tensor(), l.stride, l.padding, l.groups))
+      .shape();
+}
+
+testing::AssertionResult layer_matches_reference(const Layer& l, Upstream up_fn) {
+  const Tensor up = up_fn(layer_out_shape(l));
+  return grads_equal(layer_run(l, kTiled, up), layer_run(l, kReference, up));
+}
+
+// The layers `laco train` trains whose weight gradients cost the most:
+// g's enc1 (20 → 8 at 32²) and grouped 7×7 Inception branch (16/4 at
+// 8²), f's conv1 (10 → 8 at 64²) and deconv1 (16 → 8, k4 s2).
+const Layer kTrainingLayers[] = {
+    {false, 1, 20, 32, 32, 8, 3, 1, 1, 1},
+    {false, 1, 10, 64, 64, 8, 3, 1, 1, 1},
+    {false, 1, 16, 8, 8, 16, 7, 1, 3, 4},
+    {true, 1, 16, 16, 16, 8, 4, 2, 1, 1},
+};
+
+// Output channels per group of 1, 5, 9 and 16: a lone lane, a partial
+// lane block, a full block plus one lane, and two full blocks; with
+// two images and two groups.
+const Layer kLaneBlockLayers[] = {
+    {false, 2, 6, 7, 9, 2, 3, 1, 1, 2},   {false, 2, 6, 9, 7, 10, 3, 2, 1, 2},
+    {false, 2, 4, 6, 6, 18, 3, 1, 0, 2},  {false, 2, 3, 5, 8, 16, 1, 1, 0, 1},
+    {true, 2, 6, 4, 5, 2, 4, 2, 1, 2},    {true, 2, 4, 5, 4, 10, 3, 2, 1, 2},
+    {true, 2, 6, 4, 4, 18, 3, 1, 0, 2},   {true, 2, 3, 5, 6, 16, 4, 2, 1, 1},
+};
+
+TEST(WeightGrad, TrainingShapesBitwise) {
+  for (Layer l : kTrainingLayers) {
+    for (const int n : {1, 2}) {
+      l.n = n;
+      EXPECT_TRUE(layer_matches_reference(l, random_upstream)) << layer_name(l);
+    }
+  }
+}
+
+TEST(WeightGrad, PartialAndSecondLaneBlocksBitwise) {
+  for (const Layer& l : kLaneBlockLayers) {
+    for (const Upstream up : {random_upstream, sparse_upstream}) {
+      EXPECT_TRUE(layer_matches_reference(l, up)) << layer_name(l);
+    }
+  }
+}
+
+TEST(ConvT2dDifferential, SparseUpstreamGradientBitwise) {
+  // relu zeroes most of the upstream gradient of a trained
+  // conv_transpose2d: the gout == 0 skip in its weight gradient.
+  for (const int n : {1, 2}) {
+    const Layer l{true, n, 16, 16, 16, 8, 4, 2, 1, 1};
+    const auto run = [&](const ConvOps& ops) {
+      Tensor x = randn({l.n, l.cin, l.h, l.w}, 57);
+      Tensor w = randn({l.cin, l.cout, l.k, l.k}, 58), b = randn({l.cout}, 59);
+      for (Tensor* t : {&x, &w, &b}) t->set_requires_grad(true);
+      sum(relu(ops.convt(x, w, b, l.stride, l.padding, 0, 1))).backward();
+      return Grads{x.grad(), w.grad(), b.grad()};
+    };
+    EXPECT_TRUE(grads_equal(run(kTiled), run(kReference))) << "n " << n;
+  }
+}
+
+TEST(WeightGrad, NegativeZeroAndNaNStartsSurviveSkippedChains) {
+  // w.grad and b.grad start from random values with −0 and a signaling
+  // NaN at every fifth and seventh element. The upstream gradient is
+  // zero on the odd output channels, so every term of their chains is
+  // skipped; a 1-row input leaves conv2d's taps dy = 0 and 2 (stride 2)
+  // and some conv_transpose2d taps with no pixel in range at all. A
+  // skipped chain keeps its start's bits; an added term turns −0 into
+  // the term and quiets the NaN, in both kernels alike.
+  const Layer layers[] = {
+      {false, 2, 4, 6, 7, 6, 3, 1, 1, 1}, {false, 1, 4, 1, 7, 10, 3, 2, 1, 2},
+      {true, 2, 4, 5, 4, 6, 4, 2, 1, 1},  {true, 1, 4, 1, 3, 10, 3, 3, 1, 2},
+  };
+  for (const Layer& l : layers) {
+    const std::size_t wn = static_cast<std::size_t>(l.cin) * (l.cout / l.groups) * l.k * l.k;
+    const auto starts = [](std::size_t n, unsigned seed) {
+      std::vector<float> v = randn({static_cast<int>(n)}, seed).data();
+      for (std::size_t i = 0; i < n; i += 5) v[i] = -0.0f;
+      for (std::size_t i = 3; i < n; i += 7) v[i] = std::numeric_limits<float>::signaling_NaN();
+      return v;
+    };
+    const std::vector<float> w_start = starts(wn, 150), b_start = starts(l.cout, 151);
+    const Shape shape = layer_out_shape(l);
+    for (const bool all_zero : {true, false}) {
+      Tensor up = randn(shape, 152);
+      const std::size_t plane = static_cast<std::size_t>(shape[2]) * shape[3];
+      for (std::size_t i = 0; i < up.data().size(); ++i) {
+        if (all_zero || (i / plane) % l.cout % 2 == 1) up.data()[i] = 0.0f;
+      }
+      const Grads tiled = layer_run(l, kTiled, up, w_start, b_start);
+      EXPECT_TRUE(grads_equal(tiled, layer_run(l, kReference, up, w_start, b_start)))
+          << layer_name(l) << (all_zero ? ", zero upstream" : ", odd channels zero");
+      if (all_zero) {
+        // Every chain was skipped: the starts survive bit for bit.
+        EXPECT_TRUE(bitwise_equal(tiled[2], w_start, "w.grad")) << layer_name(l);
+        if (!l.transposed) {
+          EXPECT_TRUE(bitwise_equal(tiled[3], b_start, "b.grad")) << layer_name(l);
+        }
+      }
+    }
+  }
+}
+
+/// bitwise_equal, except that a NaN matches any NaN. IEEE 754 leaves
+/// the sign and payload of a NaN computed from NaN operands open: x86
+/// returns the first operand's, or −NaN for inf − inf, and the compiler
+/// orders the operands of + and * freely, so the reference TU and the
+/// kernel TU may disagree there (also in paths this pass does not use,
+/// such as the routed dX and conv_transpose2d's b.grad).
+testing::AssertionResult equal_but_nan_bits(const std::vector<float>& a,
+                                            const std::vector<float>& b, const char* what) {
+  if (a.size() != b.size()) {
+    return testing::AssertionFailure() << what << ": size " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) {
+      return testing::AssertionFailure()
+             << what << ": first difference at [" << i << "]: " << a[i] << " vs " << b[i];
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(WeightGrad, NonFiniteBorderGradientsStayOutOfOutsideTaps) {
+  // ±inf and NaN upstream values on one border row or column only. Its
+  // pixels meet some taps outside the input (conv2d), or are met by no
+  // input pixel at some taps (conv_transpose2d): those taps' chains
+  // must stay finite, exactly as in the reference, while every other
+  // chain that reads the border goes non-finite.
+  const float bad[] = {std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity(),
+                       std::numeric_limits<float>::quiet_NaN()};
+  const Layer layers[] = {
+      {false, 2, 3, 6, 7, 5, 3, 1, 1, 1},
+      {false, 1, 4, 9, 9, 10, 3, 2, 1, 2},
+      {true, 2, 3, 4, 5, 5, 4, 2, 1, 1},
+  };
+  for (const Layer& l : layers) {
+    const Shape shape = layer_out_shape(l);
+    const int oh = shape[2], ow = shape[3];
+    for (const bool row : {true, false}) {
+      // Row 0, or the last column.
+      Tensor up = randn(shape, 153);
+      for (std::size_t i = 0, k = 0; i < up.data().size(); ++i) {
+        const int yy = static_cast<int>(i / ow % oh), xx = static_cast<int>(i % ow);
+        if (row ? yy == 0 : xx == ow - 1) up.data()[i] = bad[k++ % 3];
+      }
+      const Grads tiled = layer_run(l, kTiled, up), ref = layer_run(l, kReference, up);
+      const char* const what[] = {"y", "x.grad", "w.grad", "b.grad"};
+      for (std::size_t r = 0; r < tiled.size(); ++r) {
+        EXPECT_TRUE(equal_but_nan_bits(tiled[r], ref[r], what[r]))
+            << layer_name(l) << (row ? ", row 0" : ", last column");
+      }
+      // The border's taps: conv2d's dY pixel u meets tap d at input
+      // u·s − p + d; conv_transpose2d's input pixel i meets dY pixel
+      // i·s − p + d.
+      const int in = row ? l.h : l.w, edge = row ? 0 : ow - 1;
+      std::size_t finite = 0, nonfinite = 0;
+      const std::vector<float>& wg = tiled[2];
+      for (std::size_t e = 0; e < wg.size(); ++e) {
+        const int d = row ? static_cast<int>(e / l.k % l.k) : static_cast<int>(e % l.k);
+        bool reads_edge = false;
+        if (!l.transposed) {
+          const int t = edge * l.stride - l.padding + d;
+          reads_edge = t >= 0 && t < in;
+        } else {
+          for (int i = 0; i < in; ++i) reads_edge |= i * l.stride - l.padding + d == edge;
+        }
+        (std::isfinite(wg[e]) ? finite : nonfinite) += 1;
+        if (!reads_edge) {
+          EXPECT_TRUE(std::isfinite(wg[e])) << layer_name(l) << ", w.grad[" << e << "]";
+        }
+      }
+      EXPECT_GT(finite, 0u) << layer_name(l);
+      EXPECT_GT(nonfinite, 0u) << layer_name(l);
+    }
+  }
 }
 
 // ---------------------------------------------------- upsample_bilinear
@@ -780,6 +1008,32 @@ TEST(KernelDeterminism, InputGradPathsBitwiseAcrossThreadCounts) {
         EXPECT_TRUE(grads_equal(scenario(kTiled, train), scenario(kReference, train)))
             << name << ", train=" << train << ", " << threads << " threads";
       }
+    }
+  }
+  set_kernel_threads(1);
+}
+
+TEST(KernelDeterminism, WeightGradsBitwiseAcrossThreadCounts) {
+  // The trained-weight sweeps and the weight-gradient layers at 1, 2 and
+  // 8 kernel threads: each must equal the single-threaded nn::reference
+  // bitwise.
+  for (const int threads : {1, 2, 8}) {
+    set_kernel_threads(threads);
+    for (const ConvCase& c : kConvCases) {
+      EXPECT_TRUE(grads_equal(conv_trained_run(c, kTiled), conv_trained_run(c, kReference)))
+          << conv_case_name(c) << ", " << threads << " threads";
+    }
+    for (const ConvTCase& c : kConvTCases) {
+      EXPECT_TRUE(grads_equal(convt_trained_run(c, kTiled), convt_trained_run(c, kReference)))
+          << convt_case_name(c) << ", " << threads << " threads";
+    }
+    for (const Layer& l : kTrainingLayers) {
+      EXPECT_TRUE(layer_matches_reference(l, random_upstream))
+          << layer_name(l) << ", " << threads << " threads";
+    }
+    for (const Layer& l : kLaneBlockLayers) {
+      EXPECT_TRUE(layer_matches_reference(l, sparse_upstream))
+          << layer_name(l) << ", " << threads << " threads";
     }
   }
   set_kernel_threads(1);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "netlist/generator.hpp"
+#include "nn/kernel_pool.hpp"
 #include "train/congestion_trainer.hpp"
 #include "train/dataset.hpp"
 #include "train/lookahead_trainer.hpp"
@@ -170,6 +173,67 @@ TEST(Trainers, EmptySamplesAreHarmless) {
   FeatureScale scale;
   EXPECT_TRUE(train_lookahead(g, {}, scale, {}).epoch_losses.empty());
   EXPECT_DOUBLE_EQ(evaluate_lookahead(g, {}, scale), 0.0);
+}
+
+TEST(Trainers, BitwiseAcrossKernelThreadCounts) {
+  // Every weight gradient runs on the kernel pool, split into tasks that
+  // each own whole gradient chains: a tiny g (with the VAE) and a tiny f
+  // (two samples per step) must train to the same parameters and losses,
+  // bit for bit, on 1 and on 8 kernel threads.
+  std::vector<PlacementTrace> traces{tiny_trace(1), tiny_trace(2)};
+  const auto g_samples = build_lookahead_samples(traces, 3);
+  const FeatureScale g_scale = fit_lookahead_scale(traces);
+  const auto f_samples = build_dreamcong_samples(traces, fit_congestion_scale(traces));
+  ASSERT_GT(g_samples.size(), 2u);
+  ASSERT_EQ(f_samples.size(), 2u);
+
+  struct Run {
+    std::vector<std::vector<float>> params;
+    double g_loss = 0.0, f_loss = 0.0;
+  };
+  const auto run = [&](int threads) {
+    nn::set_kernel_threads(threads);
+    LookAheadConfig mc;
+    mc.frames = 3;
+    mc.channels_per_frame = 5;
+    mc.base_width = 8;
+    mc.inception_blocks = 1;
+    mc.with_vae = true;
+    nn::reset_init_seed(3);
+    LookAheadModel g(mc);
+    LookAheadTrainerConfig gtc;
+    gtc.epochs = 2;
+    Run r;
+    r.g_loss = train_lookahead(g, g_samples, g_scale, gtc).final_loss();
+    CongestionFcnConfig fc;
+    fc.in_channels = 3;
+    fc.base_width = 4;
+    nn::reset_init_seed(7);
+    CongestionFcn f(fc);
+    CongestionTrainerConfig ftc;
+    ftc.epochs = 2;
+    ftc.batch_size = 2;
+    r.f_loss = train_congestion(f, f_samples, ftc).final_loss();
+    for (const nn::Tensor& p : g.parameters()) r.params.push_back(p.data());
+    for (const nn::Tensor& p : f.parameters()) r.params.push_back(p.data());
+    return r;
+  };
+  const int threads_before = nn::kernel_threads();
+  const Run one = run(1), eight = run(8);
+  nn::set_kernel_threads(threads_before);
+
+  EXPECT_EQ(std::memcmp(&one.g_loss, &eight.g_loss, sizeof(double)), 0)
+      << one.g_loss << " vs " << eight.g_loss;
+  EXPECT_EQ(std::memcmp(&one.f_loss, &eight.f_loss, sizeof(double)), 0)
+      << one.f_loss << " vs " << eight.f_loss;
+  ASSERT_EQ(one.params.size(), eight.params.size());
+  for (std::size_t i = 0; i < one.params.size(); ++i) {
+    ASSERT_EQ(one.params[i].size(), eight.params[i].size()) << "parameter " << i;
+    EXPECT_EQ(std::memcmp(one.params[i].data(), eight.params[i].data(),
+                          one.params[i].size() * sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
 }
 
 }  // namespace
