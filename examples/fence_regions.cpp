@@ -12,7 +12,6 @@
 #include "placer/legalizer.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/svg_plot.hpp"
-#include "placer/abacus.hpp"
 #include "placer/global_placer.hpp"
 #include "router/congestion_eval.hpp"
 #include "util/logging.hpp"
@@ -45,10 +44,9 @@ int main(int argc, char** argv) {
   std::cout << "global placement: " << gp.iterations << " iterations, overflow "
             << gp.final_overflow << '\n';
 
-  // Use the Abacus legalizer here (lower displacement than Tetris).
-  const LegalizeResult lg = abacus_legalize(design);
+  const LegalizeResult lg = legalize(design);
   detailed_place(design);
-  std::cout << "legalized (abacus): displacement total " << lg.total_displacement << ", max "
+  std::cout << "legalized: displacement total " << lg.total_displacement << ", max "
             << lg.max_displacement << ", violations " << count_legality_violations(design)
             << '\n';
 

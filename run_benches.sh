@@ -19,8 +19,8 @@ done
 ORDER="bench_table1_comparison bench_fig6_scheme_ablation bench_fig7_flow_ablation \
 bench_fig1_distribution_shift bench_fig3_cellflow bench_fig8_runtime \
 bench_quasivox_ablation bench_lookahead_horizon bench_history_frames \
-bench_eta_sweep bench_inflation_baseline bench_wirelength_models \
-bench_serve_throughput bench_kernels bench_nn_ops"
+bench_eta_sweep bench_inflation_baseline bench_serve_throughput \
+bench_kernels bench_nn_ops"
 cd build || { echo "run_benches.sh: no build/ directory (configure first)" >&2; exit 2; }
 {
   for name in $ORDER; do

@@ -97,7 +97,6 @@ struct GlobalPlacerOptions {
   double max_move_bins = 1.0;       ///< trust region: max move per iter (bins)
   double gamma_base_bins = 1.0;     ///< γ = bins·bin_w·(0.1 + factor·overflow)
   double gamma_overflow_factor = 4.0;
-  WirelengthKind wirelength_kind = WirelengthKind::kWeightedAverage;
   bool center_init = true;          ///< start all movables near the core center
   double init_noise_frac = 0.02;    ///< noise stddev as fraction of core width
   /// Stop early when the density ratio is at its cap and overflow has

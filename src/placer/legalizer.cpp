@@ -8,17 +8,32 @@
 namespace laco {
 namespace {
 
-/// A maximal free interval of one row. Placed cells form one contiguous
-/// block [lo, hi); new cells extend the block on either side, which
-/// keeps both halves of a row usable even when the global placement is
-/// still clumped near the row center.
+/// Rows searched above and below a cell's target row; the search goes
+/// farther only while no segment has room for the cell.
+constexpr int kRowSearchWindow = 6;
+
+/// A run of abutting cells placed as one block.
+struct Cluster {
+  double e = 0.0;  ///< total weight (cell areas)
+  double q = 0.0;  ///< Σ eᵢ·(targetᵢ − offsetᵢ-in-cluster)
+  double w = 0.0;  ///< total width
+  double x = 0.0;  ///< placed position of the cluster's left edge
+  std::vector<CellId> cells;
+};
+
+/// A maximal free interval of one row holding Abacus clusters.
 struct Segment {
   double xl, xh;
-  double lo, hi;  ///< occupied block; empty when lo == hi
+  std::vector<Cluster> clusters;
 
-  bool empty() const { return lo >= hi; }
-  double free_left() const { return empty() ? xh - xl : lo - xl; }
-  double free_right() const { return empty() ? xh - xl : xh - hi; }
+  double used() const {
+    double total = 0.0;
+    for (const Cluster& c : clusters) total += c.w;
+    return total;
+  }
+  /// Optimal left edge of a cluster with weight `e`, weighted target sum
+  /// `q` and width `w`, clamped into the segment.
+  double position(double q, double e, double w) const { return std::clamp(q / e, xl, xh - w); }
 };
 
 struct Row {
@@ -26,22 +41,46 @@ struct Row {
   std::vector<Segment> segments;
 };
 
-/// Removes [cut.xl, cut.xh] from every segment of rows the cut overlaps
-/// vertically.
-void carve(std::vector<Row>& rows, const Rect& cut, double row_height) {
-  for (Row& row : rows) {
-    if (cut.yh <= row.y || cut.yl >= row.y + row_height) continue;
-    std::vector<Segment> updated;
-    for (const Segment& seg : row.segments) {
-      if (cut.xh <= seg.xl || cut.xl >= seg.xh) {
-        updated.push_back(seg);
-        continue;
-      }
-      if (cut.xl > seg.xl) updated.push_back({seg.xl, cut.xl, seg.xl, seg.xl});
-      if (cut.xh < seg.xh) updated.push_back({cut.xh, seg.xh, cut.xh, cut.xh});
-    }
-    row.segments = std::move(updated);
+/// Abacus Collapse: place the last cluster; merge into its predecessor
+/// while they overlap.
+void collapse(Segment& seg) {
+  while (true) {
+    Cluster& cur = seg.clusters.back();
+    cur.x = seg.position(cur.q, cur.e, cur.w);
+    if (seg.clusters.size() < 2) return;
+    Cluster& prev = seg.clusters[seg.clusters.size() - 2];
+    if (prev.x + prev.w <= cur.x + 1e-12) return;
+    // Merge cur into prev: members keep their order and offsets.
+    prev.q += cur.q - cur.e * prev.w;
+    prev.e += cur.e;
+    prev.w += cur.w;
+    prev.cells.insert(prev.cells.end(), cur.cells.begin(), cur.cells.end());
+    seg.clusters.pop_back();
   }
+}
+
+/// The x a cell would get if appended to `seg`: collapse's merges,
+/// replayed on running sums walking back over the tail clusters, so
+/// the segment is never copied. Bitwise equal to appending, collapsing
+/// and reading the cell's offset in its host cluster.
+double trial_x(const Design& design, const Segment& seg, double target, double width,
+               double weight) {
+  double q = weight * target, e = weight, w = width;
+  double x = seg.position(q, e, w);
+  std::size_t k = seg.clusters.size();  // clusters[k..] merge into the host
+  while (k > 0) {
+    const Cluster& prev = seg.clusters[k - 1];
+    if (prev.x + prev.w <= x + 1e-12) break;
+    q = prev.q + (q - e * prev.w);
+    e = prev.e + e;
+    w = prev.w + w;
+    x = seg.position(q, e, w);
+    --k;
+  }
+  for (std::size_t j = k; j < seg.clusters.size(); ++j) {
+    for (const CellId member : seg.clusters[j].cells) x += design.cell(member).width;
+  }
+  return x;
 }
 
 /// Rows covering `domain` (aligned to the core's row grid), with macros
@@ -50,7 +89,8 @@ std::vector<Row> build_rows(const Design& design, const Rect& domain,
                             const std::vector<Rect>& exclusions) {
   const Rect& core = design.core();
   const double rh = design.row_height();
-  const int first_row = std::max(0, static_cast<int>(std::ceil((domain.yl - core.yl) / rh - 1e-9)));
+  const int first_row =
+      std::max(0, static_cast<int>(std::ceil((domain.yl - core.yl) / rh - 1e-9)));
   const int num_core_rows = std::max(1, static_cast<int>(std::floor(core.height() / rh)));
   std::vector<Row> rows;
   for (int r = first_row; r < num_core_rows; ++r) {
@@ -59,60 +99,69 @@ std::vector<Row> build_rows(const Design& design, const Rect& domain,
     const double xl = std::max(domain.xl, core.xl);
     const double xh = std::min(domain.xh, core.xh);
     if (xh - xl <= 0.0) continue;
-    rows.push_back({y, {{xl, xh, xl, xl}}});
+    rows.push_back({y, {Segment{xl, xh, {}}}});
   }
+  const auto carve = [&](const Rect& cut) {
+    for (Row& row : rows) {
+      if (cut.yh <= row.y || cut.yl >= row.y + rh) continue;
+      std::vector<Segment> updated;
+      for (Segment& seg : row.segments) {
+        if (cut.xh <= seg.xl || cut.xl >= seg.xh) {
+          updated.push_back(std::move(seg));
+          continue;
+        }
+        if (cut.xl > seg.xl) updated.push_back(Segment{seg.xl, cut.xl, {}});
+        if (cut.xh < seg.xh) updated.push_back(Segment{cut.xh, seg.xh, {}});
+      }
+      row.segments = std::move(updated);
+    }
+  };
   for (const Cell& cell : design.cells()) {
-    if (cell.kind != CellKind::kMacro) continue;
-    carve(rows, cell.rect(), rh);
+    if (cell.kind == CellKind::kMacro) carve(cell.rect());
   }
-  for (const Rect& r : exclusions) carve(rows, r, rh);
+  for (const Rect& r : exclusions) carve(r);
   return rows;
 }
 
-/// Tetris placement of `order` into `rows`; updates `result`.
-void place_cells(Design& design, const std::vector<CellId>& order, std::vector<Row>& rows,
-                 const LegalizerOptions& options, LegalizeResult& result) {
+/// Abacus placement of `order` into `rows`; updates `result`.
+void place_cells(Design& design, std::vector<CellId> order, std::vector<Row>& rows,
+                 LegalizeResult& result) {
   if (rows.empty()) {
     result.failed += order.size();
     return;
   }
+  std::sort(order.begin(), order.end(),
+            [&](CellId a, CellId b) { return design.cell(a).x < design.cell(b).x; });
   const double rh = design.row_height();
   const double rows_y0 = rows.front().y;
+
   for (const CellId cid : order) {
     Cell& cell = design.cell(cid);
     const double tx = cell.x;
     const double ty = cell.y;
-    const int target_row = static_cast<int>(
-        std::clamp(std::round((ty - rows_y0) / rh), 0.0, static_cast<double>(rows.size()) - 1.0));
+    const double weight = std::max(1e-9, cell.area());
+    const int target_row = static_cast<int>(std::clamp(
+        std::round((ty - rows_y0) / rh), 0.0, static_cast<double>(rows.size()) - 1.0));
 
     double best_cost = std::numeric_limits<double>::infinity();
     Segment* best_seg = nullptr;
-    double best_x = 0.0, best_y = 0.0;
-    bool best_left = false;
+    double best_y = 0.0;
     const int max_radius = static_cast<int>(rows.size());
     for (int radius = 0; radius <= max_radius; ++radius) {
-      if (best_seg != nullptr && radius > options.row_search_window) break;
+      if (best_seg != nullptr && radius > kRowSearchWindow) break;
       for (const int dir : {-1, 1}) {
         if (radius == 0 && dir == 1) continue;
         const int r = target_row + dir * radius;
         if (r < 0 || static_cast<std::size_t>(r) >= rows.size()) continue;
         Row& row = rows[static_cast<std::size_t>(r)];
         for (Segment& seg : row.segments) {
-          const auto consider = [&](double x, bool left_side) {
-            const double cost = std::abs(x - tx) + std::abs(row.y - ty);
-            if (cost < best_cost) {
-              best_cost = cost;
-              best_seg = &seg;
-              best_x = x;
-              best_y = row.y;
-              best_left = left_side;
-            }
-          };
-          if (seg.free_right() >= cell.width) {
-            consider(std::clamp(tx, seg.empty() ? seg.xl : seg.hi, seg.xh - cell.width), false);
-          }
-          if (!seg.empty() && seg.free_left() >= cell.width) {
-            consider(std::clamp(tx, seg.xl, seg.lo - cell.width), true);
+          if (seg.xh - seg.xl - seg.used() < cell.width) continue;
+          const double x = trial_x(design, seg, tx, cell.width, weight);
+          const double cost = std::abs(x - tx) + std::abs(row.y - ty);
+          if (cost < best_cost) {
+            best_cost = cost;
+            best_seg = &seg;
+            best_y = row.y;
           }
         }
       }
@@ -121,36 +170,39 @@ void place_cells(Design& design, const std::vector<CellId>& order, std::vector<R
       ++result.failed;
       continue;
     }
-    cell.x = best_x;
-    cell.y = best_y;
-    if (best_seg->empty()) {
-      best_seg->lo = best_x;
-      best_seg->hi = best_x + cell.width;
-    } else if (best_left) {
-      best_seg->lo = best_x;
-    } else {
-      best_seg->hi = best_x + cell.width;
-    }
+    Cluster next;
+    next.e = weight;
+    next.q = weight * tx;
+    next.w = cell.width;
+    next.cells.push_back(cid);
+    best_seg->clusters.push_back(std::move(next));
+    collapse(*best_seg);
+    result.total_displacement += std::abs(best_y - ty);
+    cell.y = best_y;  // final x written below, once every cluster has settled
     ++result.placed;
-    const double disp = std::abs(best_x - tx) + std::abs(best_y - ty);
-    result.total_displacement += disp;
-    result.max_displacement = std::max(result.max_displacement, disp);
   }
-}
 
-std::vector<CellId> sorted_by_x(const Design& design, std::vector<CellId> cells) {
-  std::sort(cells.begin(), cells.end(),
-            [&](CellId a, CellId b) { return design.cell(a).x < design.cell(b).x; });
-  return cells;
+  for (Row& row : rows) {
+    for (Segment& seg : row.segments) {
+      for (const Cluster& cluster : seg.clusters) {
+        double x = cluster.x;
+        for (const CellId member : cluster.cells) {
+          Cell& cell = design.cell(member);
+          const double disp = std::abs(x - cell.x);
+          result.total_displacement += disp;
+          result.max_displacement = std::max(result.max_displacement, disp);
+          cell.x = x;
+          x += cell.width;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
 
-LegalizeResult legalize(Design& design, const LegalizerOptions& options) {
+LegalizeResult legalize(Design& design) {
   LegalizeResult result;
-
-  // Fence regions are exclusive: members legalize inside their fence,
-  // everyone else in the core minus all fences.
   std::vector<Rect> fence_rects;
   for (const Fence& fence : design.fences()) fence_rects.push_back(fence.region);
 
@@ -160,15 +212,14 @@ LegalizeResult legalize(Design& design, const LegalizerOptions& options) {
     for (const CellId cid : fence.members) {
       if (!design.cell(cid).fixed) members.push_back(cid);
     }
-    place_cells(design, sorted_by_x(design, std::move(members)), rows, options, result);
+    place_cells(design, std::move(members), rows, result);
   }
-
   std::vector<Row> rows = build_rows(design, design.core(), fence_rects);
   std::vector<CellId> unfenced;
   for (const CellId cid : design.movable_cells()) {
     if (design.fence_of(cid) == kNoFence) unfenced.push_back(cid);
   }
-  place_cells(design, sorted_by_x(design, std::move(unfenced)), rows, options, result);
+  place_cells(design, std::move(unfenced), rows, result);
   return result;
 }
 
@@ -202,11 +253,14 @@ std::size_t count_legality_violations(const Design& design) {
     }
   }
   // Overlap with macros.
+  std::vector<Rect> macros;
+  for (const Cell& cell : design.cells()) {
+    if (cell.kind == CellKind::kMacro) macros.push_back(cell.rect());
+  }
   for (const CellId cid : design.movable_cells()) {
-    const Cell& cell = design.cell(cid);
-    for (const Cell& other : design.cells()) {
-      if (other.kind != CellKind::kMacro) continue;
-      if (overlap_area(cell.rect(), other.rect()) > 1e-9) {
+    const Rect rect = design.cell(cid).rect();
+    for (const Rect& macro : macros) {
+      if (overlap_area(rect, macro) > 1e-9) {
         ++violations;
         break;
       }

@@ -1,6 +1,12 @@
-// Tetris-style legalization: snaps movable standard cells onto rows,
-// avoiding macro blockages and cell overlaps while minimizing
-// displacement from the global-placement solution. Completes the
+// Abacus legalization (Spindler, Schlichtmann & Johannes, ISPD'08):
+// snaps movable standard cells onto rows, avoiding macro blockages and
+// cell overlaps while minimizing squared displacement from the
+// global-placement solution. Cells are processed left to right; within
+// a row segment, abutting cells merge into clusters whose optimal
+// position is the weighted mean of member targets (clamped to the
+// segment), so cells shift smoothly instead of piling at a cursor.
+// Fence regions are exclusive: members legalize inside their fence,
+// every other cell in the core minus all fences. Completes the
 // GP → LG → DP flow (paper Sec. II-A) so routed metrics are measured on
 // overlap-free placements.
 #pragma once
@@ -9,22 +15,19 @@
 
 namespace laco {
 
-struct LegalizerOptions {
-  int row_search_window = 6;  ///< rows above/below the target to consider
-};
-
 struct LegalizeResult {
   std::size_t placed = 0;
-  std::size_t failed = 0;           ///< cells that found no slot (should be 0)
+  std::size_t failed = 0;           ///< cells that fit no segment; left where GP put them
   double total_displacement = 0.0;  ///< Σ manhattan moves
   double max_displacement = 0.0;
 };
 
-LegalizeResult legalize(Design& design, const LegalizerOptions& options = {});
+LegalizeResult legalize(Design& design);
 
 /// Post-legalization validity check: every movable cell on a row, inside
-/// the core, no overlap with macros or other cells. Returns the number
-/// of violations (0 = legal).
+/// the core, no overlap with macros or other cells, fence members inside
+/// their fence and every other cell outside all fences. Returns the
+/// number of violations (0 = legal).
 std::size_t count_legality_violations(const Design& design);
 
 }  // namespace laco

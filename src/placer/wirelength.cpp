@@ -39,39 +39,6 @@ double wa_axis(const std::vector<double>& coords, double gamma, std::vector<doub
   return wa_max - wa_min;
 }
 
-/// One axis of the LSE model for one net.
-double lse_axis(const std::vector<double>& coords, double gamma, std::vector<double>* dcoord) {
-  double cmax = coords[0], cmin = coords[0];
-  for (const double c : coords) {
-    cmax = std::max(cmax, c);
-    cmin = std::min(cmin, c);
-  }
-  const double inv_g = 1.0 / gamma;
-  double sp = 0.0, sm = 0.0;
-  std::vector<double> ep(coords.size()), em(coords.size());
-  for (std::size_t i = 0; i < coords.size(); ++i) {
-    ep[i] = std::exp((coords[i] - cmax) * inv_g);
-    em[i] = std::exp((cmin - coords[i]) * inv_g);
-    sp += ep[i];
-    sm += em[i];
-  }
-  // W = γ(log Σe^{x/γ} + log Σe^{−x/γ}); shifted logs restore the offsets.
-  const double value = gamma * (std::log(sp) + std::log(sm)) + (cmax - cmin);
-  if (dcoord != nullptr) {
-    for (std::size_t i = 0; i < coords.size(); ++i) {
-      // dW/dxᵢ = softmax⁺ᵢ − softmax⁻ᵢ
-      (*dcoord)[i] += ep[i] / sp - em[i] / sm;
-    }
-  }
-  return value;
-}
-
-double axis_value(WirelengthKind kind, const std::vector<double>& coords, double gamma,
-                  std::vector<double>* dcoord) {
-  return kind == WirelengthKind::kWeightedAverage ? wa_axis(coords, gamma, dcoord)
-                                                  : lse_axis(coords, gamma, dcoord);
-}
-
 }  // namespace
 
 double WirelengthModel::evaluate_with_grad(const Design& design, std::vector<double>& grad_x,
@@ -94,8 +61,7 @@ double WirelengthModel::evaluate_with_grad(const Design& design, std::vector<dou
       px[i] = p.x;
       py[i] = p.y;
     }
-    total += net.weight *
-             (axis_value(kind_, px, gamma_, &dx) + axis_value(kind_, py, gamma_, &dy));
+    total += net.weight * (wa_axis(px, gamma_, &dx) + wa_axis(py, gamma_, &dy));
     for (std::size_t i = 0; i < deg; ++i) {
       const CellId cid = design.pin(net.pins[i]).cell;
       if (design.cell(cid).fixed) continue;
@@ -118,8 +84,7 @@ double WirelengthModel::evaluate(const Design& design) const {
       px[i] = p.x;
       py[i] = p.y;
     }
-    total += net.weight * (axis_value(kind_, px, gamma_, nullptr) +
-                           axis_value(kind_, py, gamma_, nullptr));
+    total += net.weight * (wa_axis(px, gamma_, nullptr) + wa_axis(py, gamma_, nullptr));
   }
   return total;
 }

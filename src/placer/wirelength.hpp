@@ -1,13 +1,11 @@
-// Smooth HPWL surrogates for analytical placement (paper Eq. 1):
+// Weighted-average (WA) wirelength, DREAMPlace's smooth HPWL surrogate
+// for analytical placement (paper Eq. 1):
 //
-//  * Weighted-average (WA), DREAMPlace's default:
-//      WA⁺ = Σ xᵢ e^{xᵢ/γ} / Σ e^{xᵢ/γ},  WA⁻ = Σ xᵢ e^{−xᵢ/γ} / Σ e^{−xᵢ/γ}
-//      W_e = (WA⁺ − WA⁻)_x + (WA⁺ − WA⁻)_y
-//  * Log-sum-exp (LSE), the classic alternative (Naylor patent / APlace):
-//      W_e = γ·(log Σ e^{xᵢ/γ} + log Σ e^{−xᵢ/γ}) per axis
+//   WA⁺ = Σ xᵢ e^{xᵢ/γ} / Σ e^{xᵢ/γ},  WA⁻ = Σ xᵢ e^{−xᵢ/γ} / Σ e^{−xᵢ/γ}
+//   W_e = (WA⁺ − WA⁻)_x + (WA⁺ − WA⁻)_y
 //
-// γ controls smoothness; as γ→0 both → HPWL (LSE from above). Exponents
-// are shifted by the pin max/min for numerical stability.
+// γ controls smoothness; as γ→0, W_e → HPWL (from below). Exponents are
+// shifted by the pin max/min for numerical stability.
 #pragma once
 
 #include <vector>
@@ -16,17 +14,12 @@
 
 namespace laco {
 
-enum class WirelengthKind { kWeightedAverage, kLogSumExp };
-
 class WirelengthModel {
  public:
-  explicit WirelengthModel(double gamma,
-                           WirelengthKind kind = WirelengthKind::kWeightedAverage)
-      : gamma_(gamma), kind_(kind) {}
+  explicit WirelengthModel(double gamma) : gamma_(gamma) {}
 
   void set_gamma(double gamma) { gamma_ = gamma; }
   double gamma() const { return gamma_; }
-  WirelengthKind kind() const { return kind_; }
 
   /// Evaluates total WA wirelength at the design's current positions and
   /// *accumulates* dW/dx, dW/dy per cell (CellId-indexed buffers of
@@ -39,7 +32,6 @@ class WirelengthModel {
 
  private:
   double gamma_;
-  WirelengthKind kind_;
 };
 
 }  // namespace laco

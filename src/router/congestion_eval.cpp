@@ -5,14 +5,11 @@
 
 namespace laco {
 
-PlacementEvaluation evaluate_placement(Design& design, const GlobalRouterConfig& config,
-                                       bool run_legalization, bool run_detailed_placement) {
+PlacementEvaluation evaluate_placement(Design& design, const GlobalRouterConfig& config) {
   PlacementEvaluation eval;
-  if (run_legalization) {
-    legalize(design);
-    if (run_detailed_placement) detailed_place(design);
-    eval.legality_violations = count_legality_violations(design);
-  }
+  legalize(design);
+  detailed_place(design);
+  eval.legality_violations = count_legality_violations(design);
   eval.hpwl = design.hpwl();
   eval.routing = route_design(design, config);
   eval.wcs_h = eval.routing.wcs_h;

@@ -21,9 +21,7 @@ struct PlacementEvaluation {
 
 /// Runs LG → DP → GR on `design` (mutates positions to the legalized
 /// ones) and reports the routed metrics.
-PlacementEvaluation evaluate_placement(Design& design, const GlobalRouterConfig& config = {},
-                                       bool run_legalization = true,
-                                       bool run_detailed_placement = true);
+PlacementEvaluation evaluate_placement(Design& design, const GlobalRouterConfig& config = {});
 
 /// Congestion ground-truth label at the design's *current* placement
 /// (no legalization) — used to label intermediate-iteration snapshots.

@@ -1,17 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <utility>
+
 #include "netlist/generator.hpp"
+#include "netlist/ispd2015_suite.hpp"
 #include "placer/detailed_placer.hpp"
 #include "placer/global_placer.hpp"
 #include "placer/legalizer.hpp"
+#include "router/congestion_eval.hpp"
 
 namespace laco {
 namespace {
 
-Design placed_design(int cells, unsigned seed) {
+Design placed_design(int cells, unsigned seed, int fences = 0) {
   GeneratorConfig cfg;
   cfg.num_cells = cells;
   cfg.seed = seed;
+  cfg.num_fences = fences;
   Design d = generate_design(cfg);
   GlobalPlacerOptions opts;
   opts.bin_nx = 16;
@@ -72,9 +79,122 @@ TEST(Legalizer, IdempotentOnLegalInput) {
   d.get_movable_positions(x1, y1);
   const LegalizeResult again = legalize(d);
   EXPECT_EQ(again.failed, 0u);
-  // A second pass moves cells very little (Tetris order may reshuffle
-  // identical-x cells but stays legal).
+  // A second pass may reshuffle identical-x cells but stays legal.
   EXPECT_EQ(count_legality_violations(d), 0u);
+}
+
+TEST(Abacus, ProducesLegalPlacement) {
+  Design d = placed_design(300, 2);
+  const Design global = d;
+  const LegalizeResult result = legalize(d);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(count_legality_violations(d), 0u);
+  // total_displacement is the Σ of manhattan moves it reports.
+  double moved = 0.0;
+  for (const CellId cid : d.movable_cells()) {
+    moved += std::abs(d.cell(cid).x - global.cell(cid).x) +
+             std::abs(d.cell(cid).y - global.cell(cid).y);
+  }
+  EXPECT_GT(moved, 0.0);
+  EXPECT_NEAR(result.total_displacement, moved, 1e-9 * moved);
+}
+
+TEST(Abacus, HandlesClumpedInput) {
+  GeneratorConfig cfg;
+  cfg.num_cells = 250;
+  Design d = generate_design(cfg);
+  std::vector<double> x(d.num_movable(), d.core().center().x);
+  std::vector<double> y(d.num_movable(), d.core().center().y);
+  d.set_movable_positions(x, y);
+  const LegalizeResult result = legalize(d);
+  EXPECT_EQ(result.failed, 0u);
+  EXPECT_EQ(count_legality_violations(d), 0u);
+}
+
+TEST(Abacus, RespectsFences) {
+  Design d = placed_design(400, 7, 2);
+  legalize(d);
+  EXPECT_EQ(count_legality_violations(d), 0u);
+}
+
+TEST(Abacus, EndToEndRoutesCleanly) {
+  Design d = placed_design(300, 13);
+  legalize(d);
+  detailed_place(d);
+  EXPECT_EQ(count_legality_violations(d), 0u);
+  GlobalRouterConfig rc;
+  rc.grid.nx = 16;
+  rc.grid.ny = 16;
+  const RoutingResult routing = route_design(d, rc);
+  EXPECT_GT(routing.routed_wirelength, 0.0);
+}
+
+TEST(Abacus, PlacesEveryCellOfPlacedAnalogs) {
+  // Penalty-free placements with the pipeline's placer settings on
+  // which a greedy single-block-per-segment legalizer left 2–5 cells
+  // unplaced: free space on both sides of a block must combine.
+  for (const auto& [name, seed] :
+       {std::pair<const char*, std::uint64_t>{"des_perf_a", 0}, {"fft_a", 0}}) {
+    SCOPED_TRACE(name);
+    Design d = make_ispd2015_analog(name, 0.004, seed);
+    GlobalPlacerOptions opts;
+    opts.bin_nx = 32;
+    opts.bin_ny = 32;
+    opts.max_iterations = 240;
+    opts.min_iterations = 80;
+    GlobalPlacer placer(d, opts);
+    placer.run();
+    Design evaluated = d;
+    EXPECT_EQ(legalize(d).failed, 0u);
+    GlobalRouterConfig rc;
+    rc.grid.nx = 32;
+    rc.grid.ny = 32;
+    EXPECT_EQ(evaluate_placement(evaluated, rc).legality_violations, 0u);
+  }
+}
+
+TEST(LegalityCheck, CountsEveryKindOfViolation) {
+  // A hand-built placement with k violations of the k-th kind, so
+  // dropping any one check changes the total.
+  Design d("bad", Rect{0, 0, 40, 20}, 1.0);
+  Cell macro;
+  macro.kind = CellKind::kMacro;
+  macro.fixed = true;
+  macro.width = 4;
+  macro.height = 4;
+  macro.x = 30;
+  macro.y = 10;
+  d.add_cell(macro);
+  const FenceId fence = d.add_fence("f", Rect{0, 0, 8, 8});
+  const auto add = [&d](double x, double y) {
+    Cell c;
+    c.width = 1;
+    c.height = 1;
+    c.x = x;
+    c.y = y;
+    return d.add_cell(c);
+  };
+  add(20, 15);                         // legal
+  d.assign_to_fence(add(2, 6), fence);  // legal fence member
+  add(20, 2.5);                        // 1 off its row
+  add(39.5, 3);                        // 2 outside the core
+  add(-0.5, 12);
+  for (const double x : {10.0, 14.0, 18.0}) {  // 3 overlapping pairs
+    add(x, 1);
+    add(x + 0.5, 1);
+  }
+  add(31, 10);  // 4 on the macro
+  add(32, 11);
+  add(30.5, 12);
+  add(33, 13);
+  for (const double x : {20.0, 22.0, 24.0, 26.0, 28.0}) {  // 5 members outside their fence
+    d.assign_to_fence(add(x, 5), fence);
+  }
+  for (const double y : {2.0, 3.0, 4.0}) {  // 6 unfenced cells inside the fence
+    add(1, y);
+    add(3, y);
+  }
+  EXPECT_EQ(count_legality_violations(d), 1u + 2u + 3u + 4u + 5u + 6u);
 }
 
 TEST(DetailedPlacer, NeverIncreasesHpwl) {

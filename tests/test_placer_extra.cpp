@@ -1,6 +1,5 @@
-// Additional placer coverage: warm starts, LSE-driven global placement,
-// stagnation stop, fence-constrained global placement, and runtime
-// breakdown plumbing.
+// Additional placer coverage: warm starts, stagnation stop,
+// fence-constrained global placement, and runtime breakdown plumbing.
 #include <gtest/gtest.h>
 
 #include "netlist/generator.hpp"
@@ -39,20 +38,6 @@ TEST(GlobalPlacerExtra, WarmStartKeepsExistingPositions) {
   Design fresh = generate_design(base_config(150, 3));
   fresh.set_movable_positions(x0, y0);
   EXPECT_NEAR(first_hpwl, fresh.hpwl(), 0.3 * fresh.hpwl());
-}
-
-TEST(GlobalPlacerExtra, LseModeAlsoSpreads) {
-  Design d = generate_design(base_config(300, 4));
-  GlobalPlacerOptions opts;
-  opts.bin_nx = 12;
-  opts.bin_ny = 12;
-  opts.max_iterations = 250;
-  opts.min_iterations = 40;
-  opts.wirelength_kind = WirelengthKind::kLogSumExp;
-  GlobalPlacer placer(d, opts);
-  const PlacementResult result = placer.run();
-  EXPECT_LT(result.final_overflow, result.history.front().overflow);
-  EXPECT_LT(result.final_overflow, 0.3);
 }
 
 TEST(GlobalPlacerExtra, StagnationStopTriggersBeforeMaxIterations) {

@@ -289,5 +289,76 @@ TEST(CongestionEval, FullFlowProducesLegalRoutedPlacement) {
   EXPECT_GT(eval.routed_wirelength, 0.0);
 }
 
+TEST(Steiner, ThreePinStarBeatsMst) {
+  // Terminals at (0,0), (10,0), (5,8): the Steiner point is (5,0); the
+  // star costs 5+5+8=18 gcells, the MST costs 10+sqrt... (manhattan MST:
+  // 10 + 9 = 19 via nearest pair).
+  Design d("s", Rect{0, 0, 16, 16}, 1.0);
+  const NetId n = d.add_net("n");
+  const double px[3] = {0.2, 10.2, 5.2};
+  const double py[3] = {0.2, 0.2, 8.2};
+  for (int i = 0; i < 3; ++i) {
+    Cell c;
+    c.width = 0.5;
+    c.height = 0.5;
+    c.x = px[i];
+    c.y = py[i];
+    const CellId cid = d.add_cell(c);
+    d.add_pin(cid, n, 0.25, 0.25);
+  }
+  GridGraphConfig gc;
+  gc.nx = 16;
+  gc.ny = 16;
+  const GridGraph g(d, gc);
+  const auto star = decompose_net(d, d.net(0), g, /*use_steiner=*/true);
+  const auto mst = decompose_net(d, d.net(0), g, /*use_steiner=*/false);
+  EXPECT_EQ(star.size(), 3u);
+  EXPECT_EQ(mst.size(), 2u);
+  EXPECT_LE(decomposition_length(star), decomposition_length(mst));
+}
+
+TEST(Steiner, DegenerateCollinearCaseMatchesMst) {
+  // Collinear pins: the Steiner point coincides with the middle pin, so
+  // the star has two segments of the same total length as the MST.
+  Design d("s", Rect{0, 0, 16, 16}, 1.0);
+  const NetId n = d.add_net("n");
+  for (int i = 0; i < 3; ++i) {
+    Cell c;
+    c.width = 0.5;
+    c.height = 0.5;
+    c.x = 1.0 + 5.0 * i;
+    c.y = 7.0;
+    const CellId cid = d.add_cell(c);
+    d.add_pin(cid, n, 0.25, 0.25);
+  }
+  GridGraphConfig gc;
+  gc.nx = 16;
+  gc.ny = 16;
+  const GridGraph g(d, gc);
+  const auto star = decompose_net(d, d.net(0), g, true);
+  const auto mst = decompose_net(d, d.net(0), g, false);
+  EXPECT_EQ(decomposition_length(star), decomposition_length(mst));
+}
+
+TEST(Steiner, FourPinNetsStillUseMst) {
+  Design d("s", Rect{0, 0, 16, 16}, 1.0);
+  const NetId n = d.add_net("n");
+  const double pts[4][2] = {{1, 1}, {14, 1}, {1, 14}, {14, 14}};
+  for (const auto& p : pts) {
+    Cell c;
+    c.width = 0.5;
+    c.height = 0.5;
+    c.x = p[0];
+    c.y = p[1];
+    const CellId cid = d.add_cell(c);
+    d.add_pin(cid, n, 0.25, 0.25);
+  }
+  GridGraphConfig gc;
+  gc.nx = 16;
+  gc.ny = 16;
+  const GridGraph g(d, gc);
+  EXPECT_EQ(decompose_net(d, d.net(0), g, true).size(), 3u);  // MST: n-1 edges
+}
+
 }  // namespace
 }  // namespace laco
