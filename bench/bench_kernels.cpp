@@ -1,7 +1,9 @@
 // Google-benchmark microbenchmarks of the compute kernels the LACO flow
-// spends its time in: feature extraction, the spectral Poisson solve,
-// conv2d forward/backward, cell-flow quasi-voxelization, and one routed
-// evaluation. Useful when tuning resolutions (DESIGN.md Sec. 6).
+// spends its time in: feature extraction and its Eq. 17 backward, WA
+// wirelength, the spectral Poisson solve, conv2d forward/backward,
+// cell-flow quasi-voxelization, and one routed evaluation on the
+// pipeline's router grid. Useful when tuning resolutions (DESIGN.md
+// Sec. 6).
 #include <benchmark/benchmark.h>
 
 #include "features/feature_stack.hpp"
@@ -12,6 +14,7 @@
 #include "nn/autograd.hpp"
 #include "nn/ops.hpp"
 #include "placer/poisson.hpp"
+#include "placer/wirelength.hpp"
 #include "router/global_router.hpp"
 
 namespace {
@@ -30,6 +33,34 @@ void BM_Rudy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Rudy)->Arg(32)->Arg(64)->Arg(128);
+
+void BM_RudyBackward(benchmark::State& state) {
+  const Design& d = bench_design();
+  const int grid = static_cast<int>(state.range(0));
+  GridMap upstream(grid, grid, d.core(), 0.0);
+  for (std::size_t i = 0; i < upstream.size(); ++i) upstream[i] = 1.0 + 0.001 * (i % 97);
+  std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+  for (auto _ : state) {
+    rudy_backward(d, upstream, gx, gy);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(gy.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RudyBackward)->Arg(64);
+
+void BM_WirelengthGrad(benchmark::State& state) {
+  const Design& d = bench_design();
+  WirelengthModel model(d, d.core().width() / 32);
+  std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.evaluate_with_grad(d, gx, gy));
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(gy.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_WirelengthGrad);
 
 void BM_PinRudy(benchmark::State& state) {
   const int grid = static_cast<int>(state.range(0));
@@ -92,9 +123,7 @@ BENCHMARK(BM_Conv2dBackward);
 
 void BM_GlobalRoute(benchmark::State& state) {
   const Design& d = bench_design();
-  GlobalRouterConfig cfg;
-  cfg.grid.nx = 32;
-  cfg.grid.ny = 32;
+  GlobalRouterConfig cfg;  // the pipeline's 64×64 router grid
   for (auto _ : state) {
     benchmark::DoNotOptimize(route_design(d, cfg));
   }

@@ -54,6 +54,7 @@ void rudy_backward(const Design& design, const GridMap& upstream,
   }
   const double min_w = upstream.bin_width();
   const double min_h = upstream.bin_height();
+  const double bin_area = upstream.bin_area();
   for (const Net& net : design.nets()) {
     if (net.degree() < 2) continue;
     const NetBox nb = net_box(design, net, min_w, min_h);
@@ -61,15 +62,9 @@ void rudy_backward(const Design& design, const GridMap& upstream,
     const Point c = nb.box.center();
     const Rect spread{c.x - nb.w_eff * 0.5, c.y - nb.h_eff * 0.5,
                       c.x + nb.w_eff * 0.5, c.y + nb.h_eff * 0.5};
-    int k0, k1, l0, l1;
-    upstream.bin_range(spread, k0, k1, l0, l1);
     double s = 0.0;
-    for (int l = l0; l <= l1; ++l) {
-      for (int k = k0; k <= k1; ++k) {
-        const double ov = overlap_area(upstream.bin_rect(k, l), spread);
-        if (ov > 0.0) s += upstream.at(k, l) * ov / upstream.bin_area();
-      }
-    }
+    upstream.for_each_overlap(spread,
+                              [&](std::size_t i, double ov) { s += upstream[i] * ov / bin_area; });
     if (s == 0.0) continue;
     s *= net.weight;
     // Eq. 17b: value = 1/w + 1/h; only boundary pins move the value.

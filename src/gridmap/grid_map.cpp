@@ -56,15 +56,8 @@ void GridMap::add_rect(const Rect& r, double value, bool density_mode) {
     at(b.k, b.l) += value;
     return;
   }
-  int k0, k1, l0, l1;
-  bin_range(r, k0, k1, l0, l1);
   const double inv_area = density_mode ? 1.0 / r.area() : 1.0 / bin_area();
-  for (int l = l0; l <= l1; ++l) {
-    for (int k = k0; k <= k1; ++k) {
-      const double ov = overlap_area(bin_rect(k, l), r);
-      if (ov > 0.0) at(k, l) += value * ov * inv_area;
-    }
-  }
+  for_each_overlap(r, [&](std::size_t i, double ov) { data_[i] += value * ov * inv_area; });
 }
 
 double GridMap::sample_bilinear(Point p) const {

@@ -5,9 +5,11 @@
 // and the metrics (NRMS/SSIM/KL).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/geometry.hpp"
 
 namespace laco {
@@ -50,6 +52,17 @@ class GridMap {
   /// With `density_mode` the value is spread so the *integral* over r is
   /// value (i.e. each bin receives value * overlap / area(r)).
   void add_rect(const Rect& r, double value, bool density_mode = false);
+  /// Calls visit(i, ov) for each bin (k, l) of r's bin range whose
+  /// overlap ov with r is positive, row by row and column by column
+  /// within a row, with flat index i = l·nx + k. ov is bitwise equal to
+  /// overlap_area(bin_rect(k, l), r): the overlap of two boxes is the
+  /// product of their x and y overlaps, and each factor is computed
+  /// with bin_rect's arithmetic. So the column overlaps are computed once
+  /// per call, the row overlap once per row, and the range is checked
+  /// once instead of per bin.
+  template <typename Visit>
+  void for_each_overlap(const Rect& r, Visit&& visit) const;
+
   /// Bilinear interpolation of the field at layout point p (bin centers
   /// are the sample sites; clamped at the boundary).
   double sample_bilinear(Point p) const;
@@ -70,6 +83,13 @@ class GridMap {
 
  private:
   std::size_t index(int k, int l) const;
+  /// Length of [lo, hi] ∩ [r_lo, r_hi], or 0 when they do not meet: one
+  /// axis of intersect() followed by Rect::valid() and Rect::area().
+  static double axis_overlap(double lo, double hi, double r_lo, double r_hi) {
+    const double i_lo = std::max(lo, r_lo);
+    const double i_hi = std::min(hi, r_hi);
+    return i_hi >= i_lo ? std::max(0.0, i_hi - i_lo) : 0.0;
+  }
 
   int nx_ = 0;
   int ny_ = 0;
@@ -78,5 +98,28 @@ class GridMap {
   double bin_h_ = 0.0;
   std::vector<double> data_;
 };
+
+template <typename Visit>
+void GridMap::for_each_overlap(const Rect& r, Visit&& visit) const {
+  int k0, k1, l0, l1;
+  bin_range(r, k0, k1, l0, l1);
+  // One check per call for every bin visited (at() checks per bin).
+  LACO_CHECK(k0 >= 0 && k1 < nx_ && l0 >= 0 && l1 < ny_);
+  thread_local std::vector<double> columns;
+  columns.resize(static_cast<std::size_t>(k1 - k0 + 1));
+  for (int k = k0; k <= k1; ++k) {
+    columns[static_cast<std::size_t>(k - k0)] =
+        axis_overlap(region_.xl + k * bin_w_, region_.xl + (k + 1) * bin_w_, r.xl, r.xh);
+  }
+  for (int l = l0; l <= l1; ++l) {
+    const double oy =
+        axis_overlap(region_.yl + l * bin_h_, region_.yl + (l + 1) * bin_h_, r.yl, r.yh);
+    const std::size_t row = static_cast<std::size_t>(l) * nx_;
+    for (int k = k0; k <= k1; ++k) {
+      const double ov = columns[static_cast<std::size_t>(k - k0)] * oy;
+      if (ov > 0.0) visit(row + k, ov);
+    }
+  }
+}
 
 }  // namespace laco

@@ -57,7 +57,7 @@ GlobalPlacer::GlobalPlacer(Design& design, GlobalPlacerOptions options)
     : design_(design),
       options_(options),
       density_(design, options.bin_nx, options.bin_ny),
-      wirelength_(density_.density().bin_width()) {
+      wirelength_(design, density_.density().bin_width()) {
   pin_count_.assign(design.num_cells(), 0.0);
   for (const Pin& pin : design.pins()) {
     pin_count_[static_cast<std::size_t>(pin.cell)] += 1.0;

@@ -134,6 +134,7 @@ void place_cells(Design& design, std::vector<CellId> order, std::vector<Row>& ro
             [&](CellId a, CellId b) { return design.cell(a).x < design.cell(b).x; });
   const double rh = design.row_height();
   const double rows_y0 = rows.front().y;
+  std::vector<double> moved_y(design.num_cells(), 0.0);  // |Δy| per placed cell
 
   for (const CellId cid : order) {
     Cell& cell = design.cell(cid);
@@ -177,7 +178,8 @@ void place_cells(Design& design, std::vector<CellId> order, std::vector<Row>& ro
     next.cells.push_back(cid);
     best_seg->clusters.push_back(std::move(next));
     collapse(*best_seg);
-    result.total_displacement += std::abs(best_y - ty);
+    moved_y[static_cast<std::size_t>(cid)] = std::abs(best_y - ty);
+    result.total_displacement += moved_y[static_cast<std::size_t>(cid)];
     cell.y = best_y;  // final x written below, once every cluster has settled
     ++result.placed;
   }
@@ -190,7 +192,8 @@ void place_cells(Design& design, std::vector<CellId> order, std::vector<Row>& ro
           Cell& cell = design.cell(member);
           const double disp = std::abs(x - cell.x);
           result.total_displacement += disp;
-          result.max_displacement = std::max(result.max_displacement, disp);
+          result.max_displacement = std::max(
+              result.max_displacement, disp + moved_y[static_cast<std::size_t>(member)]);
           cell.x = x;
           x += cell.width;
         }

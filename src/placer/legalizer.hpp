@@ -19,7 +19,7 @@ struct LegalizeResult {
   std::size_t placed = 0;
   std::size_t failed = 0;           ///< cells that fit no segment; left where GP put them
   double total_displacement = 0.0;  ///< Σ manhattan moves
-  double max_displacement = 0.0;
+  double max_displacement = 0.0;    ///< largest manhattan move, |Δx| + |Δy|
 };
 
 LegalizeResult legalize(Design& design);

@@ -19,6 +19,8 @@ GridGraph::GridGraph(const Design& design, const GridGraphConfig& config)
   v_cap_.assign(static_cast<std::size_t>(nx_) * (ny_ - 1), v_base);
   v_use_.assign(v_cap_.size(), 0.0);
   v_hist_.assign(v_cap_.size(), 0.0);
+  h_cost_.resize(h_cap_.size());
+  v_cost_.resize(v_cap_.size());
 
   // Derating: gcells under macros or explicit routing blockages lose
   // `macro_blockage` of their tracks.
@@ -45,6 +47,7 @@ GridGraph::GridGraph(const Design& design, const GridGraphConfig& config)
       }
     }
   }
+  refresh_costs();
 }
 
 GridIndex GridGraph::gcell_of(Point p) const {
@@ -53,9 +56,19 @@ GridIndex GridGraph::gcell_of(Point p) const {
   return {std::clamp(k, 0, nx_ - 1), std::clamp(l, 0, ny_ - 1)};
 }
 
+void GridGraph::refresh_costs() {
+  for (std::size_t i = 0; i < h_cap_.size(); ++i) {
+    h_cost_[i] = edge_cost(h_use_[i], h_cap_[i]) + h_hist_[i];
+  }
+  for (std::size_t i = 0; i < v_cap_.size(); ++i) {
+    v_cost_[i] = edge_cost(v_use_[i], v_cap_[i]) + v_hist_[i];
+  }
+}
+
 void GridGraph::clear_usage() {
   std::fill(h_use_.begin(), h_use_.end(), 0.0);
   std::fill(v_use_.begin(), v_use_.end(), 0.0);
+  refresh_costs();
 }
 
 void GridGraph::accumulate_history(double amount) {
@@ -65,19 +78,13 @@ void GridGraph::accumulate_history(double amount) {
   for (std::size_t i = 0; i < v_use_.size(); ++i) {
     if (v_use_[i] > v_cap_[i]) v_hist_[i] += amount;
   }
+  refresh_costs();
 }
 
 void GridGraph::clear_history() {
   std::fill(h_hist_.begin(), h_hist_.end(), 0.0);
   std::fill(v_hist_.begin(), v_hist_.end(), 0.0);
-}
-
-double GridGraph::edge_cost(double use, double cap) {
-  const double util = use / std::max(cap, 1e-9);
-  // Smoothly escalating congestion penalty: cheap below ~70% utilization,
-  // strongly discouraging overflow beyond capacity.
-  const double excess = std::max(0.0, util - 0.7);
-  return 1.0 + 4.0 * excess * excess + (util > 1.0 ? 8.0 * (util - 1.0) : 0.0);
+  refresh_costs();
 }
 
 double GridGraph::total_h_overflow() const {

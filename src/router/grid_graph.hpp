@@ -6,6 +6,7 @@
 // paper's labels come from.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,8 +44,16 @@ class GridGraph {
   double v_capacity(int k, int l) const { return v_cap_[v_index(k, l)]; }
   double v_usage(int k, int l) const { return v_use_[v_index(k, l)]; }
 
-  void add_h_usage(int k, int l, double amount) { h_use_[h_index(k, l)] += amount; }
-  void add_v_usage(int k, int l, double amount) { v_use_[v_index(k, l)] += amount; }
+  void add_h_usage(int k, int l, double amount) {
+    const std::size_t i = h_index(k, l);
+    h_use_[i] += amount;
+    h_cost_[i] = edge_cost(h_use_[i], h_cap_[i]) + h_hist_[i];
+  }
+  void add_v_usage(int k, int l, double amount) {
+    const std::size_t i = v_index(k, l);
+    v_use_[i] += amount;
+    v_cost_[i] = edge_cost(v_use_[i], v_cap_[i]) + v_hist_[i];
+  }
   void clear_usage();
 
   /// PathFinder-style negotiation history: edges that stay overflowed
@@ -57,12 +66,10 @@ class GridGraph {
 
   /// Edge cost for congestion-aware routing: 1 + penalty that grows
   /// quadratically once demand approaches capacity, plus the history term.
-  double h_cost(int k, int l) const {
-    return edge_cost(h_use_[h_index(k, l)], h_cap_[h_index(k, l)]) + h_hist_[h_index(k, l)];
-  }
-  double v_cost(int k, int l) const {
-    return edge_cost(v_use_[v_index(k, l)], v_cap_[v_index(k, l)]) + v_hist_[v_index(k, l)];
-  }
+  /// Cached: every mutator refreshes the costs of the edges it changes,
+  /// so a lookup is one load of the value the formula gives.
+  double h_cost(int k, int l) const { return h_cost_[h_index(k, l)]; }
+  double v_cost(int k, int l) const { return v_cost_[v_index(k, l)]; }
 
   /// Total overflow Σ max(0, use − cap) per direction.
   double total_h_overflow() const;
@@ -80,13 +87,20 @@ class GridGraph {
  private:
   std::size_t h_index(int k, int l) const { return static_cast<std::size_t>(l) * (nx_ - 1) + k; }
   std::size_t v_index(int k, int l) const { return static_cast<std::size_t>(l) * nx_ + k; }
-  static double edge_cost(double use, double cap);
+  static double edge_cost(double use, double cap) {
+    const double util = use / std::max(cap, 1e-9);
+    // Smoothly escalating congestion penalty: cheap below ~70% utilization,
+    // strongly discouraging overflow beyond capacity.
+    const double excess = std::max(0.0, util - 0.7);
+    return 1.0 + 4.0 * excess * excess + (util > 1.0 ? 8.0 * (util - 1.0) : 0.0);
+  }
+  void refresh_costs();
 
   int nx_, ny_;
   Rect region_;
   double gcell_w_, gcell_h_;
-  std::vector<double> h_cap_, h_use_, h_hist_;  // (nx-1) × ny
-  std::vector<double> v_cap_, v_use_, v_hist_;  // nx × (ny-1)
+  std::vector<double> h_cap_, h_use_, h_hist_, h_cost_;  // (nx-1) × ny
+  std::vector<double> v_cap_, v_use_, v_hist_, v_cost_;  // nx × (ny-1)
 };
 
 }  // namespace laco

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+
 #include "features/cell_flow.hpp"
 #include "features/feature_stack.hpp"
 #include "features/macro_region.hpp"
 #include "features/pin_rudy.hpp"
 #include "features/rudy.hpp"
 #include "netlist/generator.hpp"
+#include "oracle_loops.hpp"
+#include "util/rng.hpp"
 
 namespace laco {
 namespace {
@@ -84,6 +89,38 @@ TEST(Rudy, GradientPullsExtremesInward) {
   // has negative gradient (moving +x reduces RUDY value).
   EXPECT_LT(gx[1], 0.0);
   EXPECT_GT(gx[0], 0.0);
+}
+
+TEST(Rudy, MatchesPerBinOracleBitwise) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Design d = oracle::random_design(seed);
+    for (const auto& [nx, ny] : {std::pair{32, 24}, {64, 64}, {13, 7}, {1, 1}}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << nx << "x" << ny);
+      EXPECT_TRUE(oracle::same_bits(compute_rudy(d, nx, ny).data(),
+                                    oracle::compute_rudy(d, nx, ny).data()));
+      // Upstream maps with zeros, negatives and, in one variant, +inf
+      // (which turns a visited zero-overlap bin into NaN). Gradients
+      // accumulate onto buffers that hold −0 and other values.
+      Rng rng(seed * 131 + static_cast<std::uint64_t>(nx));
+      for (const bool with_inf : {false, true}) {
+        GridMap upstream(nx, ny, d.core(), 0.0);
+        for (double& v : upstream.data()) {
+          v = rng.flip(0.2) ? 0.0 : rng.uniform(-1.0, 2.0);
+          if (with_inf && rng.flip(0.02)) v = std::numeric_limits<double>::infinity();
+        }
+        std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+        for (std::size_t i = 0; i < gx.size(); ++i) {
+          gx[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+          gy[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+        }
+        std::vector<double> rx = gx, ry = gy;
+        rudy_backward(d, upstream, gx, gy);
+        oracle::rudy_backward(d, upstream, rx, ry);
+        EXPECT_TRUE(oracle::same_bits(gx, rx)) << "with_inf " << with_inf;
+        EXPECT_TRUE(oracle::same_bits(gy, ry)) << "with_inf " << with_inf;
+      }
+    }
+  }
 }
 
 TEST(PinRudy, DepositsAtPinBins) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "gridmap/grid_map.hpp"
+#include "oracle_loops.hpp"
+#include "util/rng.hpp"
 
 namespace laco {
 namespace {
@@ -121,6 +123,86 @@ TEST(GridMap, L1Distance) {
   a.at(0, 0) = 1;
   b.at(1, 0) = 2;
   EXPECT_DOUBLE_EQ(GridMap::l1_distance(a, b), 3.0);
+}
+
+TEST(GridMap, AddRectMatchesPerBinOracleBitwise) {
+  // Non-square grids with exact binary bins and with inexact ones. Maps
+  // start at −0 or +0 and some values are −0, so a bin that is written
+  // when it should not be (or the other way round) shows in its sign.
+  // Each rectangle is added to a running pair of maps and, alone, to a
+  // fresh pair.
+  const struct {
+    int nx, ny;
+    Rect region;
+  } grids[] = {{32, 24, Rect{-3.5, 2.25, 60.5, 50.25}},
+               {7, 13, Rect{0.1, -0.3, 9.7, 5.2}},
+               {64, 48, Rect{0, 0, 1, 0.75}}};
+  for (const auto& grid : grids) {
+    for (const bool density_mode : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << grid.nx << "x" << grid.ny << " density_mode "
+                                        << density_mode);
+      const Rect& die = grid.region;
+      GridMap fast(grid.nx, grid.ny, die, density_mode ? 0.0 : -0.0);
+      GridMap ref = fast;
+      Rng rng(static_cast<std::uint64_t>(grid.nx * 100 + density_mode));
+      const double bw = fast.bin_width(), bh = fast.bin_height();
+      // Bin edges by bin_rect's arithmetic.
+      const auto edge_x = [&](int k) { return die.xl + k * bw; };
+      const auto edge_y = [&](int l) { return die.yl + l * bh; };
+      const auto coord_x = [&] { return rng.uniform(die.xl, die.xh); };
+      const auto coord_y = [&] { return rng.uniform(die.yl, die.yh); };
+      for (int i = 0; i < 3000; ++i) {
+        Rect r;
+        switch (i % 5) {
+          case 0: {  // on bin edges
+            const int k0 = rng.uniform_int(0, grid.nx), l0 = rng.uniform_int(0, grid.ny);
+            r = {edge_x(k0), edge_y(l0), edge_x(std::min(grid.nx, k0 + rng.uniform_int(0, 4))),
+                 edge_y(std::min(grid.ny, l0 + rng.uniform_int(0, 4)))};
+            break;
+          }
+          case 1: {  // clamped by the die on some sides
+            const double mx = rng.uniform(0.0, 0.3) * die.width();
+            const double my = rng.uniform(0.0, 0.3) * die.height();
+            r = {rng.flip() ? die.xl - mx : coord_x(), rng.flip() ? die.yl - my : coord_y(),
+                 0.0, 0.0};
+            r.xh = rng.flip() ? die.xh + mx : std::max(r.xl, coord_x());
+            r.yh = rng.flip() ? die.yh + my : std::max(r.yl, coord_y());
+            break;
+          }
+          case 2: {  // narrower than a bin, often across a bin edge
+            const double w = rng.uniform(0.05, 0.95) * bw, h = rng.uniform(0.05, 3.0) * bh;
+            const double x = rng.flip() ? edge_x(rng.uniform_int(1, grid.nx - 1)) - 0.5 * w
+                                        : coord_x();
+            const double y = coord_y();
+            r = {x, y, x + w, y + h};
+            break;
+          }
+          case 3: {  // degenerate: a point, a segment or an inverted box
+            const double x = coord_x(), y = coord_y();
+            const int kind = rng.uniform_int(0, 2);
+            r = {x, y, kind == 1 ? x + bw : x, kind == 2 ? y - bh : y};
+            break;
+          }
+          default: {
+            const double x = coord_x(), y = coord_y();
+            r = {x, y, x + rng.uniform(0.0, 0.5) * die.width(),
+                 y + rng.uniform(0.0, 0.5) * die.height()};
+            break;
+          }
+        }
+        const double value = i % 7 == 0 ? -0.0 : rng.uniform(-2.0, 3.0);
+        fast.add_rect(r, value, density_mode);
+        oracle::add_rect(ref, r, value, density_mode);
+        // Alone on a −0 map, every bin the rectangle writes shows.
+        GridMap fast_alone(grid.nx, grid.ny, die, -0.0);
+        GridMap ref_alone = fast_alone;
+        fast_alone.add_rect(r, value, density_mode);
+        oracle::add_rect(ref_alone, r, value, density_mode);
+        ASSERT_TRUE(oracle::same_bits(fast_alone.data(), ref_alone.data())) << "rect " << i;
+      }
+      EXPECT_TRUE(oracle::same_bits(fast.data(), ref.data()));
+    }
+  }
 }
 
 TEST(GridMapDeathTest, OutOfRangeIndexAbortsInAllBuildTypes) {

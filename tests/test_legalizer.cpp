@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "netlist/generator.hpp"
 #include "netlist/ispd2015_suite.hpp"
@@ -79,8 +81,59 @@ TEST(Legalizer, IdempotentOnLegalInput) {
   d.get_movable_positions(x1, y1);
   const LegalizeResult again = legalize(d);
   EXPECT_EQ(again.failed, 0u);
-  // A second pass may reshuffle identical-x cells but stays legal.
   EXPECT_EQ(count_legality_violations(d), 0u);
+  // A legal placement stays where it is. Not bitwise: the second pass
+  // recomputes each cluster's x from q/e, which can move a cell by a
+  // few ulps.
+  const double tol = 1e-9 * d.core().width();
+  std::vector<double> x2, y2;
+  d.get_movable_positions(x2, y2);
+  ASSERT_EQ(x2.size(), x1.size());
+  for (std::size_t i = 0; i < x1.size(); ++i) {
+    EXPECT_NEAR(x2[i], x1[i], tol) << "movable cell " << i;
+    EXPECT_NEAR(y2[i], y1[i], tol) << "movable cell " << i;
+  }
+  EXPECT_LE(again.total_displacement, tol);
+}
+
+TEST(Legalizer, MaxDisplacementIsLargestManhattanMove) {
+  // Cell 0 sits on row 3, which a macro blocks over x ∈ [0, 12], so it
+  // moves down one row and not at all in x. Cells 1 and 2 overlap on
+  // row 6 and move apart in x by less than one row height.
+  Design d("m", Rect{0, 0, 20, 10}, 1.0);
+  const auto add = [&](double x, double y, double w, bool macro) {
+    Cell c;
+    c.width = w;
+    c.height = 1.0;
+    c.x = x;
+    c.y = y;
+    c.fixed = macro;
+    c.kind = macro ? CellKind::kMacro : CellKind::kStandard;
+    d.add_cell(c);
+  };
+  add(5.0, 3.0, 2.0, false);
+  add(10.0, 6.0, 2.0, false);
+  add(10.5, 6.0, 2.0, false);
+  add(0.0, 3.0, 12.0, true);
+  const LegalizeResult result = legalize(d);
+  ASSERT_EQ(result.failed, 0u);
+  EXPECT_EQ(count_legality_violations(d), 0u);
+  EXPECT_DOUBLE_EQ(d.cell(0).x, 5.0);
+  EXPECT_DOUBLE_EQ(std::abs(d.cell(0).y - 3.0), 1.0);
+  EXPECT_LT(std::abs(d.cell(1).x - 10.0), 1.0);
+  EXPECT_DOUBLE_EQ(result.max_displacement, 1.0);
+
+  // On a global placement, it is the largest |Δx| + |Δy| measured.
+  Design placed = placed_design(300, 2);
+  const Design global = placed;
+  const LegalizeResult placed_result = legalize(placed);
+  double largest = 0.0;
+  for (const CellId cid : placed.movable_cells()) {
+    largest = std::max(largest, std::abs(placed.cell(cid).x - global.cell(cid).x) +
+                                    std::abs(placed.cell(cid).y - global.cell(cid).y));
+  }
+  EXPECT_GT(largest, 0.0);
+  EXPECT_DOUBLE_EQ(placed_result.max_displacement, largest);
 }
 
 TEST(Abacus, ProducesLegalPlacement) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "netlist/generator.hpp"
+#include "oracle_loops.hpp"
 #include "util/rng.hpp"
 #include "placer/density.hpp"
 #include "placer/global_placer.hpp"
@@ -29,7 +32,7 @@ Design two_pin_design(Point a, Point b) {
 TEST(Wirelength, ApproachesHpwlAsGammaShrinks) {
   const Design d = two_pin_design({2, 3}, {10, 9});
   const double hpwl = d.hpwl();
-  WirelengthModel coarse(4.0), fine(0.05);
+  WirelengthModel coarse(d, 4.0), fine(d, 0.05);
   EXPECT_NEAR(fine.evaluate(d), hpwl, 0.05 * hpwl);
   // Coarser gamma is a smooth upper-biased surrogate but still close.
   EXPECT_NEAR(coarse.evaluate(d), hpwl, 0.6 * hpwl);
@@ -37,7 +40,7 @@ TEST(Wirelength, ApproachesHpwlAsGammaShrinks) {
 
 TEST(Wirelength, GradientMatchesFiniteDifference) {
   Design d = two_pin_design({2.3, 3.1}, {10.2, 9.4});
-  WirelengthModel model(1.0);
+  WirelengthModel model(d, 1.0);
   std::vector<double> gx(d.num_cells(), 0.0), gy(d.num_cells(), 0.0);
   model.evaluate_with_grad(d, gx, gy);
   const double eps = 1e-6;
@@ -55,7 +58,7 @@ TEST(Wirelength, GradientMatchesFiniteDifference) {
 
 TEST(Wirelength, GradientPullsPinsTogether) {
   Design d = two_pin_design({2, 8}, {14, 8});
-  WirelengthModel model(0.5);
+  WirelengthModel model(d, 0.5);
   std::vector<double> gx(d.num_cells(), 0.0), gy(d.num_cells(), 0.0);
   model.evaluate_with_grad(d, gx, gy);
   // Descending means the left cell moves +x, the right cell −x.
@@ -66,7 +69,7 @@ TEST(Wirelength, GradientPullsPinsTogether) {
 TEST(Wirelength, FixedCellsGetNoGradient) {
   Design d = two_pin_design({2, 8}, {14, 8});
   d.cell(1).fixed = true;
-  WirelengthModel model(0.5);
+  WirelengthModel model(d, 0.5);
   std::vector<double> gx(d.num_cells(), 0.0), gy(d.num_cells(), 0.0);
   model.evaluate_with_grad(d, gx, gy);
   EXPECT_DOUBLE_EQ(gx[1], 0.0);
@@ -74,10 +77,47 @@ TEST(Wirelength, FixedCellsGetNoGradient) {
 
 TEST(Wirelength, WeightScalesContribution) {
   Design d = two_pin_design({2, 8}, {14, 8});
-  WirelengthModel model(0.5);
+  WirelengthModel model(d, 0.5);
   const double base = model.evaluate(d);
   d.net(0).weight = 2.5;
   EXPECT_NEAR(model.evaluate(d), 2.5 * base, 1e-9);
+}
+
+TEST(Wirelength, FlatPassMatchesPerNetOracleBitwise) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Design d = oracle::random_design(seed);
+    const double bin = d.core().width() / 32;
+    WirelengthModel model(d, bin);
+    Rng rng(seed);
+    for (int step = 0; step < 2; ++step) {
+      for (const double gamma_bins : {0.05, 0.3, 1.0, 4.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << ", step " << step << ", gamma " << gamma_bins);
+        const double gamma = gamma_bins * bin;
+        model.set_gamma(gamma);
+        std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+        for (std::size_t i = 0; i < gx.size(); ++i) {
+          gx[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+          gy[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+        }
+        std::vector<double> rx = gx, ry = gy;
+        const double total = model.evaluate_with_grad(d, gx, gy);
+        EXPECT_TRUE(oracle::same_bits(total, oracle::wa_wirelength(d, gamma, &rx, &ry)));
+        EXPECT_TRUE(oracle::same_bits(gx, rx));
+        EXPECT_TRUE(oracle::same_bits(gy, ry));
+        EXPECT_TRUE(oracle::same_bits(model.evaluate(d),
+                                      oracle::wa_wirelength(d, gamma, nullptr, nullptr)));
+      }
+      // Positions and net weights are read at evaluation time.
+      for (const CellId cid : d.movable_cells()) {
+        Cell& c = d.cell(cid);
+        c.x = std::clamp(c.x + rng.normal(0.0, bin), d.core().xl, d.core().xh - c.width);
+      }
+      for (std::size_t j = 0; j < d.num_nets(); j += 3) {
+        d.net(static_cast<NetId>(j)).weight = rng.uniform(0.2, 4.0);
+      }
+    }
+  }
 }
 
 TEST(Density, OverflowHighWhenClumpedLowWhenSpread) {

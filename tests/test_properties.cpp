@@ -198,7 +198,7 @@ TEST_P(WirelengthGamma, GradientMatchesFiniteDifferenceAcrossGamma) {
   cfg.num_cells = 40;
   cfg.seed = 12;
   Design d = generate_design(cfg);
-  WirelengthModel model(GetParam());
+  WirelengthModel model(d, GetParam());
   std::vector<double> gx(d.num_cells(), 0.0), gy(d.num_cells(), 0.0);
   model.evaluate_with_grad(d, gx, gy);
   const double eps = 1e-6;

@@ -6,6 +6,8 @@
 #include "router/maze_route.hpp"
 #include "router/net_decomposition.hpp"
 #include "router/pattern_route.hpp"
+#include "util/rng.hpp"
+#include "oracle_loops.hpp"
 
 namespace laco {
 namespace {
@@ -200,6 +202,132 @@ TEST(MazeRoute, TrivialSameCell) {
   const GridGraph g = make_grid(d);
   const RoutePath path = maze_route(g, {3, 3}, {3, 3});
   EXPECT_EQ(path.gcells.size(), 1u);
+}
+
+/// Every cached edge cost equals the cost formula recomputed from usage,
+/// capacity and history, bit for bit.
+::testing::AssertionResult costs_match_formula(const GridGraph& g) {
+  for (int l = 0; l < g.ny(); ++l) {
+    for (int k = 0; k + 1 < g.nx(); ++k) {
+      if (!oracle::same_bits(g.h_cost(k, l), oracle::h_cost(g, k, l))) {
+        return ::testing::AssertionFailure() << "h edge (" << k << ", " << l << ")";
+      }
+    }
+  }
+  for (int l = 0; l + 1 < g.ny(); ++l) {
+    for (int k = 0; k < g.nx(); ++k) {
+      if (!oracle::same_bits(g.v_cost(k, l), oracle::v_cost(g, k, l))) {
+        return ::testing::AssertionFailure() << "v edge (" << k << ", " << l << ")";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A 24×24 core with a macro and a routing blockage, so capacities vary.
+Design derated_design() {
+  Design d = empty_design(24);
+  Cell macro;
+  macro.kind = CellKind::kMacro;
+  macro.fixed = true;
+  macro.width = 6;
+  macro.height = 4;
+  macro.x = 5;
+  macro.y = 5;
+  d.add_cell(macro);
+  d.add_routing_blockage(Rect{14, 2, 18, 9});
+  return d;
+}
+
+/// Adds `count` random usages (rip-ups included) to edges of `g`.
+void add_random_usage(GridGraph& g, Rng& rng, int count) {
+  for (int i = 0; i < count; ++i) {
+    const double amount = rng.flip(0.1) ? -1.0 : rng.uniform_int(0, 6);
+    if (rng.flip()) {
+      g.add_h_usage(rng.uniform_int(0, g.nx() - 2), rng.uniform_int(0, g.ny() - 1), amount);
+    } else {
+      g.add_v_usage(rng.uniform_int(0, g.nx() - 1), rng.uniform_int(0, g.ny() - 2), amount);
+    }
+  }
+}
+
+TEST(GridGraph, CachedCostsEqualFormulaAfterEveryMutator) {
+  const Design d = derated_design();
+  GridGraphConfig cfg;
+  cfg.nx = 24;
+  cfg.ny = 20;
+  GridGraph g(d, cfg);
+  ASSERT_TRUE(costs_match_formula(g)) << "after construction";
+  Rng rng(5);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 300; ++i) {
+      add_random_usage(g, rng, 1);
+      ASSERT_TRUE(costs_match_formula(g)) << "after add_*_usage " << i << " of round " << round;
+    }
+    g.accumulate_history(0.5 + round);
+    ASSERT_TRUE(costs_match_formula(g)) << "after accumulate_history, round " << round;
+  }
+  g.clear_usage();
+  ASSERT_TRUE(costs_match_formula(g)) << "after clear_usage";
+  add_random_usage(g, rng, 500);
+  g.clear_history();
+  ASSERT_TRUE(costs_match_formula(g)) << "after clear_history";
+}
+
+TEST(MazeRoute, MatchesPriorityQueueOracleBitwise) {
+  // Grid 0 is fresh, so every edge costs exactly 1.0 and ties are
+  // everywhere: the pop order alone picks the path. Grids 1 and 2 carry
+  // random usage and negotiation history, and grid 2 is not square.
+  const Design d = derated_design();
+  for (int grid = 0; grid < 3; ++grid) {
+    SCOPED_TRACE(grid);
+    GridGraphConfig cfg;
+    cfg.nx = grid == 2 ? 17 : 24;
+    cfg.ny = grid == 2 ? 29 : 24;
+    GridGraph g(d, cfg);
+    Rng rng(100 + grid);
+    if (grid == 0) {
+      ASSERT_EQ(g.h_cost(0, 0), 1.0);
+      ASSERT_EQ(g.v_cost(g.nx() - 1, g.ny() - 2), 1.0);
+    } else {
+      add_random_usage(g, rng, 3000);
+      g.accumulate_history(0.5);
+      add_random_usage(g, rng, 1000);
+      g.accumulate_history(1.25);
+    }
+    const auto random_gcell = [&] {
+      return GridIndex{rng.uniform_int(0, g.nx() - 1), rng.uniform_int(0, g.ny() - 1)};
+    };
+    for (int trial = 0; trial < 400; ++trial) {
+      GridIndex a = random_gcell();
+      GridIndex b = random_gcell();
+      switch (trial % 5) {
+        case 0:
+          b = a;
+          break;
+        case 1:  // adjacent gcells
+          b = a;
+          if (rng.flip()) {
+            b.k += a.k + 1 < g.nx() ? 1 : -1;
+          } else {
+            b.l += a.l + 1 < g.ny() ? 1 : -1;
+          }
+          break;
+        case 2:  // both ends near a corner: the window is clamped
+          a = {rng.uniform_int(0, 2), g.ny() - 1 - rng.uniform_int(0, 2)};
+          b = {rng.uniform_int(0, 5), g.ny() - 1 - rng.uniform_int(0, 5)};
+          break;
+        default:
+          break;
+      }
+      const int window = rng.uniform_int(0, 8);
+      const RoutePath fast = maze_route(g, a, b, window);
+      const RoutePath ref = oracle::maze_route(g, a, b, window);
+      ASSERT_EQ(fast.gcells, ref.gcells) << "trial " << trial;
+      ASSERT_TRUE(oracle::same_bits(fast.cost, ref.cost)) << "trial " << trial;
+      if (grid != 0) commit_path(g, fast);  // later trials see the new usage
+    }
+  }
 }
 
 TEST(GlobalRouter, RoutesGeneratedDesign) {
