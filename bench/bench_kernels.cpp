@@ -1,9 +1,10 @@
 // Google-benchmark microbenchmarks of the compute kernels the LACO flow
-// spends its time in: feature extraction and its Eq. 17 backward, WA
-// wirelength, the spectral Poisson solve, conv2d forward/backward,
-// cell-flow quasi-voxelization, and one routed evaluation on the
-// pipeline's router grid. Useful when tuning resolutions (DESIGN.md
-// Sec. 6).
+// spends its time in: feature extraction and its Eq. 17 backward (RUDY
+// and PinRUDY alone and as one paired walk), WA wirelength, the density
+// update, the spectral Poisson solve, conv2d forward/backward, cell-flow
+// quasi-voxelization, maze routing on a saturated grid, and one routed
+// evaluation on the pipeline's router grid. Useful when tuning
+// resolutions (DESIGN.md Sec. 6).
 #include <benchmark/benchmark.h>
 
 #include "features/feature_stack.hpp"
@@ -13,9 +14,12 @@
 #include "netlist/ispd2015_suite.hpp"
 #include "nn/autograd.hpp"
 #include "nn/ops.hpp"
+#include "placer/density.hpp"
 #include "placer/poisson.hpp"
 #include "placer/wirelength.hpp"
 #include "router/global_router.hpp"
+#include "router/maze_route.hpp"
+#include "router/net_decomposition.hpp"
 
 namespace {
 
@@ -69,6 +73,47 @@ void BM_PinRudy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PinRudy)->Arg(64);
+
+/// RUDY and PinRUDY from one walk over each net's pins, as
+/// FeatureExtractor runs them.
+void BM_RudyMaps(benchmark::State& state) {
+  const Design& d = bench_design();
+  const int grid = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    GridMap rudy(grid, grid, d.core(), 0.0);
+    GridMap pin(grid, grid, d.core(), 0.0);
+    compute_rudy_maps(d, &rudy, &pin);
+    benchmark::DoNotOptimize(rudy.data().data());
+    benchmark::DoNotOptimize(pin.data().data());
+  }
+}
+BENCHMARK(BM_RudyMaps)->Arg(32)->Arg(64);
+
+void BM_RudyMapsBackward(benchmark::State& state) {
+  const Design& d = bench_design();
+  const int grid = static_cast<int>(state.range(0));
+  GridMap upstream(grid, grid, d.core(), 0.0);
+  for (std::size_t i = 0; i < upstream.size(); ++i) upstream[i] = 1.0 + 0.001 * (i % 97);
+  std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+  for (auto _ : state) {
+    rudy_maps_backward(d, &upstream, &upstream, gx, gy);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(gy.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RudyMapsBackward)->Arg(32)->Arg(64);
+
+void BM_DensityUpdate(benchmark::State& state) {
+  const Design& d = bench_design();
+  const int bins = static_cast<int>(state.range(0));
+  DensityModel model(d, bins, bins);
+  for (auto _ : state) {
+    model.update(d);
+    benchmark::DoNotOptimize(model.density().data().data());
+  }
+}
+BENCHMARK(BM_DensityUpdate)->Arg(32)->Arg(64);
 
 void BM_CellFlow(benchmark::State& state) {
   const Design& d = bench_design();
@@ -129,6 +174,39 @@ void BM_GlobalRoute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GlobalRoute);
+
+/// A saturated router grid and its segments: a dense generated design
+/// routed once with the pipeline's router settings.
+struct SaturatedGrid {
+  Design design = make_ispd2015_analog("superblue12", 0.002);
+  GlobalRouterConfig config;
+  GlobalRouter router{design, config};
+  std::vector<TwoPinSegment> segments;
+
+  SaturatedGrid() {
+    router.route();
+    for (const Net& net : design.nets()) {
+      if (net.degree() < 2) continue;
+      for (const TwoPinSegment& seg : decompose_net(design, net, router.grid(), config.steiner)) {
+        if (!(seg.a == seg.b)) segments.push_back(seg);
+      }
+    }
+  }
+};
+
+/// One maze call per iteration, cycling over the segments on the frozen
+/// grid (nothing is committed).
+void BM_MazeRoute(benchmark::State& state) {
+  static const SaturatedGrid fixture;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const TwoPinSegment& seg = fixture.segments[i];
+    benchmark::DoNotOptimize(
+        maze_route(fixture.router.grid(), seg.a, seg.b, fixture.config.maze_window));
+    i = i + 1 < fixture.segments.size() ? i + 1 : 0;
+  }
+}
+BENCHMARK(BM_MazeRoute);
 
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "features/macro_region.hpp"
-#include "features/pin_rudy.hpp"
 #include "features/rudy.hpp"
 
 namespace laco {
@@ -24,13 +23,14 @@ FeatureFrame FeatureExtractor::compute(const Design& design,
                                        const std::vector<double>* prev_y,
                                        int iteration) const {
   FeatureFrame frame{
-      compute_rudy(design, config_.nx, config_.ny),
-      compute_pin_rudy(design, config_.nx, config_.ny),
+      GridMap(config_.nx, config_.ny, design.core(), 0.0),
+      GridMap(config_.nx, config_.ny, design.core(), 0.0),
       compute_macro_region(design, config_.nx, config_.ny),
       GridMap(config_.nx, config_.ny, design.core(), 0.0),
       GridMap(config_.nx, config_.ny, design.core(), 0.0),
       iteration,
   };
+  compute_rudy_maps(design, &frame.rudy, &frame.pin_rudy);
   if (config_.with_flow && prev_x != nullptr && prev_y != nullptr) {
     CellFlow flow = compute_cell_flow(design, *prev_x, *prev_y, config_.nx, config_.ny,
                                       config_.scheme);
@@ -45,8 +45,7 @@ void FeatureExtractor::backward(const Design& design, const FeatureFrameGrad& up
                                 std::vector<double>& grad_y_movable) const {
   std::vector<double> gx(design.num_cells(), 0.0);
   std::vector<double> gy(design.num_cells(), 0.0);
-  rudy_backward(design, upstream.d_rudy, gx, gy);
-  pin_rudy_backward(design, upstream.d_pin_rudy, gx, gy);
+  rudy_maps_backward(design, &upstream.d_rudy, &upstream.d_pin_rudy, gx, gy);
   if (config_.with_flow) {
     cell_flow_backward(design, upstream.d_flow_x, upstream.d_flow_y, config_.scheme, gx, gy);
   }

@@ -1,45 +1,14 @@
 #include "features/pin_rudy.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "features/rudy.hpp"
+
 namespace laco {
-namespace {
-
-struct Extremes {
-  double xl, xh, yl, yh;
-  PinId at_xl = -1, at_xh = -1, at_yl = -1, at_yh = -1;
-};
-
-Extremes net_extremes(const Design& design, const Net& net) {
-  Extremes e{0, 0, 0, 0, -1, -1, -1, -1};
-  bool first = true;
-  for (const PinId pid : net.pins) {
-    const Point p = design.pin_position(pid);
-    if (first || p.x < e.xl) { e.xl = p.x; e.at_xl = pid; }
-    if (first || p.x > e.xh) { e.xh = p.x; e.at_xh = pid; }
-    if (first || p.y < e.yl) { e.yl = p.y; e.at_yl = pid; }
-    if (first || p.y > e.yh) { e.yh = p.y; e.at_yh = pid; }
-    first = false;
-  }
-  return e;
-}
-
-}  // namespace
 
 GridMap compute_pin_rudy(const Design& design, int nx, int ny) {
   GridMap map(nx, ny, design.core(), 0.0);
-  for (const Net& net : design.nets()) {
-    if (net.degree() < 2) continue;
-    const Extremes e = net_extremes(design, net);
-    const double w_eff = std::max(e.xh - e.xl, map.bin_width());
-    const double h_eff = std::max(e.yh - e.yl, map.bin_height());
-    const double value = net.weight * (1.0 / w_eff + 1.0 / h_eff);
-    for (const PinId pid : net.pins) {
-      const GridIndex b = map.bin_of(design.pin_position(pid));
-      map.at(b.k, b.l) += value;
-    }
-  }
+  compute_rudy_maps(design, nullptr, &map);
   return map;
 }
 
@@ -48,38 +17,7 @@ void pin_rudy_backward(const Design& design, const GridMap& upstream,
   if (grad_x.size() != design.num_cells() || grad_y.size() != design.num_cells()) {
     throw std::invalid_argument("pin_rudy_backward: gradient buffers must have num_cells entries");
   }
-  for (const Net& net : design.nets()) {
-    if (net.degree() < 2) continue;
-    const Extremes e = net_extremes(design, net);
-    const double w = e.xh - e.xl;
-    const double h = e.yh - e.yl;
-    const double w_eff = std::max(w, upstream.bin_width());
-    const double h_eff = std::max(h, upstream.bin_height());
-    // dL/dvalue = sum of upstream at every pin's bin (each pin deposits value once).
-    double s = 0.0;
-    for (const PinId pid : net.pins) {
-      const GridIndex b = upstream.bin_of(design.pin_position(pid));
-      s += upstream.at(b.k, b.l);
-    }
-    if (s == 0.0) continue;
-    s *= net.weight;
-    const auto add = [&](PinId pid, double gx, double gy) {
-      const CellId cid = design.pin(pid).cell;
-      if (design.cell(cid).fixed) return;
-      grad_x[static_cast<std::size_t>(cid)] += gx;
-      grad_y[static_cast<std::size_t>(cid)] += gy;
-    };
-    if (w >= upstream.bin_width()) {
-      const double d = s / (w_eff * w_eff);
-      add(e.at_xh, -d, 0.0);
-      add(e.at_xl, +d, 0.0);
-    }
-    if (h >= upstream.bin_height()) {
-      const double d = s / (h_eff * h_eff);
-      add(e.at_yh, 0.0, -d);
-      add(e.at_yl, 0.0, +d);
-    }
-  }
+  rudy_maps_backward(design, nullptr, &upstream, grad_x, grad_y);
 }
 
 }  // namespace laco

@@ -25,4 +25,19 @@ GridMap compute_rudy(const Design& design, int nx, int ny);
 void rudy_backward(const Design& design, const GridMap& upstream,
                    std::vector<double>& grad_x, std::vector<double>& grad_y);
 
+/// RUDY and PinRUDY (features/pin_rudy.hpp) from one walk over each
+/// net's pins: deposits into whichever of `rudy` and `pin_rudy` is
+/// non-null, each a zeroed map over the design core. Each map receives
+/// its deposits in netlist order, so it is bitwise the map its feature's
+/// own function returns.
+void compute_rudy_maps(const Design& design, GridMap* rudy, GridMap* pin_rudy);
+
+/// The matching Eq. 17 backward for whichever upstream map is non-null,
+/// accumulated per cell into CellId-indexed grad_x / grad_y. RUDY's adds
+/// go in as the walk makes them; PinRUDY's are recorded and replayed
+/// after it, so every cell sums in the order rudy_backward followed by
+/// pin_rudy_backward would give.
+void rudy_maps_backward(const Design& design, const GridMap* d_rudy, const GridMap* d_pin_rudy,
+                        std::vector<double>& grad_x, std::vector<double>& grad_y);
+
 }  // namespace laco

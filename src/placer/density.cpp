@@ -43,6 +43,8 @@ void DensityModel::update(const Design& design) {
   movable_density_.fill(0.0);
   const double min_w = density_.bin_width();
   const double min_h = density_.bin_height();
+  double* all = density_.data().data();
+  double* movable = movable_density_.data().data();
   for (const Cell& cell : design.cells()) {
     if (cell.kind == CellKind::kPad) continue;
     Rect r = cell.rect();
@@ -52,9 +54,25 @@ void DensityModel::update(const Design& design) {
     const double h = std::max(r.height(), min_h);
     const Point c = r.center();
     const Rect expanded{c.x - w * 0.5, c.y - h * 0.5, c.x + w * 0.5, c.y + h * 0.5};
-    density_.add_rect(expanded, cell.area(), /*density_mode=*/true);
-    if (!cell.fixed) {
-      movable_density_.add_rect(expanded, cell.area(), /*density_mode=*/true);
+    // One overlap walk feeds both maps, each bin with add_rect's
+    // density-mode deposit (the maps share one geometry).
+    const double value = cell.area();
+    if (!expanded.valid() || expanded.area() <= 0.0) {
+      const GridIndex b = density_.bin_of(expanded.center());
+      density_.at(b.k, b.l) += value;
+      if (!cell.fixed) movable_density_.at(b.k, b.l) += value;
+      continue;
+    }
+    const double inv_area = 1.0 / expanded.area();
+    if (cell.fixed) {
+      density_.for_each_overlap(expanded,
+                                [&](std::size_t i, double ov) { all[i] += value * ov * inv_area; });
+    } else {
+      density_.for_each_overlap(expanded, [&](std::size_t i, double ov) {
+        const double deposit = value * ov * inv_area;
+        all[i] += deposit;
+        movable[i] += deposit;
+      });
     }
   }
   // Remove the DC (target) level so the field pushes toward uniformity.

@@ -236,17 +236,10 @@ PlacementResult GlobalPlacer::run() {
       density_.update(design_);
     }
     const double overflow = density_.overflow(design_);
-    const double hpwl_now = design_.hpwl();
     if (rec.watchdog && last_good && !last_good->history.empty() &&
         overflow > last_good->history.back().overflow + rec.overflow_explode_margin) {
       handle_divergence("overflow explosion (" + std::to_string(overflow) + " vs last good " +
                         std::to_string(last_good->history.back().overflow) + ")");
-      continue;
-    }
-    if (rec.watchdog && hpwl_peak > 0.0 &&
-        !(hpwl_now <= rec.hpwl_explode_factor * hpwl_peak)) {
-      handle_divergence("hpwl explosion (" + std::to_string(hpwl_now) + " vs peak " +
-                        std::to_string(hpwl_peak) + ")");
       continue;
     }
 
@@ -262,6 +255,16 @@ PlacementResult GlobalPlacer::run() {
     {
       obs::PhaseSpan phase(breakdown_, "placement: wirelength");
       wa_wl = wirelength_.evaluate_with_grad(design_, gx_cell, gy_cell);
+    }
+    // The WA pass gathered every pin, so it also sums HPWL (bitwise
+    // design_.hpwl()). Checking it here rather than before the pass makes
+    // the same decisions; a trip only wastes this iteration's WA work.
+    const double hpwl_now = wirelength_.hpwl();
+    if (rec.watchdog && hpwl_peak > 0.0 &&
+        !(hpwl_now <= rec.hpwl_explode_factor * hpwl_peak)) {
+      handle_divergence("hpwl explosion (" + std::to_string(hpwl_now) + " vs peak " +
+                        std::to_string(hpwl_peak) + ")");
+      continue;
     }
 
     std::fill(dgx_cell.begin(), dgx_cell.end(), 0.0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/check.hpp"
@@ -41,6 +42,18 @@ double wa_axis(const double* coords, std::size_t n, double gamma, double* ep, do
     }
   }
   return wa_max - wa_min;
+}
+
+/// One axis of net_bbox's box: hi − lo over ±inf-seeded std::min and
+/// std::max, which skip a NaN coordinate where wa_axis's do not.
+double bbox_span(const double* coords, std::size_t n) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    lo = std::min(lo, coords[i]);
+    hi = std::max(hi, coords[i]);
+  }
+  return hi - lo;
 }
 
 }  // namespace
@@ -96,11 +109,13 @@ double WirelengthModel::pass(const Design& design, std::vector<double>* grad_x,
     std::fill(dpy_.begin(), dpy_.end(), 0.0);
   }
   double total = 0.0;
-  // LACO_DETERMINISTIC: per-net reduction in netlist index order
+  double hpwl = 0.0;
+  // LACO_DETERMINISTIC: per-net reductions in netlist index order
   for (std::size_t j = 0; j < nets_.size(); ++j) {
     const double weight = design.net(nets_[j]).weight;
     const std::size_t b = net_start_[j];
     const std::size_t n = net_start_[j + 1] - b;
+    hpwl += weight * (bbox_span(&px_[b], n) + bbox_span(&py_[b], n));
     total += weight * (wa_axis(&px_[b], n, gamma_, ep_.data(), em_.data(),
                                grad ? &dpx_[b] : nullptr) +
                        wa_axis(&py_[b], n, gamma_, ep_.data(), em_.data(),
@@ -113,6 +128,7 @@ double WirelengthModel::pass(const Design& design, std::vector<double>* grad_x,
       (*grad_y)[cid] += weight * dpy_[i];
     }
   }
+  hpwl_ = hpwl;
   return total;
 }
 

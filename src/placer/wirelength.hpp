@@ -35,10 +35,17 @@ class WirelengthModel {
   /// Wirelength only (no gradient).
   double evaluate(const Design& design);
 
+  /// HPWL at the positions the last evaluation gathered: per net the
+  /// pin box of net_bbox's ±inf-seeded std::min/std::max, summed as
+  /// weight × (width + height) in netlist order. So it is bitwise
+  /// Design::hpwl() at those positions, NaN pins included.
+  double hpwl() const { return hpwl_; }
+
  private:
   double pass(const Design& design, std::vector<double>* grad_x, std::vector<double>* grad_y);
 
   double gamma_;
+  double hpwl_ = 0.0;
   std::size_t num_cells_, num_nets_;  ///< shape of the design the layout is for
   std::vector<NetId> nets_;             ///< nets of degree ≥ 2, in netlist order
   std::vector<std::size_t> net_start_;  ///< CSR: net j owns pins [start[j], start[j+1])

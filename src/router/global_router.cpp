@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "router/maze_route.hpp"
 #include "router/net_decomposition.hpp"
@@ -11,8 +14,24 @@
 
 namespace laco {
 
+namespace {
+
+const GlobalRouterConfig& validated(const GlobalRouterConfig& config) {
+  const auto reject = [](const std::string& field, const std::string& rule, double value) {
+    std::ostringstream msg;
+    msg << "GlobalRouterConfig::" << field << " must be " << rule << ", got " << value;
+    throw std::invalid_argument(msg.str());
+  };
+  if (!(config.history_cost >= 0.0)) reject("history_cost", ">= 0", config.history_cost);
+  if (config.maze_window < 0) reject("maze_window", ">= 0", config.maze_window);
+  if (config.z_candidates < 1) reject("z_candidates", ">= 1", config.z_candidates);
+  return config;
+}
+
+}  // namespace
+
 GlobalRouter::GlobalRouter(const Design& design, GlobalRouterConfig config)
-    : design_(design), config_(config), grid_(design, config.grid) {}
+    : design_(design), config_(validated(config)), grid_(design, config.grid) {}
 
 RoutingResult GlobalRouter::route() {
   grid_.clear_usage();

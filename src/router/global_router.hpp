@@ -35,6 +35,8 @@ struct RoutingResult {
 
 class GlobalRouter {
  public:
+  /// Throws std::invalid_argument naming the field for history_cost < 0
+  /// (or NaN), maze_window < 0 or z_candidates < 1.
   GlobalRouter(const Design& design, GlobalRouterConfig config);
 
   /// Routes the design at its current cell positions.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace laco {
 
@@ -72,6 +74,10 @@ void GridGraph::clear_usage() {
 }
 
 void GridGraph::accumulate_history(double amount) {
+  if (!(amount >= 0.0)) {
+    throw std::invalid_argument("GridGraph::accumulate_history: amount must be >= 0, got " +
+                                std::to_string(amount));
+  }
   for (std::size_t i = 0; i < h_use_.size(); ++i) {
     if (h_use_[i] > h_cap_[i]) h_hist_[i] += amount;
   }

@@ -59,6 +59,8 @@ class GridGraph {
   /// PathFinder-style negotiation history: edges that stay overflowed
   /// across rip-up rounds accumulate a persistent cost so repeat
   /// offenders are avoided even when momentarily under capacity.
+  /// Throws std::invalid_argument for a negative or NaN amount, which
+  /// would break the cost floor below.
   void accumulate_history(double amount = 1.0);
   void clear_history();
   double h_history(int k, int l) const { return h_hist_[h_index(k, l)]; }
@@ -68,6 +70,7 @@ class GridGraph {
   /// quadratically once demand approaches capacity, plus the history term.
   /// Cached: every mutator refreshes the costs of the edges it changes,
   /// so a lookup is one load of the value the formula gives.
+  /// Every cost is at least 1 (see edge_cost).
   double h_cost(int k, int l) const { return h_cost_[h_index(k, l)]; }
   double v_cost(int k, int l) const { return v_cost_[v_index(k, l)]; }
 
@@ -87,6 +90,11 @@ class GridGraph {
  private:
   std::size_t h_index(int k, int l) const { return static_cast<std::size_t>(l) * (nx_ - 1) + k; }
   std::size_t v_index(int k, int l) const { return static_cast<std::size_t>(l) * nx_ + k; }
+  /// At least 1 for every input: the penalty terms are never negative,
+  /// and a NaN utilization fails both tests and costs 1. History only
+  /// accumulates non-negative amounts, so a cached cost is at least 1
+  /// too. maze_route's bucket queue relies on this floor
+  /// (docs/ALGORITHMS.md, "Maze routing").
   static double edge_cost(double use, double cap) {
     const double util = use / std::max(cap, 1e-9);
     // Smoothly escalating congestion penalty: cheap below ~70% utilization,

@@ -12,13 +12,13 @@ namespace laco {
 
 struct RoutePath {
   std::vector<GridIndex> gcells;  ///< contiguous gcell sequence (unit steps)
+  /// Edge costs summed left to right from gcells.front(), under the
+  /// usage the path was found with.
   double cost = 0.0;
 
   bool empty() const { return gcells.empty(); }
 };
 
-/// Cost of an existing path under current usage.
-double path_cost(const GridGraph& grid, const RoutePath& path);
 /// Wirelength of a path in layout units.
 double path_length(const GridGraph& grid, const RoutePath& path);
 /// Adds (amount=+1) or removes (amount=−1) a path's track demand.

@@ -1,9 +1,11 @@
-// The plain loops that the router, GridMap/RUDY and WA fast paths
-// replaced, kept as test oracles: a Dijkstra over std::priority_queue
-// that evaluates the edge-cost formula per relaxation, bin_rect +
-// overlap_area per covered bin, and a WA pass that gathers each net's
-// pins into fresh vectors. Each fast path must match its oracle bit for
-// bit (docs/ALGORITHMS.md).
+// The plain loops that the router, GridMap/RUDY, density and WA fast
+// paths replaced, kept as test oracles: a Dijkstra over
+// std::priority_queue that evaluates the edge-cost formula per
+// relaxation, pattern routes that build every candidate path, bin_rect +
+// overlap_area per covered bin, a density update that walks each cell
+// once per map, RUDY and PinRUDY as separate passes, and a WA pass that
+// gathers each net's pins into fresh vectors. Each fast path must match
+// its oracle bit for bit (docs/ALGORITHMS.md).
 #pragma once
 
 #include <algorithm>
@@ -48,6 +50,73 @@ inline double h_cost(const GridGraph& g, int k, int l) {
 
 inline double v_cost(const GridGraph& g, int k, int l) {
   return edge_cost(g.v_usage(k, l), g.v_capacity(k, l)) + g.v_history(k, l);
+}
+
+/// Cost of a path: its edge costs summed left to right from the first
+/// gcell.
+inline double path_cost(const GridGraph& grid, const RoutePath& path) {
+  double cost = 0.0;
+  for (std::size_t i = 1; i < path.gcells.size(); ++i) {
+    const GridIndex& p = path.gcells[i - 1];
+    const GridIndex& q = path.gcells[i];
+    if (p.l == q.l) {
+      cost += grid.h_cost(std::min(p.k, q.k), p.l);
+    } else {
+      cost += grid.v_cost(p.k, std::min(p.l, q.l));
+    }
+  }
+  return cost;
+}
+
+/// Pattern routing as it built every candidate: each L and Z candidate
+/// becomes a RoutePath costed by path_cost over its gcells.
+inline void append_run(std::vector<GridIndex>& path, GridIndex from, int k, int l) {
+  while (from.k != k) {
+    from.k += (k > from.k) ? 1 : -1;
+    path.push_back(from);
+  }
+  while (from.l != l) {
+    from.l += (l > from.l) ? 1 : -1;
+    path.push_back(from);
+  }
+}
+
+inline RoutePath make_path(const GridGraph& grid, GridIndex a,
+                           const std::vector<GridIndex>& bends, GridIndex b) {
+  RoutePath path;
+  path.gcells.push_back(a);
+  GridIndex cur = a;
+  for (const GridIndex& bend : bends) {
+    append_run(path.gcells, cur, bend.k, bend.l);
+    cur = bend;
+  }
+  append_run(path.gcells, cur, b.k, b.l);
+  path.cost = path_cost(grid, path);
+  return path;
+}
+
+inline RoutePath best_l_route(const GridGraph& grid, GridIndex a, GridIndex b) {
+  const RoutePath hv = make_path(grid, a, {{b.k, a.l}}, b);
+  const RoutePath vh = make_path(grid, a, {{a.k, b.l}}, b);
+  return hv.cost <= vh.cost ? hv : vh;
+}
+
+inline RoutePath best_z_route(const GridGraph& grid, GridIndex a, GridIndex b,
+                              int max_candidates) {
+  RoutePath best = oracle::best_l_route(grid, a, b);
+  const int k_lo = std::min(a.k, b.k), k_hi = std::max(a.k, b.k);
+  const int l_lo = std::min(a.l, b.l), l_hi = std::max(a.l, b.l);
+  const int k_step = std::max(1, (k_hi - k_lo) / std::max(1, max_candidates));
+  for (int m = k_lo + 1; m < k_hi; m += k_step) {
+    RoutePath cand = make_path(grid, a, {{m, a.l}, {m, b.l}}, b);
+    if (cand.cost < best.cost) best = std::move(cand);
+  }
+  const int l_step = std::max(1, (l_hi - l_lo) / std::max(1, max_candidates));
+  for (int m = l_lo + 1; m < l_hi; m += l_step) {
+    RoutePath cand = make_path(grid, a, {{a.k, m}, {b.k, m}}, b);
+    if (cand.cost < best.cost) best = std::move(cand);
+  }
+  return best;
 }
 
 inline RoutePath maze_route(const GridGraph& grid, GridIndex a, GridIndex b, int window) {
@@ -96,7 +165,7 @@ inline RoutePath maze_route(const GridGraph& grid, GridIndex a, GridIndex b, int
 
   std::vector<GridIndex> reverse_path;
   int k = b.k, l = b.l;
-  if (dist[idx(k, l)] == kInf) return best_l_route(grid, a, b);
+  if (dist[idx(k, l)] == kInf) return oracle::best_l_route(grid, a, b);
   while (!(k == a.k && l == a.l)) {
     reverse_path.push_back({k, l});
     switch (parent[idx(k, l)]) {
@@ -104,7 +173,7 @@ inline RoutePath maze_route(const GridGraph& grid, GridIndex a, GridIndex b, int
       case 1: ++k; break;
       case 2: --l; break;
       case 3: ++l; break;
-      default: return best_l_route(grid, a, b);
+      default: return oracle::best_l_route(grid, a, b);
     }
   }
   reverse_path.push_back({a.k, a.l});
@@ -128,6 +197,24 @@ inline void add_rect(GridMap& map, const Rect& r, double value, bool density_mod
       if (ov > 0.0) map.at(k, l) += value * ov * inv_area;
     }
   }
+}
+
+/// DensityModel::update's charge maps as two add_rect walks per cell:
+/// total charge, then (movable cells only) movable area.
+inline std::pair<GridMap, GridMap> density_maps(const Design& design, int nx, int ny) {
+  GridMap all(nx, ny, design.core(), 0.0);
+  GridMap movable(nx, ny, design.core(), 0.0);
+  for (const Cell& cell : design.cells()) {
+    if (cell.kind == CellKind::kPad) continue;
+    const Rect r = cell.rect();
+    const double w = std::max(r.width(), all.bin_width());
+    const double h = std::max(r.height(), all.bin_height());
+    const Point c = r.center();
+    const Rect expanded{c.x - w * 0.5, c.y - h * 0.5, c.x + w * 0.5, c.y + h * 0.5};
+    add_rect(all, expanded, cell.area(), /*density_mode=*/true);
+    if (!cell.fixed) add_rect(movable, expanded, cell.area(), /*density_mode=*/true);
+  }
+  return {std::move(all), std::move(movable)};
 }
 
 /// RUDY's widened net box: the raw pin box, the pins at its extremes,
@@ -198,6 +285,51 @@ inline void rudy_backward(const Design& design, const GridMap& upstream,
       add(nb.at_xl, +d, 0.0);
     }
     if (nb.box.height() >= min_h) {
+      const double d = s / (nb.h_eff * nb.h_eff);
+      add(nb.at_yh, 0.0, -d);
+      add(nb.at_yl, 0.0, +d);
+    }
+  }
+}
+
+inline GridMap compute_pin_rudy(const Design& design, int nx, int ny) {
+  GridMap map(nx, ny, design.core(), 0.0);
+  for (const Net& net : design.nets()) {
+    if (net.degree() < 2) continue;
+    const NetBox nb = net_box(design, net, map.bin_width(), map.bin_height());
+    const double value = net.weight * (1.0 / nb.w_eff + 1.0 / nb.h_eff);
+    for (const PinId pid : net.pins) {
+      const GridIndex b = map.bin_of(design.pin_position(pid));
+      map.at(b.k, b.l) += value;
+    }
+  }
+  return map;
+}
+
+inline void pin_rudy_backward(const Design& design, const GridMap& upstream,
+                              std::vector<double>& grad_x, std::vector<double>& grad_y) {
+  for (const Net& net : design.nets()) {
+    if (net.degree() < 2) continue;
+    const NetBox nb = net_box(design, net, upstream.bin_width(), upstream.bin_height());
+    double s = 0.0;
+    for (const PinId pid : net.pins) {
+      const GridIndex b = upstream.bin_of(design.pin_position(pid));
+      s += upstream.at(b.k, b.l);
+    }
+    if (s == 0.0) continue;
+    s *= net.weight;
+    const auto add = [&](PinId pid, double gx, double gy) {
+      const CellId cid = design.pin(pid).cell;
+      if (design.cell(cid).fixed) return;
+      grad_x[static_cast<std::size_t>(cid)] += gx;
+      grad_y[static_cast<std::size_t>(cid)] += gy;
+    };
+    if (nb.box.width() >= upstream.bin_width()) {
+      const double d = s / (nb.w_eff * nb.w_eff);
+      add(nb.at_xh, -d, 0.0);
+      add(nb.at_xl, +d, 0.0);
+    }
+    if (nb.box.height() >= upstream.bin_height()) {
       const double d = s / (nb.h_eff * nb.h_eff);
       add(nb.at_yh, 0.0, -d);
       add(nb.at_yl, 0.0, +d);

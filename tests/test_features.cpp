@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "features/cell_flow.hpp"
@@ -118,6 +119,91 @@ TEST(Rudy, MatchesPerBinOracleBitwise) {
         oracle::rudy_backward(d, upstream, rx, ry);
         EXPECT_TRUE(oracle::same_bits(gx, rx)) << "with_inf " << with_inf;
         EXPECT_TRUE(oracle::same_bits(gy, ry)) << "with_inf " << with_inf;
+      }
+    }
+  }
+}
+
+/// oracle::random_design plus degree-2 nets whose two pins coincide
+/// (on movable and on fixed cells).
+Design paired_walk_design(std::uint64_t seed) {
+  Design d = oracle::random_design(seed);
+  Rng rng(seed + 7);
+  for (int j = 0; j < 12; ++j) {
+    const CellId cell = rng.uniform_int(0, static_cast<int>(d.num_cells()) - 1);
+    const NetId net = d.add_net("coincident" + std::to_string(j), j % 3 == 0 ? 2.5 : 1.0);
+    const double ox = rng.uniform(0.0, d.cell(cell).width);
+    d.add_pin(cell, net, ox, 0.5);
+    d.add_pin(cell, net, ox, 0.5);
+  }
+  return d;
+}
+
+TEST(RudyMaps, PairedWalkMatchesSeparateOraclesBitwise) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const Design d = paired_walk_design(seed);
+    for (const auto& [nx, ny] : {std::pair{32, 24}, {64, 64}, {13, 7}, {1, 1}}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << nx << "x" << ny);
+      const GridMap rudy_ref = oracle::compute_rudy(d, nx, ny);
+      const GridMap pin_ref = oracle::compute_pin_rudy(d, nx, ny);
+      GridMap rudy(nx, ny, d.core(), 0.0);
+      GridMap pin(nx, ny, d.core(), 0.0);
+      compute_rudy_maps(d, &rudy, &pin);
+      EXPECT_TRUE(oracle::same_bits(rudy.data(), rudy_ref.data()));
+      EXPECT_TRUE(oracle::same_bits(pin.data(), pin_ref.data()));
+      EXPECT_TRUE(oracle::same_bits(compute_pin_rudy(d, nx, ny).data(), pin_ref.data()));
+      const FeatureExtractor extractor(FeatureConfig{nx, ny, QuasiVoxScheme::kWeightedSum, false});
+      const FeatureFrame frame = extractor.compute(d);
+      EXPECT_TRUE(oracle::same_bits(frame.rudy.data(), rudy_ref.data()));
+      EXPECT_TRUE(oracle::same_bits(frame.pin_rudy.data(), pin_ref.data()));
+
+      // Upstream maps with zeros, −0, negatives and, in variant 1, +inf;
+      // in variant 2 RUDY's upstream is all zeros, so RUDY adds nothing
+      // and PinRUDY's zero components meet the −0 accumulators.
+      // Gradients accumulate onto buffers holding −0 and values.
+      Rng rng(seed * 977 + static_cast<std::uint64_t>(nx));
+      for (const int variant : {0, 1, 2}) {
+        SCOPED_TRACE(variant);
+        FeatureFrameGrad up{GridMap(nx, ny, d.core(), 0.0), GridMap(nx, ny, d.core(), 0.0),
+                            GridMap(nx, ny, d.core(), 0.0), GridMap(nx, ny, d.core(), 0.0)};
+        for (GridMap* map : {&up.d_rudy, &up.d_pin_rudy}) {
+          for (double& v : map->data()) {
+            v = rng.flip(0.15) ? 0.0 : rng.flip(0.15) ? -0.0 : rng.uniform(-1.0, 2.0);
+            if (variant == 1 && rng.flip(0.02)) v = std::numeric_limits<double>::infinity();
+            if (variant == 2 && map == &up.d_rudy) v = rng.flip() ? 0.0 : -0.0;
+          }
+        }
+        std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+        for (std::size_t i = 0; i < gx.size(); ++i) {
+          gx[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+          gy[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+        }
+        std::vector<double> rx = gx, ry = gy;
+        std::vector<double> px = gx, py = gy, qx = gx, qy = gy;
+        rudy_maps_backward(d, &up.d_rudy, &up.d_pin_rudy, gx, gy);
+        oracle::rudy_backward(d, up.d_rudy, rx, ry);
+        oracle::pin_rudy_backward(d, up.d_pin_rudy, rx, ry);
+        EXPECT_TRUE(oracle::same_bits(gx, rx));
+        EXPECT_TRUE(oracle::same_bits(gy, ry));
+        pin_rudy_backward(d, up.d_pin_rudy, px, py);
+        oracle::pin_rudy_backward(d, up.d_pin_rudy, qx, qy);
+        EXPECT_TRUE(oracle::same_bits(px, qx));
+        EXPECT_TRUE(oracle::same_bits(py, qy));
+
+        // FeatureExtractor::backward: zeroed per-cell sums, gathered in
+        // movable order.
+        std::vector<double> fx, fy;
+        extractor.backward(d, up, fx, fy);
+        std::vector<double> zx(d.num_cells(), 0.0), zy(d.num_cells(), 0.0);
+        oracle::rudy_backward(d, up.d_rudy, zx, zy);
+        oracle::pin_rudy_backward(d, up.d_pin_rudy, zx, zy);
+        std::vector<double> mx, my;
+        for (const CellId cid : d.movable_cells()) {
+          mx.push_back(zx[static_cast<std::size_t>(cid)]);
+          my.push_back(zy[static_cast<std::size_t>(cid)]);
+        }
+        EXPECT_TRUE(oracle::same_bits(fx, mx));
+        EXPECT_TRUE(oracle::same_bits(fy, my));
       }
     }
   }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 
 #include "netlist/generator.hpp"
 #include "oracle_loops.hpp"
@@ -116,6 +119,89 @@ TEST(Wirelength, FlatPassMatchesPerNetOracleBitwise) {
       for (std::size_t j = 0; j < d.num_nets(); j += 3) {
         d.net(static_cast<NetId>(j)).weight = rng.uniform(0.2, 4.0);
       }
+    }
+  }
+}
+
+TEST(Wirelength, PassHpwlEqualsDesignHpwlBitwise) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Design d = oracle::random_design(seed);
+    WirelengthModel model(d, d.core().width() / 32);
+    std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+    model.evaluate_with_grad(d, gx, gy);
+    EXPECT_TRUE(oracle::same_bits(model.hpwl(), d.hpwl()));
+    // A NaN coordinate on a net's first pin: net_bbox's ±inf-seeded
+    // std::min/std::max skip it, where a box seeded from the first pin
+    // would carry it.
+    for (const Net& net : d.nets()) {
+      if (net.degree() < 3) continue;
+      d.cell(d.pin(net.pins.front()).cell).x = std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+    model.evaluate(d);
+    EXPECT_TRUE(oracle::same_bits(model.hpwl(), d.hpwl()));
+    EXPECT_FALSE(std::isnan(d.hpwl()));
+  }
+}
+
+TEST(GlobalPlacer, IterationHpwlEqualsDesignHpwlBitwise) {
+  GeneratorConfig cfg;
+  cfg.num_cells = 200;
+  Design d = generate_design(cfg);
+  GlobalPlacerOptions opts;
+  opts.bin_nx = 16;
+  opts.bin_ny = 16;
+  opts.max_iterations = 60;
+  opts.min_iterations = 60;
+  opts.target_overflow = 0.0;
+  GlobalPlacer placer(d, opts);
+  int calls = 0;
+  placer.set_observer([&](const Design& design, const IterationStats& stats) {
+    ++calls;
+    EXPECT_TRUE(oracle::same_bits(stats.hpwl, design.hpwl())) << "iteration " << stats.iteration;
+  });
+  placer.run();
+  EXPECT_EQ(calls, 60);
+}
+
+/// A 64 × 48 core at x ≈ 2^57, where a coordinate's ulp is 32: on grids
+/// whose bins are narrower than 32, every cell's smoothed rectangle
+/// collapses to zero width, so the density update deposits each cell
+/// into the bin holding its center. One cell is a pad, which deposits
+/// nothing.
+Design far_offset_design() {
+  const double x0 = 144115188075855872.0;  // 2^57
+  Design d("far", Rect{x0, 0.0, x0 + 64.0, 48.0}, 1.0);
+  Rng rng(9);
+  for (int i = 0; i < 40; ++i) {
+    Cell c;
+    c.width = rng.uniform(0.5, 3.0);
+    c.height = 1.0;
+    c.x = x0 + 32.0 * rng.uniform_int(0, 1);
+    c.y = rng.uniform(0.0, 47.0);
+    c.fixed = i % 7 == 0;
+    c.kind = i == 3 ? CellKind::kPad : CellKind::kStandard;
+    d.add_cell(c);
+  }
+  return d;
+}
+
+TEST(Density, SingleWalkMatchesTwoMapOracleBitwise) {
+  // Fixed macros and standard cells, most narrower than a bin, then the
+  // degenerate-rectangle design.
+  std::vector<Design> designs;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) designs.push_back(oracle::random_design(seed));
+  designs.push_back(far_offset_design());
+  for (std::size_t di = 0; di < designs.size(); ++di) {
+    const Design& d = designs[di];
+    for (const auto& [nx, ny] : {std::pair{32, 24}, {64, 64}, {13, 7}, {1, 1}}) {
+      SCOPED_TRACE(::testing::Message() << "design " << di << ", " << nx << "x" << ny);
+      DensityModel model(d, nx, ny);
+      model.update(d);
+      const auto [all, movable] = oracle::density_maps(d, nx, ny);
+      EXPECT_TRUE(oracle::same_bits(model.density().data(), all.data()));
+      EXPECT_TRUE(oracle::same_bits(model.movable_density().data(), movable.data()));
     }
   }
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "netlist/generator.hpp"
 #include "router/congestion_eval.hpp"
 #include "router/global_router.hpp"
@@ -274,30 +278,90 @@ TEST(GridGraph, CachedCostsEqualFormulaAfterEveryMutator) {
   ASSERT_TRUE(costs_match_formula(g)) << "after clear_history";
 }
 
+/// Sets each edge's usage to a random share of its capacity in
+/// [lo, hi), so every cost lies in a narrow band above 1.
+void set_usage_shares(GridGraph& g, Rng& rng, double lo, double hi) {
+  for (int l = 0; l < g.ny(); ++l) {
+    for (int k = 0; k + 1 < g.nx(); ++k) {
+      g.add_h_usage(k, l, rng.uniform(lo, hi) * g.h_capacity(k, l) - g.h_usage(k, l));
+    }
+  }
+  for (int l = 0; l + 1 < g.ny(); ++l) {
+    for (int k = 0; k < g.nx(); ++k) {
+      g.add_v_usage(k, l, rng.uniform(lo, hi) * g.v_capacity(k, l) - g.v_usage(k, l));
+    }
+  }
+}
+
 TEST(MazeRoute, MatchesPriorityQueueOracleBitwise) {
   // Grid 0 is fresh, so every edge costs exactly 1.0 and ties are
   // everywhere: the pop order alone picks the path. Grids 1 and 2 carry
   // random usage and negotiation history, and grid 2 is not square.
+  // Grid 3 keeps every cost in [1, 2), so many nodes share a ⌊d⌋
+  // bucket. Grid 4 mixes unit edges with history above 4,096, so keys
+  // run past the bucket ring. Grid 6 spreads costs from 1 to about
+  // 6,000, so far keys enter the ring while it still holds nodes.
+  // Grid 5 blocks every track over the macro
+  // and the blockage: a used zero-capacity edge costs about 4e18, and a
+  // window crossing one needs the priority-queue fallback (distances of
+  // 2^52 and more).
   const Design d = derated_design();
-  for (int grid = 0; grid < 3; ++grid) {
+  constexpr double kBucketLimit = 4503599627370496.0;  // 2^52
+  for (int grid = 0; grid < 7; ++grid) {
     SCOPED_TRACE(grid);
     GridGraphConfig cfg;
     cfg.nx = grid == 2 ? 17 : 24;
     cfg.ny = grid == 2 ? 29 : 24;
+    if (grid == 5) cfg.macro_blockage = 1.0;
     GridGraph g(d, cfg);
     Rng rng(100 + grid);
-    if (grid == 0) {
-      ASSERT_EQ(g.h_cost(0, 0), 1.0);
-      ASSERT_EQ(g.v_cost(g.nx() - 1, g.ny() - 2), 1.0);
-    } else {
-      add_random_usage(g, rng, 3000);
-      g.accumulate_history(0.5);
-      add_random_usage(g, rng, 1000);
-      g.accumulate_history(1.25);
+    switch (grid) {
+      case 0:
+        ASSERT_EQ(g.h_cost(0, 0), 1.0);
+        ASSERT_EQ(g.v_cost(g.nx() - 1, g.ny() - 2), 1.0);
+        break;
+      case 3:
+        set_usage_shares(g, rng, 0.6, 1.02);
+        g.accumulate_history(0.125);
+        break;
+      case 4:
+        set_usage_shares(g, rng, 0.0, 1.1);
+        g.accumulate_history(4000.0);
+        add_random_usage(g, rng, 400);
+        g.accumulate_history(2500.5);
+        break;
+      case 6:
+        set_usage_shares(g, rng, 0.0, 40.0);
+        break;
+      default:
+        add_random_usage(g, rng, 3000);
+        g.accumulate_history(0.5);
+        add_random_usage(g, rng, 1000);
+        g.accumulate_history(1.25);
+        break;
+    }
+    double max_cost = 0.0, min_cost = kBucketLimit;
+    for (int l = 0; l < g.ny(); ++l) {
+      for (int k = 0; k + 1 < g.nx(); ++k) {
+        max_cost = std::max(max_cost, g.h_cost(k, l));
+        min_cost = std::min(min_cost, g.h_cost(k, l));
+      }
+    }
+    if (grid == 3) {
+      ASSERT_LT(max_cost, 2.0);
+    } else if (grid == 4) {
+      ASSERT_GT(max_cost, 4096.0);
+      ASSERT_LT(min_cost, 2.0);
+    } else if (grid == 5) {
+      ASSERT_GT(max_cost, kBucketLimit);
+    } else if (grid == 6) {
+      ASSERT_GT(max_cost, 4096.0);
+      ASSERT_LT(max_cost, 8192.0);
     }
     const auto random_gcell = [&] {
       return GridIndex{rng.uniform_int(0, g.nx() - 1), rng.uniform_int(0, g.ny() - 1)};
     };
+    int beyond_limit = 0;
     for (int trial = 0; trial < 400; ++trial) {
       GridIndex a = random_gcell();
       GridIndex b = random_gcell();
@@ -317,6 +381,10 @@ TEST(MazeRoute, MatchesPriorityQueueOracleBitwise) {
           a = {rng.uniform_int(0, 2), g.ny() - 1 - rng.uniform_int(0, 2)};
           b = {rng.uniform_int(0, 5), g.ny() - 1 - rng.uniform_int(0, 5)};
           break;
+        case 3:  // across the macro (gcells 5..10 × 5..8)
+          a = {rng.uniform_int(6, 9), rng.uniform_int(0, 3)};
+          b = {rng.uniform_int(6, 9), rng.uniform_int(10, 13)};
+          break;
         default:
           break;
       }
@@ -325,9 +393,117 @@ TEST(MazeRoute, MatchesPriorityQueueOracleBitwise) {
       const RoutePath ref = oracle::maze_route(g, a, b, window);
       ASSERT_EQ(fast.gcells, ref.gcells) << "trial " << trial;
       ASSERT_TRUE(oracle::same_bits(fast.cost, ref.cost)) << "trial " << trial;
+      if (ref.cost >= kBucketLimit) ++beyond_limit;
       if (grid != 0) commit_path(g, fast);  // later trials see the new usage
     }
+    if (grid == 5) {
+      EXPECT_GT(beyond_limit, 20) << "the fallback search was not exercised";
+    }
   }
+}
+
+TEST(MazeRoute, RejectsNegativeWindow) {
+  const Design d = empty_design();
+  const GridGraph g = make_grid(d);
+  // Adjacent pins: a window of −1 would size the search arrays to 0.
+  EXPECT_THROW(maze_route(g, {3, 3}, {4, 3}, -1), std::invalid_argument);
+}
+
+TEST(PatternRoute, MatchesPathBuildingOracleBitwise) {
+  // All-1.0 grids (ties everywhere), grids with usage and history, and
+  // a non-square one; random, straight, adjacent and single-gcell
+  // segments; several candidate counts.
+  const Design d = derated_design();
+  for (int grid = 0; grid < 3; ++grid) {
+    SCOPED_TRACE(grid);
+    GridGraphConfig cfg;
+    cfg.nx = grid == 2 ? 17 : 24;
+    cfg.ny = grid == 2 ? 29 : 24;
+    GridGraph g(d, cfg);
+    Rng rng(200 + grid);
+    if (grid != 0) {
+      add_random_usage(g, rng, 3000);
+      g.accumulate_history(0.5);
+    }
+    for (int trial = 0; trial < 300; ++trial) {
+      GridIndex a{rng.uniform_int(0, g.nx() - 1), rng.uniform_int(0, g.ny() - 1)};
+      GridIndex b{rng.uniform_int(0, g.nx() - 1), rng.uniform_int(0, g.ny() - 1)};
+      switch (trial % 5) {
+        case 0: b = a; break;       // single gcell
+        case 1: b.k = a.k; break;   // vertical
+        case 2: b.l = a.l; break;   // horizontal
+        case 3: b = {std::min(a.k + 1, g.nx() - 1), a.l}; break;  // adjacent
+        default: break;
+      }
+      const RoutePath l_fast = best_l_route(g, a, b);
+      const RoutePath l_ref = oracle::best_l_route(g, a, b);
+      ASSERT_EQ(l_fast.gcells, l_ref.gcells) << "trial " << trial;
+      ASSERT_TRUE(oracle::same_bits(l_fast.cost, l_ref.cost)) << "trial " << trial;
+      for (const int candidates : {0, 1, 2, 3, 5, 12, 16, 40}) {
+        const RoutePath fast = best_z_route(g, a, b, candidates);
+        const RoutePath ref = oracle::best_z_route(g, a, b, candidates);
+        ASSERT_EQ(fast.gcells, ref.gcells) << "trial " << trial << ", " << candidates;
+        ASSERT_TRUE(oracle::same_bits(fast.cost, ref.cost)) << "trial " << trial;
+      }
+      if (grid != 0) commit_path(g, best_z_route(g, a, b, 12));
+    }
+  }
+}
+
+TEST(GridGraph, AccumulateHistoryRejectsNegativeAmount) {
+  const Design d = empty_design();
+  GridGraph g = make_grid(d);
+  EXPECT_THROW(g.accumulate_history(-0.5), std::invalid_argument);
+}
+
+TEST(GridGraph, AccumulateHistoryRejectsNaNAmount) {
+  const Design d = empty_design();
+  GridGraph g = make_grid(d);
+  EXPECT_THROW(g.accumulate_history(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+/// Constructs a router with one field changed and returns the message it
+/// throws, or "" when it does not.
+template <typename Change>
+std::string router_rejection(Change change) {
+  const Design d = empty_design();
+  GlobalRouterConfig cfg;
+  change(cfg);
+  try {
+    GlobalRouter router(d, cfg);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(GlobalRouter, RejectsNegativeHistoryCost) {
+  const std::string msg = router_rejection([](GlobalRouterConfig& c) { c.history_cost = -0.5; });
+  EXPECT_NE(msg.find("GlobalRouterConfig::history_cost"), std::string::npos) << msg;
+  const std::string nan_msg = router_rejection([](GlobalRouterConfig& c) {
+    c.history_cost = std::numeric_limits<double>::quiet_NaN();
+  });
+  EXPECT_NE(nan_msg.find("GlobalRouterConfig::history_cost"), std::string::npos) << nan_msg;
+}
+
+TEST(GlobalRouter, RejectsNegativeMazeWindow) {
+  const std::string msg = router_rejection([](GlobalRouterConfig& c) { c.maze_window = -1; });
+  EXPECT_NE(msg.find("GlobalRouterConfig::maze_window"), std::string::npos) << msg;
+}
+
+TEST(GlobalRouter, RejectsZeroZCandidates) {
+  const std::string msg = router_rejection([](GlobalRouterConfig& c) { c.z_candidates = 0; });
+  EXPECT_NE(msg.find("GlobalRouterConfig::z_candidates"), std::string::npos) << msg;
+}
+
+TEST(GlobalRouter, AcceptsBoundaryValues) {
+  EXPECT_EQ(router_rejection([](GlobalRouterConfig& c) {
+              c.history_cost = 0.0;
+              c.maze_window = 0;
+              c.z_candidates = 1;
+            }),
+            "");
 }
 
 TEST(GlobalRouter, RoutesGeneratedDesign) {
