@@ -1,7 +1,8 @@
 // Throughput / latency benchmark for the batched inference service
 // (src/serve): requests/s and p50/p99 latency swept over worker-thread
 // count and max batch size, against the single-threaded unbatched
-// baseline. Also asserts batched outputs match sequential ones exactly.
+// baseline. Also asserts batched outputs match sequential ones exactly,
+// and times a direct eager forward against a compiled plan (src/plan).
 // Writes serve_throughput.csv.
 //
 // Knobs: LACO_SERVE_REQUESTS (default 512), LACO_SERVE_GRID (default
@@ -18,7 +19,7 @@
 #include "bench_common.hpp"
 #include "models/congestion_fcn.hpp"
 #include "obs/bench_report.hpp"
-#include "plan/plan_cache.hpp"
+#include "plan/plan.hpp"
 #include "serve/service.hpp"
 
 namespace laco::bench {
@@ -38,7 +39,6 @@ std::shared_ptr<const LacoModels> demo_models() {
 struct SweepResult {
   double rps = 0.0;
   double p50 = 0.0;
-  double p95 = 0.0;
   double p99 = 0.0;
   double mean_batch = 0.0;
   double max_err = 0.0;
@@ -71,7 +71,6 @@ SweepResult run_sweep(const std::shared_ptr<const LacoModels>& models,
   service.drain();  // futures resolve before the service's bookkeeping
   const auto latencies = service.latency_snapshot_ms();
   r.p50 = serve::percentile(latencies, 50.0);
-  r.p95 = serve::percentile(latencies, 95.0);
   r.p99 = serve::percentile(latencies, 99.0);
   r.mean_batch = service.counters().mean_batch_size();
   for (std::size_t i = 0; i < outputs.size(); ++i) {
@@ -163,40 +162,6 @@ int main() {
   report.set_metric("best_speedup", best_rps / baseline_rps);
   report.set_metric("exact_outputs", exact ? 1.0 : 0.0);
 
-  // Compiled-plan A/B (docs/PLAN.md): same service config with the plan
-  // path off (eager forwards) and on. Each mode gets a warm-up pass so
-  // the plan compile and service spin-up are off the clock; the alloc
-  // count is the nn.tensor.allocs delta over the measured pass.
-  std::cout << "\n==== compiled plans: plan-off vs plan-on (threads=4, max_batch=8) ====\n";
-  Table ptable({"plans", "req_per_s", "p50_ms", "p95_ms", "allocs_per_req", "max_abs_err"});
-  double plan_rps[2] = {0.0, 0.0};
-  bool plan_exact = true;
-  for (const bool enabled : {false, true}) {
-    plan::set_plans_enabled(enabled);
-    (void)run_sweep(models, inputs, expected, 4, 8, clients);  // warm-up
-    const std::uint64_t allocs_before = nn::tensor_alloc_count();
-    const SweepResult r = run_sweep(models, inputs, expected, 4, 8, clients);
-    const double allocs_per_req =
-        static_cast<double>(nn::tensor_alloc_count() - allocs_before) / requests;
-    plan_rps[enabled ? 1 : 0] = r.rps;
-    plan_exact = plan_exact && r.max_err == 0.0;
-    const std::string tag = enabled ? "plan_on" : "plan_off";
-    ptable.add_row({enabled ? "on" : "off", Table::fmt(r.rps, 1), Table::fmt(r.p50, 2),
-                    Table::fmt(r.p95, 2), Table::fmt(allocs_per_req, 2),
-                    Table::fmt(r.max_err, 9)});
-    report.set_metric(tag + "_rps", r.rps);
-    report.set_metric(tag + "_p50_ms", r.p50);
-    report.set_metric(tag + "_p95_ms", r.p95);
-    report.set_metric(tag + "_allocs_per_req", allocs_per_req);
-  }
-  plan::set_plans_enabled(true);
-  exact = exact && plan_exact;
-  std::cout << ptable.to_string()
-            << (plan_exact ? "plan outputs are bitwise-identical to eager ones\n"
-                           : "WARNING: plan outputs deviate from eager ones\n");
-  report.set_metric("plan_speedup", plan_rps[1] / std::max(1e-9, plan_rps[0]));
-  report.set_metric("plan_exact_outputs", plan_exact ? 1.0 : 0.0);
-
   // Direct forward A/B: one thread, no service queueing — isolates the
   // executor against the eager graph walk. Allocs/forward on the plan
   // path is exactly 1 (the output tensor); eager allocates one tensor
@@ -206,7 +171,7 @@ int main() {
     nn::Tensor batch = nn::Tensor::zeros({8, 3, grid, grid});
     for (float& v : batch.data()) v = uniform(rng);
     const auto measure = [&](const std::function<void()>& fwd) {
-      fwd();  // warm-up (plan compile / cache warm)
+      fwd();  // warm-up
       std::vector<double> lat;
       lat.reserve(static_cast<std::size_t>(direct_iters));
       const std::uint64_t allocs_before = nn::tensor_alloc_count();

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "nn/ops.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
@@ -14,13 +13,6 @@
 
 namespace laco {
 namespace {
-
-/// Registry mirror of one PenaltyStats field. The lookup takes the
-/// registry lock, but the penalty runs once per apply_every placement
-/// iterations — far off any hot path.
-obs::Counter& penalty_counter(const char* field) {
-  return obs::MetricRegistry::global().counter(std::string("laco.penalty.") + field);
-}
 
 void freeze(nn::Module& module) {
   // Conditional write: model sets handed out by serve::ModelRegistry
@@ -160,7 +152,6 @@ double CongestionPenalty::operator()(const Design& design, int iteration,
   if (traits_.uses_lookahead && !history_.ready()) return 0.0;
 
   ++stats_.applications;
-  penalty_counter("applications").add(1);
   obs::TraceSpan span("laco.penalty", "laco");
   std::vector<double> pen_gx(design.num_movable(), 0.0);
   std::vector<double> pen_gy(design.num_movable(), 0.0);
@@ -180,11 +171,9 @@ double CongestionPenalty::operator()(const Design& design, int iteration,
       loss = learned_penalty(design, pen_gx, pen_gy);
       have_loss = true;
       ++stats_.learned_applications;
-      penalty_counter("learned_applications").add(1);
       consecutive_failures_ = 0;
     } catch (const std::exception& e) {
       ++stats_.learned_failures;
-      penalty_counter("learned_failures").add(1);
       ++consecutive_failures_;
       LACO_LOG_WARN << "CongestionPenalty: learned penalty failed at iteration " << iteration
                     << " (" << e.what() << "); using analytic RUDY fallback";
@@ -192,7 +181,6 @@ double CongestionPenalty::operator()(const Design& design, int iteration,
         degraded_remaining_ = std::max(1, config_.reprobe_after);
         consecutive_failures_ = 0;
         ++stats_.degradations;
-        penalty_counter("degradations").add(1);
         LACO_LOG_WARN << "CongestionPenalty: " << config_.degrade_threshold
                       << " consecutive failures; degrading to analytic penalty for "
                       << degraded_remaining_ << " applications before re-probing";
@@ -204,7 +192,6 @@ double CongestionPenalty::operator()(const Design& design, int iteration,
   }
   if (!have_loss) {
     ++stats_.analytic_fallbacks;
-    penalty_counter("analytic_fallbacks").add(1);
     loss = analytic_penalty(design, pen_gx, pen_gy);
   }
   add_scaled(design, pen_gx, pen_gy, grad_x, grad_y);

@@ -1,19 +1,9 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
-
-#include "util/check.hpp"
 
 namespace laco::obs {
 namespace {
-
-/// Default bounds for histogram() without explicit bounds: 0.05 ms to
-/// ~52 s stepping ×2 — wide enough for both sub-millisecond batched
-/// forwards and multi-second placement phases.
-std::vector<double> default_latency_bounds() {
-  return Histogram::exponential_bounds(0.05, 50'000.0, 2.0);
-}
 
 std::string fmt_double(double v) {
   char buf[32];
@@ -23,105 +13,14 @@ std::string fmt_double(double v) {
 
 }  // namespace
 
-double HistogramSnapshot::percentile(double p) const {
-  if (total == 0) return 0.0;
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  // Continuous target rank in [0, total]; interpolate within the bucket
-  // where the cumulative count crosses it.
-  const double rank = clamped / 100.0 * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) {
-      continue;
-    }
-    const double before = static_cast<double>(cumulative);
-    cumulative += counts[i];
-    if (static_cast<double>(cumulative) >= rank) {
-      const double lo = i == 0 ? min : bounds[i - 1];
-      const double hi = i < bounds.size() ? bounds[i] : max;
-      const double fraction =
-          counts[i] == 0 ? 0.0 : (rank - before) / static_cast<double>(counts[i]);
-      const double value = lo + (hi - lo) * fraction;
-      return std::clamp(value, min, max);
-    }
-  }
-  return max;
-}
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1, 0) {
-  LACO_CHECK(!bounds_.empty());
-  LACO_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
-}
-
-void Histogram::observe(double value) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  const std::size_t bucket = static_cast<std::size_t>(it - bounds_.begin());
-  MutexLock lock(mutex_);
-  ++counts_[bucket];
-  sum_ += value;
-  if (total_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++total_;
-}
-
-HistogramSnapshot Histogram::snapshot() const {
-  HistogramSnapshot s;
-  s.bounds = bounds_;
-  MutexLock lock(mutex_);
-  s.counts = counts_;
-  s.total = total_;
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
-  return s;
-}
-
-void Histogram::reset() {
-  MutexLock lock(mutex_);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
-std::vector<double> Histogram::exponential_bounds(double lo, double hi, double factor) {
-  LACO_CHECK(lo > 0.0);
-  LACO_CHECK(factor > 1.0);
-  std::vector<double> bounds;
-  for (double b = lo; ; b *= factor) {
-    bounds.push_back(b);
-    if (b >= hi) break;
-  }
-  return bounds;
-}
-
 Json MetricsSnapshot::to_json() const {
   Json counters_json = Json::object();
   for (const auto& [name, value] : counters) counters_json[name] = value;
   Json gauges_json = Json::object();
   for (const auto& [name, value] : gauges) gauges_json[name] = value;
-  Json histograms_json = Json::object();
-  for (const auto& [name, h] : histograms) {
-    Json entry = Json::object();
-    entry["count"] = h.total;
-    entry["mean"] = h.mean();
-    entry["min"] = h.min;
-    entry["max"] = h.max;
-    entry["p50"] = h.percentile(50.0);
-    entry["p95"] = h.percentile(95.0);
-    entry["p99"] = h.percentile(99.0);
-    histograms_json[name] = std::move(entry);
-  }
   Json out = Json::object();
   out["counters"] = std::move(counters_json);
   out["gauges"] = std::move(gauges_json);
-  out["histograms"] = std::move(histograms_json);
   return out;
 }
 
@@ -135,12 +34,6 @@ std::string MetricsSnapshot::to_string(const std::string& prefix) const {
   }
   for (const auto& [name, value] : gauges) {
     if (matches(name)) out += name + " = " + fmt_double(value) + "\n";
-  }
-  for (const auto& [name, h] : histograms) {
-    if (!matches(name)) continue;
-    out += name + " = count " + std::to_string(h.total) + ", mean " + fmt_double(h.mean()) +
-           ", p50 " + fmt_double(h.percentile(50.0)) + ", p95 " + fmt_double(h.percentile(95.0)) +
-           ", p99 " + fmt_double(h.percentile(99.0)) + "\n";
   }
   return out;
 }
@@ -159,22 +52,11 @@ Gauge& MetricRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricRegistry::histogram(const std::string& name, std::vector<double> bounds) {
-  MutexLock lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) {
-    slot = std::make_unique<Histogram>(bounds.empty() ? default_latency_bounds()
-                                                      : std::move(bounds));
-  }
-  return *slot;
-}
-
 MetricsSnapshot MetricRegistry::snapshot() const {
   MetricsSnapshot s;
   MutexLock lock(mutex_);
   for (const auto& [name, c] : counters_) s.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) s.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) s.histograms[name] = h->snapshot();
   return s;
 }
 
@@ -182,7 +64,6 @@ void MetricRegistry::reset() {
   MutexLock lock(mutex_);
   for (const auto& [name, c] : counters_) c->reset();
   for (const auto& [name, g] : gauges_) g->reset();
-  for (const auto& [name, h] : histograms_) h->reset();
 }
 
 MetricRegistry& MetricRegistry::global() {

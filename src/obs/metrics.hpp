@@ -1,18 +1,15 @@
-// Thread-safe metric registry — the one place every subsystem reports
-// its telemetry (docs/OBSERVABILITY.md). Three instrument kinds:
+// Thread-safe metric registry for telemetry that has no struct of its
+// own (docs/OBSERVABILITY.md). Two instrument kinds:
 //
-//   * Counter   — monotonically increasing uint64 (requests, failures);
-//   * Gauge     — last-write-wins double (queue depth, in-flight);
-//   * Histogram — fixed-bucket distribution with p50/p95/p99 estimated
-//                 by linear interpolation within the bucket (latency,
-//                 batch occupancy).
+//   * Counter — monotonically increasing uint64 (allocations, calls);
+//   * Gauge   — last-write-wins double, plus a high-water mark.
 //
 // Instruments are created on first use and live for the registry's
-// lifetime, so references returned by counter()/gauge()/histogram() are
-// stable and may be cached in hot paths (serve::InferenceService does).
-// Counters and gauges are lock-free atomics; histograms and the name
-// maps are LACO_GUARDED_BY-annotated mutexes, proven by the clang
-// -Wthread-safety CI job (docs/STATIC_ANALYSIS.md).
+// lifetime, so references returned by counter()/gauge() are stable and
+// may be cached in hot paths (nn.tensor.allocs does). Counters and
+// gauges are lock-free atomics; the name maps sit behind a
+// LACO_GUARDED_BY-annotated mutex, proven by the clang -Wthread-safety
+// CI job (docs/STATIC_ANALYSIS.md).
 #pragma once
 
 #include <atomic>
@@ -20,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/json.hpp"
 #include "util/mutex.hpp"
@@ -58,54 +54,12 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Point-in-time copy of a histogram; percentile() interpolates
-/// linearly inside the bucket containing the target rank, clamped to
-/// the observed [min, max]. The error bound is therefore one bucket
-/// width (tested against a sorted-vector oracle in test_properties).
-struct HistogramSnapshot {
-  std::vector<double> bounds;         ///< finite upper bucket bounds, ascending
-  std::vector<std::uint64_t> counts;  ///< bounds.size()+1 entries; last = overflow
-  std::uint64_t total = 0;
-  double sum = 0.0;
-  double min = 0.0;  ///< observed extrema (0 when total == 0)
-  double max = 0.0;
-
-  double mean() const { return total == 0 ? 0.0 : sum / static_cast<double>(total); }
-  double percentile(double p) const;  ///< p in [0, 100]
-};
-
-/// Fixed-bucket histogram. Bucket i counts values <= bounds[i] (first
-/// matching bound); an implicit overflow bucket counts the rest.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double value) LACO_EXCLUDES(mutex_);
-  HistogramSnapshot snapshot() const LACO_EXCLUDES(mutex_);
-  void reset() LACO_EXCLUDES(mutex_);
-
-  /// Geometric bucket bounds from `lo` up to at least `hi`, stepping by
-  /// `factor` — the standard latency layout (e.g. 0.05ms … 50s, ×2).
-  static std::vector<double> exponential_bounds(double lo, double hi, double factor = 2.0);
-
- private:
-  const std::vector<double> bounds_;
-  mutable Mutex mutex_;
-  std::vector<std::uint64_t> counts_ LACO_GUARDED_BY(mutex_);
-  std::uint64_t total_ LACO_GUARDED_BY(mutex_) = 0;
-  double sum_ LACO_GUARDED_BY(mutex_) = 0.0;
-  double min_ LACO_GUARDED_BY(mutex_) = 0.0;
-  double max_ LACO_GUARDED_BY(mutex_) = 0.0;
-};
-
 /// Everything the registry knows, copied at one instant.
 struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
 
-  /// {"counters": {...}, "gauges": {...}, "histograms": {name:
-  /// {"count", "mean", "min", "max", "p50", "p95", "p99"}}}.
+  /// {"counters": {...}, "gauges": {...}}.
   Json to_json() const;
   /// Human-readable lines ("name = value"), for CLI stats dumps.
   /// `prefix` filters to metric names starting with it.
@@ -119,12 +73,9 @@ class MetricRegistry {
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
   /// Get-or-create by name. The returned reference is stable for the
-  /// registry's lifetime. For histogram(), `bounds` applies only on
-  /// first creation (empty = default exponential latency bounds).
+  /// registry's lifetime.
   Counter& counter(const std::string& name) LACO_EXCLUDES(mutex_);
   Gauge& gauge(const std::string& name) LACO_EXCLUDES(mutex_);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds = {})
-      LACO_EXCLUDES(mutex_);
 
   MetricsSnapshot snapshot() const LACO_EXCLUDES(mutex_);
 
@@ -139,7 +90,6 @@ class MetricRegistry {
   mutable Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_ LACO_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ LACO_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_ LACO_GUARDED_BY(mutex_);
 };
 
 }  // namespace laco::obs

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "placer/nesterov.hpp"
 #include "placer/snapshot.hpp"
@@ -15,11 +14,6 @@
 
 namespace laco {
 namespace {
-
-/// Registry mirror for watchdog/rollback events (docs/OBSERVABILITY.md).
-obs::Counter& recovery_counter(const char* field) {
-  return obs::MetricRegistry::global().counter(std::string("placer.recovery.") + field);
-}
 
 bool all_finite(const std::vector<double>& a, const std::vector<double>& b) {
   for (const double v : a) {
@@ -172,7 +166,6 @@ PlacementResult GlobalPlacer::run() {
       rollback_damp = snap->rollback_damp;
       last_rollback_iter = snap->last_rollback_iter;
       result.recovery.resumed_from_iteration = snap->iteration;
-      recovery_counter("resumes").add(1);
       LACO_LOG_INFO << design_.name() << " resumed from snapshot at iteration " << iter;
       last_good = std::move(*snap);
     } else {
@@ -188,11 +181,9 @@ PlacementResult GlobalPlacer::run() {
 
   const auto handle_divergence = [&](const std::string& reason) {
     ++result.recovery.watchdog_trips;
-    recovery_counter("watchdog_trips").add(1);
     LACO_LOG_WARN << design_.name() << " divergence at iteration " << iter << ": " << reason;
     if (!last_good ||
         result.recovery.rollbacks >= static_cast<std::uint64_t>(rec.max_rollbacks)) {
-      recovery_counter("failures").add(1);
       throw PlacementDivergedError(
           design_.name() + ": placement diverged at iteration " + std::to_string(iter) + " (" +
               reason + ")" +
@@ -202,7 +193,6 @@ PlacementResult GlobalPlacer::run() {
     }
     restore_loop_state(*last_good);
     ++result.recovery.rollbacks;
-    recovery_counter("rollbacks").add(1);
     // Compound the damping: the restored snapshot carries the step scale
     // it was captured with, so re-applying a single damp() would replay
     // the exact diverging trajectory on every retry.
@@ -332,7 +322,6 @@ PlacementResult GlobalPlacer::run() {
       rollback_damp = std::min(1.0, rollback_damp / rec.damp_factor);
       last_rollback_iter = iter;
       ++result.recovery.step_scale_relaxes;
-      recovery_counter("step_scale_relaxes").add(1);
       LACO_LOG_INFO << design_.name() << " relaxed step scale to " << optimizer.step_scale()
                     << " after " << rec.recover_window << " healthy iterations";
     }

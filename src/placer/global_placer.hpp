@@ -59,8 +59,9 @@ struct PlacerRecoveryOptions {
   int recover_window = 25;
 };
 
-/// Snapshot/rollback counters for one run(), mirrored into the
-/// `placer.snapshot.*` / `placer.recovery.*` metrics.
+/// Snapshot/rollback counters for one run() — the one record of its
+/// watchdog and rollback events (the snapshot store's own I/O counts
+/// are the `placer.snapshot.*` metrics).
 struct PlacerRecoveryStats {
   /// Snapshots handed to the store's background writer (latest-wins:
   /// a capture superseded before its write started produces no file).

@@ -5,44 +5,9 @@
 #include <stdexcept>
 
 #include "nn/ops.hpp"
-#include "plan/plan_cache.hpp"
 #include "util/failpoint.hpp"
 
 namespace laco::serve {
-
-namespace {
-
-/// Compiled-plan fast path for one stacked batch: looks up (or
-/// compiles) the plan for this (network, kind, shape) and replays it.
-/// Returns an undefined tensor when plans are disabled or compilation
-/// fell back (unsupported op) — the caller then runs eagerly.
-nn::Tensor try_plan_forward(const LacoModels& models,
-                            const std::shared_ptr<const LacoModels>& anchor, ModelKind kind,
-                            const nn::Tensor& stacked) {
-  if (!plan::plans_enabled()) return nn::Tensor();
-  const void* identity = kind == ModelKind::kCongestion
-                             ? static_cast<const void*>(models.congestion.get())
-                             : static_cast<const void*>(models.lookahead.get());
-  plan::PlanKey key{identity, static_cast<int>(kind), plan::shape_signature({stacked})};
-  auto plan_ptr = plan::shared_plan_cache().get_or_compile(
-      key, std::static_pointer_cast<const void>(anchor), [&]() {
-        return plan::compile(
-            [&models, kind](const std::vector<nn::Tensor>& in) {
-              nn::NoGradGuard guard;  // compile() guards too; keep it explicit
-              return kind == ModelKind::kCongestion
-                         ? models.congestion->forward(in[0])
-                         : models.lookahead->forward(in[0]).prediction;
-            },
-            {stacked});
-      });
-  if (!plan_ptr) return nn::Tensor();
-  // Per-worker workspace: reused across batches, so steady-state plan
-  // forwards allocate only the output tensor.
-  thread_local plan::Workspace workspace;
-  return plan_ptr->run({stacked}, workspace);
-}
-
-}  // namespace
 
 const char* to_string(ModelKind kind) {
   switch (kind) {
@@ -63,10 +28,6 @@ Batcher::BucketKey Batcher::key_of(const BatchItem& item) {
 }
 
 std::optional<Batch> Batcher::add(BatchItem item) {
-  if (!item.input.defined() || item.input.shape().size() != 4 || item.input.dim(0) != 1) {
-    throw std::invalid_argument("Batcher::add: input must be a [1, C, H, W] tensor");
-  }
-  if (!item.models) throw std::invalid_argument("Batcher::add: null model set");
   auto& bucket = buckets_[key_of(item)];
   bucket.push_back(std::move(item));
   ++pending_;
@@ -127,9 +88,6 @@ nn::Tensor forward_batch(const Batch& batch) {
   if (kind == ModelKind::kLookAhead && !models.lookahead) {
     throw std::runtime_error("forward_batch: model set has no g");
   }
-
-  nn::Tensor planned = try_plan_forward(models, batch.items.front().models, kind, stacked);
-  if (planned.defined()) return planned;
 
   if (kind == ModelKind::kCongestion) return models.congestion->forward(stacked);
   return models.lookahead->forward(stacked).prediction;

@@ -66,7 +66,9 @@ class Batcher {
   explicit Batcher(BatcherConfig config);
 
   /// Adds an item to its bucket; returns the bucket as a full batch when
-  /// it reaches max_batch, std::nullopt otherwise.
+  /// it reaches max_batch, std::nullopt otherwise. The item must carry a
+  /// model set and a [1, C, H, W] input (InferenceService::submit
+  /// rejects anything else before it is counted).
   std::optional<Batch> add(BatchItem item);
 
   /// Cuts every bucket whose oldest item has waited ≥ max_linger_ms as

@@ -20,14 +20,6 @@ void freeze(const nn::Module& module) {
   }
 }
 
-/// Drops compiled plans keyed on a model set's networks. Called on
-/// eviction/clear so a later load reusing the heap address can never
-/// resolve to a stale plan.
-void invalidate_plans(const LacoModels& models) {
-  if (models.congestion) plan::shared_plan_cache().invalidate(models.congestion.get());
-  if (models.lookahead) plan::shared_plan_cache().invalidate(models.lookahead.get());
-}
-
 /// Copies parameter values src → dst positionally. Both nets were built
 /// from the same config, so parameters() walks the same module tree in
 /// the same depth-first order; a count or shape mismatch is a bug.
@@ -148,7 +140,6 @@ RegistryStats ModelRegistry::stats() const {
 
 void ModelRegistry::clear() {
   MutexLock lock(mutex_);
-  for (const auto& [dir, entry] : entries_) invalidate_plans(*entry.models);
   entries_.clear();
   lru_.clear();
   stats_.resident_models = 0;
@@ -161,7 +152,6 @@ void ModelRegistry::enforce_budget_locked() {
     lru_.pop_back();
     const auto it = entries_.find(victim);
     stats_.resident_bytes -= it->second.bytes;
-    invalidate_plans(*it->second.models);
     entries_.erase(it);
     ++stats_.evictions;
   }

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "laco/congestion_penalty.hpp"
-#include "plan/plan_cache.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -46,8 +45,8 @@ std::size_t model_footprint_bytes(const LacoModels& models);
 /// Deep-copies a model set: fresh networks rebuilt from each source
 /// net's config with the source's parameter values copied in, frozen
 /// (requires_grad = false) before publishing. The clone has DISTINCT
-/// pointer identity from the source, so its batcher buckets and
-/// compiled-plan cache entries never alias the source's. Use it to
+/// pointer identity from the source, so its batcher buckets never
+/// alias the source's. Use it to
 /// serve a set loaded outside the registry without freezing the
 /// caller's copy.
 std::shared_ptr<const LacoModels> clone_frozen(const LacoModels& src);
@@ -68,12 +67,6 @@ class ModelRegistry {
 
   /// Drops every cached entry (in-flight shared_ptrs stay valid).
   void clear() LACO_EXCLUDES(mutex_);
-
-  /// The compiled-plan cache hanging off this registry: plans for a
-  /// model set are invalidated when the set is evicted or cleared, so
-  /// a reloaded model can never hit a stale plan via pointer reuse.
-  /// (Process-wide: all registries share plan::shared_plan_cache().)
-  plan::PlanCache& plan_cache() const { return plan::shared_plan_cache(); }
 
   const RegistryConfig& config() const { return config_; }
 

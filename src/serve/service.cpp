@@ -21,32 +21,14 @@ ServiceConfig ServiceConfig::validated() const {
   // Soft knobs clamp to safe minimums. A zero linger would make the
   // flusher (which sleeps max_linger_ms / 2 per tick) spin.
   v.num_threads = std::max(1, v.num_threads);
-  v.queue_capacity = std::max<std::size_t>(1, v.queue_capacity);
   v.batcher.max_batch = std::max(1, v.batcher.max_batch);
   v.batcher.max_linger_ms = std::max(kMinLingerMs, v.batcher.max_linger_ms);
-  v.latency_reservoir = std::max<std::size_t>(1, v.latency_reservoir);
   return v;
 }
 
-ServiceMetrics::ServiceMetrics(obs::MetricRegistry& registry)
-    : requests(registry.counter("serve.requests")),
-      completed(registry.counter("serve.completed")),
-      batches(registry.counter("serve.batches")),
-      batched_items(registry.counter("serve.batched_items")),
-      failed_batches(registry.counter("serve.failed_batches")),
-      deadline_expired(registry.counter("serve.deadline_expired")),
-      shed(registry.counter("serve.shed")),
-      in_flight(registry.gauge("serve.in_flight")),
-      max_in_flight(registry.gauge("serve.max_in_flight")),
-      latency_ms(registry.histogram("serve.latency_ms")),
-      batch_size(registry.histogram(
-          "serve.batch_size",
-          obs::Histogram::exponential_bounds(1.0, 1024.0, 2.0))) {}
-
 InferenceService::InferenceService(ServiceConfig config)
     : config_(config.validated()),
-      metrics_(obs::MetricRegistry::global()),
-      pool_(config_.num_threads, config_.queue_capacity),
+      pool_(config_.num_threads, kPoolQueueCapacity),
       batcher_(config_.batcher) {
   flusher_ = std::thread([this] { flusher_loop(); });
 }
@@ -66,6 +48,12 @@ std::future<nn::Tensor> InferenceService::submit(std::shared_ptr<const LacoModel
                                                  ModelKind kind,
                                                  nn::Tensor input,  // analyze-ok(tensor-by-value): sink
                                                  int tag) {
+  // Reject a malformed request before it is counted: one counted in
+  // flight that never reaches the batcher would block drain() forever.
+  if (!models) throw std::invalid_argument("InferenceService::submit: null model set");
+  if (!input.defined() || input.shape().size() != 4 || input.dim(0) != 1) {
+    throw std::invalid_argument("InferenceService::submit: input must be a [1, C, H, W] tensor");
+  }
   const auto now = std::chrono::steady_clock::now();
   BatchItem item;
   item.models = std::move(models);
@@ -85,15 +73,12 @@ std::future<nn::Tensor> InferenceService::submit(std::shared_ptr<const LacoModel
     MutexLock lock(mutex_);
     if (stopping_) throw std::runtime_error("InferenceService::submit after shutdown");
     ++counters_.requests;
-    metrics_.requests.add(1);
 
     // Admission: at the in-flight bound the request fails now instead
     // of queueing behind work that already fills the service.
     if (config_.queue_limit > 0 && counters_.in_flight >= config_.queue_limit) {
       ++counters_.shed;
       ++counters_.completed;
-      metrics_.shed.add(1);
-      metrics_.completed.add(1);
       item.result.set_exception(std::make_exception_ptr(
           ShedError("InferenceService: request shed, queue_limit (" +
                     std::to_string(config_.queue_limit) + ") requests already in flight")));
@@ -110,8 +95,6 @@ std::future<nn::Tensor> InferenceService::submit(std::shared_ptr<const LacoModel
 
     ++counters_.in_flight;
     counters_.max_in_flight = std::max(counters_.max_in_flight, counters_.in_flight);
-    metrics_.in_flight.set(static_cast<double>(counters_.in_flight));
-    metrics_.max_in_flight.record_max(static_cast<double>(counters_.max_in_flight));
     full = batcher_.add(std::move(item));
   }
   if (full) enqueue(std::move(*full));
@@ -123,9 +106,6 @@ void InferenceService::enqueue(Batch batch) {
     MutexLock lock(mutex_);
     ++counters_.batches;
     counters_.batched_items += batch.items.size();
-    metrics_.batches.add(1);
-    metrics_.batched_items.add(batch.items.size());
-    metrics_.batch_size.observe(static_cast<double>(batch.items.size()));
   }
   // The pool applies backpressure: submit blocks while its queue is
   // full. Never call this while holding mutex_ — workers need it to
@@ -205,11 +185,10 @@ void InferenceService::execute(Batch batch) {
     for (const Batch* part : {&expired, &live}) {
       for (const BatchItem& item : part->items) {
         const double ms = latency_of(item);
-        metrics_.latency_ms.observe(ms);
-        if (latencies_ms_.size() < config_.latency_reservoir) {
+        if (latencies_ms_.size() < kLatencyReservoir) {
           latencies_ms_.push_back(ms);
         } else {
-          latencies_ms_[latency_next_ % config_.latency_reservoir] = ms;
+          latencies_ms_[latency_next_ % kLatencyReservoir] = ms;
         }
         ++latency_next_;
       }
@@ -217,13 +196,7 @@ void InferenceService::execute(Batch batch) {
     counters_.completed += n;
     counters_.in_flight -= n;
     counters_.deadline_expired += expired.items.size();
-    metrics_.completed.add(n);
-    metrics_.in_flight.set(static_cast<double>(counters_.in_flight));
-    metrics_.deadline_expired.add(expired.items.size());
-    if (!live.items.empty() && !succeeded) {
-      ++counters_.failed_batches;
-      metrics_.failed_batches.add(1);
-    }
+    if (!live.items.empty() && !succeeded) ++counters_.failed_batches;
   }
   drained_.notify_all();
 }

@@ -8,10 +8,10 @@
 //                                                                          └─▶ execute ─▶ futures
 //
 // A flusher thread wakes every max_linger_ms/2 to cut aged partial
-// batches, so a lone request is never stranded. Counters track
-// requests, batches, occupancy, queue depth, and per-request latency
-// (submit → result set); latency percentiles are computed from a
-// bounded reservoir of recent requests.
+// batches, so a lone request is never stranded. ServiceCounters is the
+// one record of requests, batches, occupancy and queue depth; per-
+// request latency (submit → result set) is kept in a bounded reservoir
+// of recent requests, from which percentiles are computed.
 //
 // Fault tolerance (docs/RELIABILITY.md): every future resolves — with
 // the result, or with a typed error — never hangs. Admission is one
@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -72,9 +71,7 @@ using CompletionHook = std::function<void(const CompletionInfo&)>;
 
 struct ServiceConfig {
   int num_threads = 4;              ///< worker pool size
-  std::size_t queue_capacity = 256; ///< bounded batch queue (backpressure)
   BatcherConfig batcher;
-  std::size_t latency_reservoir = 1 << 14;  ///< retained latency samples
 
   // Reliability knobs (docs/RELIABILITY.md).
   double deadline_ms = 0.0;        ///< per-request deadline; 0 = none
@@ -116,29 +113,11 @@ struct ServiceCounters {
   }
 };
 
-/// Registry-backed mirrors of ServiceCounters plus latency / batch-size
-/// histograms, published under the "serve." prefix so CLI stats dumps
-/// and tests observe live service telemetry without touching the
-/// service's lock (docs/OBSERVABILITY.md). References are stable for
-/// the registry's lifetime; counters/gauges are lock-free.
-struct ServiceMetrics {
-  explicit ServiceMetrics(obs::MetricRegistry& registry);
-
-  obs::Counter& requests;
-  obs::Counter& completed;
-  obs::Counter& batches;
-  obs::Counter& batched_items;
-  obs::Counter& failed_batches;
-  obs::Counter& deadline_expired;
-  obs::Counter& shed;
-  obs::Gauge& in_flight;
-  obs::Gauge& max_in_flight;
-  obs::Histogram& latency_ms;   ///< submit → result, per request
-  obs::Histogram& batch_size;   ///< items per executed forward pass
-};
-
 class InferenceService {
  public:
+  /// Recent request latencies kept for latency_snapshot_ms().
+  static constexpr std::size_t kLatencyReservoir = 1 << 14;
+
   explicit InferenceService(ServiceConfig config = {});
   /// Drains outstanding work, then stops the flusher and the pool.
   ~InferenceService();
@@ -152,6 +131,8 @@ class InferenceService {
   /// future yields the [1, C_out, H, W] output or a typed error
   /// (serve/errors.hpp) — it always resolves, even under faults. At
   /// queue_limit it is returned already failed with ShedError.
+  /// A null model set or an input that is not [1, C, H, W] throws
+  /// std::invalid_argument here, before the request is counted.
   /// `tag` is an opaque caller value echoed in CompletionInfo.
   std::future<nn::Tensor> submit(std::shared_ptr<const LacoModels> models, ModelKind kind,
                                  nn::Tensor input,  // analyze-ok(tensor-by-value): sink, moved into the batch
@@ -163,13 +144,17 @@ class InferenceService {
 
   ServiceCounters counters() const LACO_EXCLUDES(mutex_);
 
-  /// Latency (ms, submit → result) of up to `latency_reservoir` recent
+  /// Latency (ms, submit → result) of up to kLatencyReservoir recent
   /// requests, unordered. Use `percentile` for p50/p99.
   std::vector<double> latency_snapshot_ms() const LACO_EXCLUDES(mutex_);
 
   const ServiceConfig& config() const { return config_; }
 
  private:
+  /// Batches the worker pool may hold queued; enqueue blocks beyond it
+  /// (backpressure).
+  static constexpr std::size_t kPoolQueueCapacity = 256;
+
   /// Counts the batch and hands it to the pool. Callers must NOT hold
   /// mutex_: the pool's bounded queue blocks, and workers take mutex_.
   void enqueue(Batch batch) LACO_EXCLUDES(mutex_);
@@ -177,9 +162,6 @@ class InferenceService {
   void flusher_loop() LACO_EXCLUDES(mutex_);
 
   ServiceConfig config_;
-  /// Lock-free registry mirrors updated alongside counters_ at every
-  /// site; readable without mutex_ (CLI stats dumps, tests).
-  ServiceMetrics metrics_;
   ThreadPool pool_;
   mutable Mutex mutex_;
   CondVar drained_;

@@ -37,7 +37,6 @@
 #include "laco/laco_placer.hpp"
 #include "netlist/generator.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace laco {
 namespace {
@@ -167,14 +166,7 @@ TEST(GoldenE2E, DeterministicAcrossRuns) {
 }
 
 TEST(GoldenE2E, PenaltyScheduleIsExact) {
-  // 80 iterations, start 30, every 10 → exactly 5 learned applications,
-  // and the registry mirror (laco.penalty.*) agrees with PenaltyStats.
-  obs::Counter& apps = obs::MetricRegistry::global().counter("laco.penalty.applications");
-  obs::Counter& learned =
-      obs::MetricRegistry::global().counter("laco.penalty.learned_applications");
-  const std::uint64_t apps0 = apps.value();
-  const std::uint64_t learned0 = learned.value();
-
+  // 80 iterations, start 30, every 10 → exactly 5 learned applications.
   const LacoRunResult r = run_once();
   EXPECT_EQ(r.placement.iterations, kIterations);
   EXPECT_EQ(r.penalty_stats.applications, 5u);
@@ -182,8 +174,6 @@ TEST(GoldenE2E, PenaltyScheduleIsExact) {
   EXPECT_EQ(r.penalty_stats.learned_failures, 0u);
   EXPECT_EQ(r.penalty_stats.analytic_fallbacks, 0u);
   EXPECT_EQ(r.penalty_stats.degradations, 0u);
-  EXPECT_EQ(apps.value() - apps0, r.penalty_stats.applications);
-  EXPECT_EQ(learned.value() - learned0, r.penalty_stats.learned_applications);
 }
 
 TEST(GoldenE2E, MatchesGolden) {

@@ -1,9 +1,8 @@
 // Tests for the compiled inference plan subsystem (src/plan):
 // bitwise plan-vs-eager equality across every zoo model kind and
-// several shapes, arena liveness (no live buffers overlap), the
-// shape-keyed PlanCache (LRU, hit/miss counters, negative caching,
-// coalescing), concurrent execution, eager fallback on unsupported
-// ops, and the allocation-free executor contract (nn.tensor.allocs).
+// several shapes, arena liveness (no live buffers overlap), concurrent
+// execution, eager fallback on unsupported ops, and the
+// allocation-free executor contract (nn.tensor.allocs).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,8 +16,6 @@
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
 #include "plan/plan.hpp"
-#include "plan/plan_cache.hpp"
-#include "serve/batcher.hpp"
 #include "train/scheme.hpp"
 
 namespace laco {
@@ -293,152 +290,6 @@ TEST(PlanCompile, ThrowingFnFailsCleanly) {
       {x});
   EXPECT_EQ(compiled.plan, nullptr);
   EXPECT_NE(compiled.error.find("boom"), std::string::npos) << compiled.error;
-}
-
-// --------------------------------------------------------------- PlanCache
-
-plan::CompileResult tiny_add_plan(const nn::Tensor& x) {
-  return plan::compile(
-      [](const std::vector<nn::Tensor>& in) { return nn::add(in[0], in[0]); }, {x});
-}
-
-TEST(PlanCache, CountsHitsAndMisses) {
-  plan::PlanCache cache;
-  const nn::Tensor x = random_input({1, 2, 4, 4}, 1);
-  const auto anchor = std::make_shared<int>(0);
-  plan::PlanKey key{anchor.get(), 0, plan::shape_signature({x})};
-  int compiles = 0;
-  const auto compile_fn = [&] {
-    ++compiles;
-    return tiny_add_plan(x);
-  };
-  const auto p1 = cache.get_or_compile(key, anchor, compile_fn);
-  const auto p2 = cache.get_or_compile(key, anchor, compile_fn);
-  ASSERT_NE(p1, nullptr);
-  EXPECT_EQ(p1, p2);
-  EXPECT_EQ(compiles, 1);
-  const plan::PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.size, 1u);
-}
-
-TEST(PlanCache, EvictsLeastRecentlyUsed) {
-  plan::PlanCache cache(plan::PlanCacheConfig{2});
-  const nn::Tensor x = random_input({1, 2, 4, 4}, 1);
-  const auto anchor = std::make_shared<int>(0);
-  const auto compile_fn = [&] { return tiny_add_plan(x); };
-  const auto key = [&](int variant) {
-    return plan::PlanKey{anchor.get(), variant, plan::shape_signature({x})};
-  };
-  (void)cache.get_or_compile(key(0), anchor, compile_fn);
-  (void)cache.get_or_compile(key(1), anchor, compile_fn);
-  (void)cache.get_or_compile(key(0), anchor, compile_fn);  // refresh 0: LRU is now 1
-  (void)cache.get_or_compile(key(2), anchor, compile_fn);  // evicts 1
-  plan::PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.size, 2u);
-  EXPECT_EQ(stats.misses, 3u);
-  // Key 1 was the victim: asking for it again recompiles (and in turn
-  // evicts key 0, the new LRU) …
-  (void)cache.get_or_compile(key(1), anchor, compile_fn);
-  EXPECT_EQ(cache.stats().misses, 4u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  // … while key 2 (still recent) survived.
-  const std::uint64_t hits_before = cache.stats().hits;
-  (void)cache.get_or_compile(key(2), anchor, compile_fn);
-  EXPECT_EQ(cache.stats().hits, hits_before + 1);
-}
-
-TEST(PlanCache, NegativelyCachesFailedCompiles) {
-  plan::PlanCache cache;
-  const nn::Tensor x = random_input({1, 2, 4, 4}, 1);
-  const auto anchor = std::make_shared<int>(0);
-  plan::PlanKey key{anchor.get(), 0, plan::shape_signature({x})};
-  int compiles = 0;
-  const auto failing = [&] {
-    ++compiles;
-    return plan::compile(
-        [](const std::vector<nn::Tensor>& in) { return nn::sum(in[0]); }, {x});
-  };
-  EXPECT_EQ(cache.get_or_compile(key, anchor, failing), nullptr);
-  EXPECT_EQ(cache.get_or_compile(key, anchor, failing), nullptr);
-  EXPECT_EQ(compiles, 1) << "failed compile must be cached, not retried";
-  const plan::PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.compile_failures, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-}
-
-TEST(PlanCache, InvalidateDropsOnlyMatchingIdentity) {
-  plan::PlanCache cache;
-  const nn::Tensor x = random_input({1, 2, 4, 4}, 1);
-  const auto a = std::make_shared<int>(0);
-  const auto b = std::make_shared<int>(0);
-  const auto compile_fn = [&] { return tiny_add_plan(x); };
-  (void)cache.get_or_compile({a.get(), 0, plan::shape_signature({x})}, a, compile_fn);
-  (void)cache.get_or_compile({b.get(), 0, plan::shape_signature({x})}, b, compile_fn);
-  EXPECT_EQ(cache.stats().size, 2u);
-  cache.invalidate(a.get());
-  EXPECT_EQ(cache.stats().size, 1u);
-  // b's entry is still a hit.
-  const std::uint64_t misses = cache.stats().misses;
-  (void)cache.get_or_compile({b.get(), 0, plan::shape_signature({x})}, b, compile_fn);
-  EXPECT_EQ(cache.stats().misses, misses);
-}
-
-TEST(PlanCache, CoalescesConcurrentCompiles) {
-  plan::PlanCache cache;
-  const nn::Tensor x = random_input({1, 2, 8, 8}, 1);
-  const auto anchor = std::make_shared<int>(0);
-  plan::PlanKey key{anchor.get(), 0, plan::shape_signature({x})};
-  std::atomic<int> compiles{0};
-  const auto compile_fn = [&] {
-    compiles.fetch_add(1, std::memory_order_relaxed);
-    return tiny_add_plan(x);
-  };
-  std::vector<std::thread> threads;
-  std::atomic<int> nulls{0};
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      if (cache.get_or_compile(key, anchor, compile_fn) == nullptr) {
-        nulls.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(compiles.load(), 1);
-  EXPECT_EQ(nulls.load(), 0);
-  const plan::PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 8u);
-}
-
-// ------------------------------------------------------- serve integration
-
-TEST(PlanServe, ForwardBatchMatchesEagerBitwise) {
-  const auto models = tiny_models(LacoScheme::kCellFlowKL);
-  const int cin = models->congestion->config().in_channels;
-  const auto make_batch = [&] {
-    serve::Batch batch;
-    for (int i = 0; i < 3; ++i) {
-      serve::BatchItem item;
-      item.models = models;
-      item.kind = serve::ModelKind::kCongestion;
-      item.input = random_input({1, cin, 16, 16}, 100u + i);
-      batch.items.push_back(std::move(item));
-    }
-    return batch;
-  };
-  const serve::Batch batch = make_batch();
-  plan::set_plans_enabled(false);
-  const nn::Tensor eager = serve::forward_batch(batch);
-  plan::set_plans_enabled(true);
-  const std::uint64_t misses = plan::shared_plan_cache().stats().misses;
-  const nn::Tensor planned = serve::forward_batch(batch);
-  // The plan path actually engaged (a compile happened) …
-  EXPECT_EQ(plan::shared_plan_cache().stats().misses, misses + 1);
-  // … and produced the exact eager bits.
-  EXPECT_TRUE(bitwise_equal(planned, eager));
-  plan::shared_plan_cache().invalidate(models->congestion.get());
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "util/rng.hpp"
 #include "laco/congestion_penalty.hpp"
 #include "metrics/kl_divergence.hpp"
-#include "obs/metrics.hpp"
 #include "metrics/nrms.hpp"
 #include "metrics/ssim.hpp"
 #include "netlist/bookshelf_io.hpp"
@@ -20,7 +19,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
 #include <sstream>
 
 namespace laco {
@@ -363,55 +361,6 @@ TEST(AnalyticRudyPenalty, LossAndGradientMatchDocumentedChain) {
   }
   EXPECT_GT(grad_norm, 0.0) << "fallback gradient should push cells somewhere";
 }
-
-// --- histogram percentiles vs a sorted-vector oracle --------------------
-//
-// The fixed-bucket estimator interpolates inside the bucket containing
-// the target rank, so its error is bounded by that bucket's width
-// (src/obs/metrics.hpp). Checked against the exact sorted-sample
-// percentile across several distributions.
-
-class HistogramOracle : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(HistogramOracle, PercentileWithinOneBucketOfSortedOracle) {
-  std::mt19937 rng(GetParam());
-  std::lognormal_distribution<double> dist(0.0, 1.0);
-  obs::Histogram hist(obs::Histogram::exponential_bounds(0.01, 200.0, 1.5));
-  std::vector<double> values;
-  values.reserve(5000);
-  for (int i = 0; i < 5000; ++i) {
-    const double v = std::min(150.0, dist(rng));
-    values.push_back(v);
-    hist.observe(v);
-  }
-  std::sort(values.begin(), values.end());
-  const obs::HistogramSnapshot snap = hist.snapshot();
-  ASSERT_EQ(snap.total, values.size());
-  EXPECT_EQ(snap.min, values.front());
-  EXPECT_EQ(snap.max, values.back());
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  EXPECT_NEAR(snap.mean(), sum / static_cast<double>(values.size()), 1e-9);
-
-  for (const double p : {10.0, 50.0, 90.0, 95.0, 99.0}) {
-    // Exact continuous-rank percentile of the sorted sample.
-    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-    const std::size_t lo_idx = static_cast<std::size_t>(rank);
-    const std::size_t hi_idx = std::min(lo_idx + 1, values.size() - 1);
-    const double frac = rank - static_cast<double>(lo_idx);
-    const double oracle = values[lo_idx] * (1.0 - frac) + values[hi_idx] * frac;
-
-    // Width of the bucket containing the oracle value.
-    const auto it = std::lower_bound(snap.bounds.begin(), snap.bounds.end(), oracle);
-    const std::size_t b = static_cast<std::size_t>(it - snap.bounds.begin());
-    const double blo = b == 0 ? snap.min : snap.bounds[b - 1];
-    const double bhi = b < snap.bounds.size() ? snap.bounds[b] : snap.max;
-    const double width = std::max(1e-12, bhi - blo);
-    EXPECT_NEAR(snap.percentile(p), oracle, width + 1e-9) << "p" << p;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HistogramOracle, ::testing::Values(1u, 7u, 23u));
 
 }  // namespace
 }  // namespace laco

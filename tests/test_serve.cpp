@@ -1,19 +1,22 @@
 // Tests for the concurrent batched inference subsystem (src/serve):
 // thread pool semantics, batcher flush policy, batched-vs-sequential
 // output equivalence, concurrent submission, queue_limit admission,
-// the per-request completion hook on every outcome, frozen model
-// clones, and model-registry caching / LRU eviction.
+// rejection of malformed submits, the per-request completion hook on
+// every outcome, frozen model clones, and model-registry caching / LRU
+// eviction.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <future>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "laco/model_zoo.hpp"
 #include "nn/ops.hpp"
-#include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
 #include "serve/errors.hpp"
 #include "serve/model_registry.hpp"
@@ -291,8 +294,6 @@ serve::ServiceConfig parked_config(std::size_t queue_limit) {
 
 TEST(InferenceService, QueueLimitShedsWithShedError) {
   const auto models = tiny_models(LacoScheme::kDreamCong);
-  obs::Counter& shed_metric = obs::MetricRegistry::global().counter("serve.shed");
-  const std::uint64_t shed_before = shed_metric.value();
   serve::InferenceService service(parked_config(/*queue_limit=*/2));
   std::vector<std::future<nn::Tensor>> futures;
   for (int i = 0; i < 5; ++i) {
@@ -303,7 +304,7 @@ TEST(InferenceService, QueueLimitShedsWithShedError) {
     ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready) << "request " << i;
     EXPECT_THROW(futures[i].get(), serve::ShedError) << "request " << i;
   }
-  EXPECT_EQ(shed_metric.value() - shed_before, 3u);
+  EXPECT_EQ(service.counters().shed, 3u);
 
   service.drain();
   for (std::size_t i = 0; i < 2; ++i) EXPECT_EQ(futures[i].get().dim(1), 1);
@@ -318,6 +319,57 @@ TEST(InferenceService, QueueLimitShedsWithShedError) {
   service.drain();
   EXPECT_EQ(next.get().dim(1), 1);
   EXPECT_EQ(service.counters().shed, 3u);
+}
+
+/// Runs `fn` on its own thread and joins it. A hung call cannot be
+/// joined, so if `fn` has not returned within `budget` the test binary
+/// exits with a failure at once instead of wedging ctest.
+template <typename Fn>
+void run_within(Fn fn, std::chrono::seconds budget, const std::string& what) {
+  std::promise<void> done;
+  std::future<void> returned = done.get_future();
+  std::thread worker([&] {
+    fn();
+    done.set_value();
+  });
+  if (returned.wait_for(budget) != std::future_status::ready) {
+    std::fprintf(stderr, "FAILED: %s did not return within %lld s\n", what.c_str(),
+                 static_cast<long long>(budget.count()));
+    std::_Exit(1);
+  }
+  worker.join();
+}
+
+TEST(InferenceService, RejectedSubmitCountsNothingAndDrains) {
+  const auto models = tiny_models(LacoScheme::kDreamCong);
+  struct Rejected {
+    const char* name;
+    std::shared_ptr<const LacoModels> models;
+    nn::Tensor input;
+  };
+  const std::vector<Rejected> cases = {
+      {"[2, 3, 8, 8] input", models, nn::Tensor::zeros({2, 3, 8, 8})},
+      {"undefined input", models, nn::Tensor()},
+      {"null model set", nullptr, random_input(3, 8, 0)},
+  };
+  for (const Rejected& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto service = std::make_unique<serve::InferenceService>(parked_config(0));
+    // One admitted request stays parked in the batcher, so drain() has
+    // real work next to the rejected one.
+    auto admitted = service->submit(models, serve::ModelKind::kCongestion, random_input(3, 8, 1));
+    const serve::ServiceCounters before = service->counters();
+    EXPECT_THROW((void)service->submit(c.models, serve::ModelKind::kCongestion, c.input),
+                 std::invalid_argument);
+    const serve::ServiceCounters after = service->counters();
+    EXPECT_EQ(after.requests, before.requests);
+    EXPECT_EQ(after.in_flight, before.in_flight);
+
+    run_within([&] { service->drain(); }, 10s, std::string("drain() after rejecting: ") + c.name);
+    EXPECT_EQ(admitted.get().dim(1), 1);
+    run_within([&] { service.reset(); }, 10s,
+               std::string("~InferenceService after rejecting: ") + c.name);
+  }
 }
 
 TEST(InferenceService, BoundedQueueRejectsAtLimit) {

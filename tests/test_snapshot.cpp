@@ -21,7 +21,6 @@
 
 #include "laco/congestion_penalty.hpp"
 #include "netlist/generator.hpp"
-#include "obs/metrics.hpp"
 #include "placer/global_placer.hpp"
 #include "placer/nesterov.hpp"
 #include "placer/snapshot.hpp"
@@ -334,9 +333,6 @@ TEST(DivergenceWatchdog, RollsBackInjectedNaNAndConverges) {
   const PlacementResult golden = golden_placer.run();
   EXPECT_EQ(golden.recovery.watchdog_trips, 0u);
 
-  const std::uint64_t rollbacks_before =
-      obs::MetricRegistry::global().counter("placer.recovery.rollbacks").value();
-
   Design design = test_design();
   GlobalPlacer placer(design, opts);
   bool injected = false;  // one-shot: the replay after rollback is clean
@@ -353,8 +349,6 @@ TEST(DivergenceWatchdog, RollsBackInjectedNaNAndConverges) {
 
   EXPECT_GE(result.recovery.watchdog_trips, 1u);
   EXPECT_GE(result.recovery.rollbacks, 1u);
-  EXPECT_GE(obs::MetricRegistry::global().counter("placer.recovery.rollbacks").value(),
-            rollbacks_before + 1);
   // The damped retry follows a different trajectory but must land in the
   // same quality regime as the clean run.
   EXPECT_NEAR(result.final_overflow, golden.final_overflow, 0.15);

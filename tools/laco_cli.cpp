@@ -32,18 +32,18 @@
 //
 //   laco serve [--models DIR] [--threads N] [--batch B] [--linger MS]
 //              [--requests R] [--clients C] [--grid G] [--kind K]
-//              [--stats-every-ms N] [--no-plan]
+//              [--stats-every-ms N]
 //       Stands up the resident batched inference service, drives a
 //       synthetic request load against it (from C client threads), and
 //       prints a throughput / latency / batching report against the
-//       single-threaded unbatched baseline. Without --models a random
-//       demo model set is used (throughput only, no trained weights).
-//       --no-plan disables the compiled-plan fast path (docs/PLAN.md)
-//       so forwards run eagerly — for A/B checks and bisection.
+//       single-threaded unbatched baseline, then the service's counters.
+//       Without --models a random demo model set is used (throughput
+//       only, no trained weights). --stats-every-ms also prints the
+//       counters every N ms while the load runs.
 //
 //   laco serve --chaos RATE [--requests R] [--clients C] [--seed K]
 //              [--deadline MS] [--queue-limit Q] [--saturate]
-//              [--threads N] [--batch B] [--linger MS] [--grid G] [--no-plan]
+//              [--threads N] [--batch B] [--linger MS] [--grid G]
 //       Chaos drill (docs/RELIABILITY.md): drives the service while
 //       injecting faults — the "serve.forward" failpoint at probability
 //       RATE when built with -DLACO_FAILPOINTS=ON, plus a RATE fraction
@@ -70,6 +70,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,7 +85,6 @@
 #include "obs/bench_report.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "plan/plan_cache.hpp"
 #include "plan/verifier.hpp"
 #include "serve/errors.hpp"
 #include "serve/model_registry.hpp"
@@ -124,7 +124,7 @@ Args parse_args(int argc, char** argv, int first) {
     if (a.rfind("--", 0) == 0) {
       // Boolean flags take no value; anything else would swallow the
       // next token.
-      if (a == "--no-plan" || a == "--saturate" || a == "--resume") {
+      if (a == "--saturate" || a == "--resume") {
         args.options[a.substr(2)] = "1";
         continue;
       }
@@ -456,6 +456,22 @@ int cmd_plan_verify(const Args& args) {
   return bad == 0 ? 0 : 1;
 }
 
+/// `laco serve`'s stats dump (both modes): the service's counters, then
+/// the p50/p99 of its latency reservoir, which holds admitted requests.
+std::string serve_stats(const serve::ServiceCounters& c, const std::vector<double>& latencies_ms) {
+  std::ostringstream out;
+  out << "requests=" << c.requests << " completed=" << c.completed << " in_flight=" << c.in_flight
+      << " max_in_flight=" << c.max_in_flight << " pending=" << c.pending << " shed=" << c.shed
+      << "\nbatches=" << c.batches << " batched_items=" << c.batched_items
+      << " mean_batch=" << c.mean_batch_size() << " failed_batches=" << c.failed_batches
+      << " deadline_expired=" << c.deadline_expired
+      << "\npool_queue_depth=" << c.pool_queue_depth
+      << " pool_max_queue_depth=" << c.pool_max_queue_depth
+      << "\nlatency_ms p50=" << serve::percentile(latencies_ms, 50.0)
+      << " p99=" << serve::percentile(latencies_ms, 99.0) << '\n';
+  return out.str();
+}
+
 /// `laco serve --chaos RATE`: drive the service under injected faults
 /// and report SLO stats. The pass criterion is total completion: every
 /// submitted request resolves with a tensor or a clean typed error
@@ -576,12 +592,8 @@ int run_chaos(const Args& args, double rate) {
   std::cout << "chaos SLO: " << requests << " requests in " << wall_s << "s, " << completion
             << "% completed (" << ok << " ok, " << transient << " transient, " << deadline
             << " deadline, " << permanent << " permanent, " << shed << " shed, " << hung
-            << " hung)\n"
-            << "service: " << counters.batches << " batches, " << counters.failed_batches
-            << " failed, " << counters.deadline_expired << " expired, " << counters.shed
-            << " shed (queue-limit " << sc.queue_limit << ")\n"
-            << "latency ms (admitted): p50 " << serve::percentile(latencies, 50.0) << ", p99 "
-            << p99 << '\n';
+            << " hung), queue-limit " << sc.queue_limit << '\n'
+            << serve_stats(counters, latencies);
 
   bool pass = hung == 0 && resolved == requests;
   if (!pass) std::cout << "chaos FAIL: some requests never resolved\n";
@@ -612,7 +624,7 @@ int run_chaos(const Args& args, double rate) {
 /// running a different drill.
 bool serve_args_known(const Args& args, bool chaos) {
   static const std::set<std::string> kCommon = {"chaos",    "threads", "batch", "linger",
-                                                "requests", "clients", "grid",  "no-plan"};
+                                                "requests", "clients", "grid"};
   static const std::set<std::string> kLoad = {"models", "kind", "stats-every-ms"};
   static const std::set<std::string> kChaos = {"seed", "deadline", "queue-limit", "saturate"};
   const std::set<std::string>& mode = chaos ? kChaos : kLoad;
@@ -633,7 +645,6 @@ bool serve_args_known(const Args& args, bool chaos) {
 int cmd_serve(const Args& args) {
   const double chaos = args.get_double("chaos", 0.0);
   if (!serve_args_known(args, chaos > 0.0)) return 2;
-  if (args.get_int("no-plan", 0) != 0) plan::set_plans_enabled(false);
   if (chaos > 0.0) return run_chaos(args, chaos);
 
   serve::ServiceConfig sc;
@@ -699,8 +710,7 @@ int cmd_serve(const Args& args) {
   double service_s = 0.0;
   serve::ServiceCounters counters;
   std::vector<double> latencies;
-  // --stats-every-ms N: periodic metric-registry dumps while the load
-  // runs (the migrated "serve.*" counters/gauges/histograms).
+  // --stats-every-ms N: periodic counter dumps while the load runs.
   const int stats_every_ms = args.get_int("stats-every-ms", 0);
   {
     serve::InferenceService service(sc);
@@ -711,9 +721,8 @@ int cmd_serve(const Args& args) {
         while (!stats_stop.load(std::memory_order_relaxed)) {
           std::this_thread::sleep_for(std::chrono::milliseconds(stats_every_ms));
           if (stats_stop.load(std::memory_order_relaxed)) break;
-          const obs::MetricsSnapshot snap = obs::MetricRegistry::global().snapshot();
           std::cout << "-- serve stats --\n"
-                    << snap.to_string("serve.") << snap.to_string("plan.");
+                    << serve_stats(service.counters(), service.latency_snapshot_ms());
         }
       });
     }
@@ -759,15 +768,10 @@ int cmd_serve(const Args& args) {
             << "service: threads=" << sc.num_threads << " max_batch=" << sc.batcher.max_batch
             << " linger=" << sc.batcher.max_linger_ms << "ms\n"
             << "baseline (1 thread, batch 1): " << base_rps << " req/s\n"
-            << "service: " << serve_rps << " req/s (" << serve_rps / base_rps
-            << "x), mean batch " << counters.mean_batch_size() << " over " << counters.batches
-            << " batches\n"
-            << "latency ms: p50 " << serve::percentile(latencies, 50.0) << ", p99 "
-            << serve::percentile(latencies, 99.0) << "\n"
+            << "service: " << serve_rps << " req/s (" << serve_rps / base_rps << "x)\n"
             << "batched vs sequential max |diff|: " << max_err << '\n'
-            << "-- serve stats (final) --\n";
-  const obs::MetricsSnapshot final_snap = obs::MetricRegistry::global().snapshot();
-  std::cout << final_snap.to_string("serve.") << final_snap.to_string("plan.");
+            << "-- serve stats (final) --\n"
+            << serve_stats(counters, latencies);
   return max_err <= 1e-5 ? 0 : 1;
 }
 
