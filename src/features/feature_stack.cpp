@@ -4,6 +4,7 @@
 
 #include "features/macro_region.hpp"
 #include "features/rudy.hpp"
+#include "util/serial.hpp"
 
 namespace laco {
 
@@ -16,6 +17,22 @@ const GridMap& FeatureFrame::channel(int c) const {
     case 4: return flow_y;
     default: throw std::out_of_range("FeatureFrame::channel");
   }
+}
+
+void save_frame(serial::Writer& w, const FeatureFrame& frame) {
+  for (int c = 0; c < FeatureFrame::kNumChannels; ++c) save_grid(w, frame.channel(c));
+  w.i32(frame.iteration);
+}
+
+FeatureFrame load_frame(serial::Reader& r) {
+  FeatureFrame frame;
+  frame.rudy = load_grid(r);
+  frame.pin_rudy = load_grid(r);
+  frame.macro_region = load_grid(r);
+  frame.flow_x = load_grid(r);
+  frame.flow_y = load_grid(r);
+  frame.iteration = r.i32("frame iteration");
+  return frame;
 }
 
 FeatureFrame FeatureExtractor::compute(const Design& design,

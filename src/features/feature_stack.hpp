@@ -28,6 +28,12 @@ struct FeatureFrame {
   const GridMap& channel(int c) const;
 };
 
+/// The one on-disk codec for a frame, shared by trace files and the
+/// penalty's snapshot state: the five channels through save_grid in
+/// channel order, then the iteration (i32).
+void save_frame(serial::Writer& w, const FeatureFrame& frame);
+FeatureFrame load_frame(serial::Reader& r);
+
 /// Upstream gradients for the differentiable channels of a frame.
 /// MacroRegion is constant (zero gradient) and has no slot.
 struct FeatureFrameGrad {

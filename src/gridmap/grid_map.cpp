@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/check.hpp"
+#include "util/serial.hpp"
 
 namespace laco {
 
@@ -123,6 +126,41 @@ double GridMap::l1_distance(const GridMap& a, const GridMap& b) {
   double d = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) d += std::abs(a[i] - b[i]);
   return d;
+}
+
+void save_grid(serial::Writer& w, const GridMap& grid) {
+  w.i32(grid.nx());
+  w.i32(grid.ny());
+  const Rect& region = grid.region();
+  w.f64(region.xl);
+  w.f64(region.yl);
+  w.f64(region.xh);
+  w.f64(region.yh);
+  w.doubles(grid.data());
+}
+
+GridMap load_grid(serial::Reader& r) {
+  // Grids are bounded by the feature and router configs; a side past
+  // this is a corrupt length field.
+  constexpr int kMaxGridSide = 1 << 14;
+  const int nx = r.i32("grid nx");
+  const int ny = r.i32("grid ny");
+  if (nx < 1 || ny < 1 || nx > kMaxGridSide || ny > kMaxGridSide) {
+    r.fail("implausible grid dimensions " + std::to_string(nx) + "x" + std::to_string(ny));
+  }
+  Rect region;
+  region.xl = r.f64("grid region xl");
+  region.yl = r.f64("grid region yl");
+  region.xh = r.f64("grid region xh");
+  region.yh = r.f64("grid region yh");
+  // The constructor's own check, failed here with the offset instead.
+  if (!(region.width() > 0.0) || !(region.height() > 0.0)) r.fail("degenerate grid region");
+  const std::size_t cells = static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
+  std::vector<double> data = r.doubles("grid data", cells);
+  if (data.size() != cells) r.fail("grid data length does not match dimensions");
+  GridMap grid(nx, ny, region);
+  grid.data() = std::move(data);
+  return grid;
 }
 
 }  // namespace laco

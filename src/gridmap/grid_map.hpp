@@ -12,6 +12,11 @@
 #include "util/check.hpp"
 #include "util/geometry.hpp"
 
+namespace laco::serial {
+class Writer;
+class Reader;
+}  // namespace laco::serial
+
 namespace laco {
 
 class GridMap {
@@ -121,5 +126,14 @@ void GridMap::for_each_overlap(const Rect& r, Visit&& visit) const {
     }
   }
 }
+
+/// The one on-disk codec for a grid, shared by trace files and the
+/// penalty's snapshot state (util/serial): [nx i32][ny i32][region xl,
+/// yl, xh, yh f64][u64 count][count doubles]. load_grid fails through
+/// the Reader (naming source and byte offset) on sides outside
+/// [1, 16384], a degenerate region, or a count other than nx·ny, and
+/// checks each before allocating from it.
+void save_grid(serial::Writer& w, const GridMap& grid);
+GridMap load_grid(serial::Reader& r);
 
 }  // namespace laco

@@ -14,6 +14,9 @@
 namespace laco {
 namespace {
 
+// A history holds C frames; a count past this is a corrupt length field.
+constexpr std::uint64_t kMaxSnapshotFrames = 64;
+
 void freeze(nn::Module& module) {
   // Conditional write: model sets handed out by serve::ModelRegistry
   // arrive pre-frozen and shared across threads; skipping the redundant
@@ -97,7 +100,6 @@ FeatureFrame CongestionPenalty::compute_frame(const Design& design,
 
 nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_input,
                                           nn::Tensor& lo_input, bool with_grad) {
-  const int f_short_channels = traits_.uses_lookahead ? (traits_.f_uses_flow ? 5 : 3) : 3;
   const std::vector<double>* px = history_.has_positions() ? &history_.prev_x() : nullptr;
   const std::vector<double>* py = history_.has_positions() ? &history_.prev_y() : nullptr;
 
@@ -106,7 +108,7 @@ nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_i
   const FeatureFrame hi_frame =
       compute_frame(design, hi_extractor_, hi_needs_flow ? px : nullptr,
                     hi_needs_flow ? py : nullptr, 0);
-  hi_input = frame_to_tensor(hi_frame, models_.scale_hi, f_short_channels);
+  hi_input = frame_to_tensor(hi_frame, models_.scale_hi, f_frame_channels(models_.scheme));
   hi_input.set_requires_grad(with_grad);
 
   if (!traits_.uses_lookahead) return hi_input;
@@ -127,12 +129,7 @@ nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_i
     obs::PhaseSpan phase(breakdown_, "look-ahead model");
     prediction = models_.lookahead->forward(g_in).prediction;
   }
-  if (!traits_.f_uses_flow && nc_g > 3) {
-    prediction = nn::slice_channels(prediction, 0, 3);  // Less-flow-KL
-  }
-  nn::Tensor pred_hi =
-      nn::upsample_bilinear(prediction, config_.features_hi.ny, config_.features_hi.nx);
-  return nn::cat_channels({pred_hi, hi_input});
+  return join_f_input(models_, prediction, hi_input);
 }
 
 double CongestionPenalty::operator()(const Design& design, int iteration,
@@ -245,6 +242,15 @@ double CongestionPenalty::learned_penalty(const Design& design, std::vector<doub
   return penalty.item();
 }
 
+nn::Tensor join_f_input(const LacoModels& models, const nn::Tensor& prediction,
+                        const nn::Tensor& current) {
+  const bool less_flow =
+      !traits_of(models.scheme).f_uses_flow && models.lookahead->config().channels_per_frame > 3;
+  const nn::Tensor predicted = less_flow ? nn::slice_channels(prediction, 0, 3) : prediction;
+  const nn::Tensor upsampled = nn::upsample_bilinear(predicted, current.dim(2), current.dim(3));
+  return nn::cat_channels({upsampled, current});
+}
+
 double analytic_rudy_penalty(const Design& design, const FeatureExtractor& extractor,
                              double rudy_scale, std::vector<double>& pen_gx,
                              std::vector<double>& pen_gy) {
@@ -308,66 +314,6 @@ bool CongestionPenalty::predict(const Design& design, GridMap& out) {
   out = tensor_to_gridmap(models_.congestion->forward(input), 0, 0, design.core());
   return true;
 }
-
-namespace {
-
-// Snapshot codec limits: frame grids are bounded by the feature
-// configs; anything past these is a corrupt length field.
-constexpr std::uint64_t kMaxSnapshotFrames = 64;
-constexpr int kMaxSnapshotGridSide = 1 << 14;
-
-void save_grid(serial::Writer& w, const GridMap& grid) {
-  w.i32(grid.nx());
-  w.i32(grid.ny());
-  const Rect& region = grid.region();
-  w.f64(region.xl);
-  w.f64(region.yl);
-  w.f64(region.xh);
-  w.f64(region.yh);
-  w.doubles(grid.data());
-}
-
-GridMap load_grid(serial::Reader& r) {
-  const int nx = r.i32("grid nx");
-  const int ny = r.i32("grid ny");
-  if (nx < 0 || ny < 0 || nx > kMaxSnapshotGridSide || ny > kMaxSnapshotGridSide) {
-    r.fail("implausible grid dimensions " + std::to_string(nx) + "x" + std::to_string(ny));
-  }
-  Rect region;
-  region.xl = r.f64("grid region xl");
-  region.yl = r.f64("grid region yl");
-  region.xh = r.f64("grid region xh");
-  region.yh = r.f64("grid region yh");
-  std::vector<double> data = r.doubles("grid data");
-  if (data.size() != static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny)) {
-    r.fail("grid data length does not match dimensions");
-  }
-  GridMap grid(nx, ny, region);
-  grid.data() = std::move(data);
-  return grid;
-}
-
-void save_frame(serial::Writer& w, const FeatureFrame& frame) {
-  save_grid(w, frame.rudy);
-  save_grid(w, frame.pin_rudy);
-  save_grid(w, frame.macro_region);
-  save_grid(w, frame.flow_x);
-  save_grid(w, frame.flow_y);
-  w.i32(frame.iteration);
-}
-
-FeatureFrame load_frame(serial::Reader& r) {
-  FeatureFrame frame;
-  frame.rudy = load_grid(r);
-  frame.pin_rudy = load_grid(r);
-  frame.macro_region = load_grid(r);
-  frame.flow_x = load_grid(r);
-  frame.flow_y = load_grid(r);
-  frame.iteration = r.i32("frame iteration");
-  return frame;
-}
-
-}  // namespace
 
 void CongestionPenalty::save_state(serial::Writer& w) const {
   w.u32(kVersion);

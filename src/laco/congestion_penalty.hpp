@@ -74,6 +74,15 @@ struct PenaltyStats {
   std::uint64_t degradations = 0;          ///< times degraded mode was entered
 };
 
+/// f's input for a look-ahead scheme, the one join f's training
+/// samples (Pipeline) and its placement inputs (CongestionPenalty)
+/// share: g's `prediction`, cut to its first 3 channels when f takes no
+/// flow (Less-flow-KL), bilinearly upsampled to `current`'s grid and
+/// concatenated before `current` (f_frame_channels(scheme) channels of
+/// the current frame at f's resolution, the residual shortcut).
+nn::Tensor join_f_input(const LacoModels& models, const nn::Tensor& prediction,
+                        const nn::Tensor& current);
+
 /// Model-free RUDY penalty: L = (1/MN) Σ (s · rudy_i)² at `extractor`'s
 /// resolution, with its exact gradient chained through the analytic RUDY
 /// backward (Eq. 17) and *accumulated* into the movable-indexed

@@ -1,13 +1,13 @@
 #include "laco/model_zoo.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "nn/serialize.hpp"
+#include "util/serial.hpp"
 
 namespace laco {
 namespace {
@@ -59,11 +59,7 @@ bool save_models(const LacoModels& models, const std::string& dir) {
   if (!models.scale_hi.save(dir + "/scale_hi.txt")) return false;
   if (!models.scale_lo.save(dir + "/scale_lo.txt")) return false;
 
-  const std::string manifest_path = dir + "/" + kManifest;
-  const std::string manifest_tmp = manifest_path + ".tmp";
-  {
-    std::ofstream manifest(manifest_tmp, std::ios::trunc);
-    if (!manifest) return false;
+  return serial::atomic_write_file(dir + "/" + kManifest, [&models](std::ostream& manifest) {
     manifest << "format=laco-models-v1\n";
     manifest << "scheme=" << static_cast<int>(models.scheme) << '\n';
     const CongestionFcnConfig& fc = models.congestion->config();
@@ -80,17 +76,8 @@ bool save_models(const LacoModels& models, const std::string& dir) {
                << "g.leaky_slope=" << gc.leaky_slope << '\n'
                << "g.with_vae=" << (gc.with_vae ? 1 : 0) << '\n';
     }
-    manifest.flush();
-    if (!manifest) {
-      std::remove(manifest_tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(manifest_tmp.c_str(), manifest_path.c_str()) != 0) {
-    std::remove(manifest_tmp.c_str());
-    return false;
-  }
-  return true;
+    return static_cast<bool>(manifest);
+  });
 }
 
 LacoModels load_models(const std::string& dir) {

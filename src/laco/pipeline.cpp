@@ -4,10 +4,8 @@
 #include <functional>
 #include <sstream>
 
-#include "train/trace_io.hpp"
-
-#include "nn/ops.hpp"
 #include "obs/trace.hpp"
+#include "train/trace_io.hpp"
 #include "util/logging.hpp"
 
 namespace laco {
@@ -126,10 +124,9 @@ LacoModels Pipeline::train_models(LacoScheme scheme, const std::vector<Placement
 
 nn::Tensor Pipeline::assemble_f_input(const LacoModels& models, const PlacementTrace& trace,
                                       std::size_t t) const {
-  const SchemeTraits traits = traits_of(models.scheme);
-  const int f_short = traits.uses_lookahead ? (traits.f_uses_flow ? 5 : 3) : 3;
-  nn::Tensor hi = frame_to_tensor(trace.snapshots[t].frame, models.scale_hi, f_short);
-  if (!traits.uses_lookahead) return hi;
+  nn::Tensor hi = frame_to_tensor(trace.snapshots[t].frame, models.scale_hi,
+                                  f_frame_channels(models.scheme));
+  if (!traits_of(models.scheme).uses_lookahead) return hi;
 
   const int nc_g = models.lookahead->config().channels_per_frame;
   const int frames = models.lookahead->config().frames;
@@ -138,10 +135,7 @@ nn::Tensor Pipeline::assemble_f_input(const LacoModels& models, const PlacementT
     window.push_back(&trace.snapshots[t - static_cast<std::size_t>(c)].lo_frame);
   }
   nn::Tensor g_in = frames_to_tensor(window, models.scale_lo, nc_g);
-  nn::Tensor prediction = models.lookahead->forward(g_in).prediction;
-  if (!traits.f_uses_flow && nc_g > 3) prediction = nn::slice_channels(prediction, 0, 3);
-  nn::Tensor pred_hi = nn::upsample_bilinear(prediction, hi.dim(2), hi.dim(3));
-  return nn::cat_channels({pred_hi, hi});
+  return join_f_input(models, models.lookahead->forward(g_in).prediction, hi);
 }
 
 std::vector<CongestionSample> Pipeline::build_f_samples(

@@ -2,36 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
+
+#include "util/serial.hpp"
 
 namespace laco {
 
 bool FeatureScale::save(const std::string& path) const {
-  // Atomic publish (write-temp-then-rename), same contract as
-  // nn::save_parameters_file: no reader ever sees a partial file.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
+  return serial::atomic_write_file(path, [this](std::ostream& out) {
     out << "feature_scale v1\n";
     // max_digits10 round-trips every float exactly; files written at the
     // stream's default 6 digits still parse the same way.
     out.precision(std::numeric_limits<float>::max_digits10);
     for (const float s : scale) out << s << '\n';
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+    return static_cast<bool>(out);
+  });
 }
 
 FeatureScale FeatureScale::load(const std::string& path) {

@@ -15,6 +15,27 @@
 namespace laco {
 namespace {
 
+// λ schedule and step bounds.
+constexpr double kLambdaInitRatio = 1e-2;  // initial density/wirelength gradient ratio
+constexpr double kLambdaRatioCap = 30.0;   // max density/wirelength gradient ratio
+constexpr double kMaxMoveBins = 1.0;       // trust region: max move per iteration (bins)
+constexpr double kGammaBaseBins = 1.0;     // γ = bins·bin_w·(0.1 + factor·overflow)
+
+// Divergence watchdog (docs/RELIABILITY.md "The divergence watchdog").
+// In-memory last-good capture cadence when durable snapshots are off
+// (the watchdog needs something to roll back to).
+constexpr int kCaptureEvery = 10;
+constexpr double kDampFactor = 0.5;  // step-scale multiplier compounded per rollback
+// HPWL above this multiple of the running-peak HPWL trips the watchdog.
+// The peak only grows, so legitimate spreading (which raises HPWL
+// steadily) never trips it.
+constexpr double kHpwlExplodeFactor = 10.0;
+// Overflow above last-good + this margin trips the watchdog.
+constexpr double kOverflowExplodeMargin = 0.5;
+// Healthy iterations after a rollback before the damped step scale
+// relaxes one kDampFactor back toward 1.0 (no one-way ratchet).
+constexpr int kRecoverWindow = 25;
+
 bool all_finite(const std::vector<double>& a, const std::vector<double>& b) {
   for (const double v : a) {
     if (!std::isfinite(v)) return false;
@@ -93,7 +114,7 @@ PlacementResult GlobalPlacer::run() {
   // pressure is `ratio` × the wirelength pressure, with the ratio ramped
   // multiplicatively and capped. Self-normalizing, so the schedule is
   // stable across designs and scales (DREAMPlace tunes a raw λ instead).
-  double ratio = options_.lambda_init_ratio;
+  double ratio = kLambdaInitRatio;
   double prev_overflow = 1.0;
   double best_overflow = 1.0;
   int best_overflow_iter = 0;
@@ -176,8 +197,7 @@ PlacementResult GlobalPlacer::run() {
 
   // Last-good refresh cadence: the durable snapshot period when enabled,
   // else a cheap in-memory period so the watchdog has a rollback target.
-  const int cadence =
-      rec.snapshot_every > 0 ? rec.snapshot_every : (rec.watchdog ? rec.capture_every : 0);
+  const int cadence = rec.snapshot_every > 0 ? rec.snapshot_every : kCaptureEvery;
 
   const auto handle_divergence = [&](const std::string& reason) {
     ++result.recovery.watchdog_trips;
@@ -196,7 +216,7 @@ PlacementResult GlobalPlacer::run() {
     // Compound the damping: the restored snapshot carries the step scale
     // it was captured with, so re-applying a single damp() would replay
     // the exact diverging trajectory on every retry.
-    rollback_damp *= rec.damp_factor;
+    rollback_damp *= kDampFactor;
     optimizer.set_step_scale(last_good->optimizer.step_scale * rollback_damp);
     last_rollback_iter = iter;
     LACO_LOG_WARN << design_.name() << " rolled back to iteration " << iter << ", step scale "
@@ -207,7 +227,7 @@ PlacementResult GlobalPlacer::run() {
     // Chaos hook: crash/error injection at the iteration boundary, the
     // granularity the snapshot/resume protocol guarantees recovery at.
     LACO_FAILPOINT("placer.iteration");
-    if (cadence > 0 && iter % cadence == 0 && (!last_good || last_good->iteration != iter)) {
+    if (iter % cadence == 0 && (!last_good || last_good->iteration != iter)) {
       last_good = capture(iter);
       if (store && rec.snapshot_every > 0) {
         // Hand the copy to the store's background writer: the loop
@@ -226,8 +246,8 @@ PlacementResult GlobalPlacer::run() {
       density_.update(design_);
     }
     const double overflow = density_.overflow(design_);
-    if (rec.watchdog && last_good && !last_good->history.empty() &&
-        overflow > last_good->history.back().overflow + rec.overflow_explode_margin) {
+    if (last_good && !last_good->history.empty() &&
+        overflow > last_good->history.back().overflow + kOverflowExplodeMargin) {
       handle_divergence("overflow explosion (" + std::to_string(overflow) + " vs last good " +
                         std::to_string(last_good->history.back().overflow) + ")");
       continue;
@@ -235,7 +255,7 @@ PlacementResult GlobalPlacer::run() {
 
     // γ anneals with overflow: smooth early, HPWL-accurate late.
     const double gamma =
-        options_.gamma_base_bins * bin_w *
+        kGammaBaseBins * bin_w *
         (0.1 + options_.gamma_overflow_factor * std::min(1.0, overflow));
     wirelength_.set_gamma(gamma);
 
@@ -250,8 +270,7 @@ PlacementResult GlobalPlacer::run() {
     // design_.hpwl()). Checking it here rather than before the pass makes
     // the same decisions; a trip only wastes this iteration's WA work.
     const double hpwl_now = wirelength_.hpwl();
-    if (rec.watchdog && hpwl_peak > 0.0 &&
-        !(hpwl_now <= rec.hpwl_explode_factor * hpwl_peak)) {
+    if (hpwl_peak > 0.0 && !(hpwl_now <= kHpwlExplodeFactor * hpwl_peak)) {
       handle_divergence("hpwl explosion (" + std::to_string(hpwl_now) + " vs peak " +
                         std::to_string(hpwl_peak) + ")");
       continue;
@@ -286,12 +305,12 @@ PlacementResult GlobalPlacer::run() {
     gather_movable(design_, gx_cell, gy_cell, gx, gy);
     // Check the gradient before feeding it to the optimizer: one NaN
     // would poison the BB history and every subsequent iterate.
-    if (rec.watchdog && !all_finite(gx, gy)) {
+    if (!all_finite(gx, gy)) {
       handle_divergence("non-finite gradient");
       continue;
     }
-    const double step = optimizer.step(gx, gy, options_.max_move_bins * bin_w);
-    if (rec.watchdog && !all_finite(optimizer.vx(), optimizer.vy())) {
+    const double step = optimizer.step(gx, gy, kMaxMoveBins * bin_w);
+    if (!all_finite(optimizer.vx(), optimizer.vy())) {
       handle_divergence("non-finite positions");
       continue;
     }
@@ -316,14 +335,14 @@ PlacementResult GlobalPlacer::run() {
     // Sustained recovery: after a healthy window since the last rollback
     // (or relax), ease the damped step scale back toward 1.0 so one bad
     // stretch doesn't permanently collapse the step length.
-    if (rec.watchdog && last_rollback_iter >= 0 && optimizer.step_scale() < 1.0 &&
-        iter - last_rollback_iter >= rec.recover_window) {
-      optimizer.set_step_scale(std::min(1.0, optimizer.step_scale() / rec.damp_factor));
-      rollback_damp = std::min(1.0, rollback_damp / rec.damp_factor);
+    if (last_rollback_iter >= 0 && optimizer.step_scale() < 1.0 &&
+        iter - last_rollback_iter >= kRecoverWindow) {
+      optimizer.set_step_scale(std::min(1.0, optimizer.step_scale() / kDampFactor));
+      rollback_damp = std::min(1.0, rollback_damp / kDampFactor);
       last_rollback_iter = iter;
       ++result.recovery.step_scale_relaxes;
       LACO_LOG_INFO << design_.name() << " relaxed step scale to " << optimizer.step_scale()
-                    << " after " << rec.recover_window << " healthy iterations";
+                    << " after " << kRecoverWindow << " healthy iterations";
     }
 
     // Adaptive ramp: raise the density pressure while spreading has
@@ -332,7 +351,7 @@ PlacementResult GlobalPlacer::run() {
     // one violent burst.
     const double overflow_drop = prev_overflow - overflow;
     if (overflow_drop < 0.004) {
-      ratio = std::min(ratio * options_.lambda_mult, options_.lambda_ratio_cap);
+      ratio = std::min(ratio * options_.lambda_mult, kLambdaRatioCap);
     }
     prev_overflow = overflow;
 
@@ -347,7 +366,7 @@ PlacementResult GlobalPlacer::run() {
       best_overflow = overflow;
       best_overflow_iter = iter;
     }
-    if (options_.stall_window > 0 && ratio >= options_.lambda_ratio_cap &&
+    if (options_.stall_window > 0 && ratio >= kLambdaRatioCap &&
         iter - best_overflow_iter > options_.stall_window && iter >= options_.min_iterations) {
       result.iterations = iter + 1;
       LACO_LOG_INFO << design_.name() << " stopping on overflow stagnation at iter " << iter;

@@ -34,29 +34,15 @@ struct IterationStats {
   double step_size = 0.0;
 };
 
-/// Crash-safety and divergence-recovery knobs (docs/RELIABILITY.md
-/// "Placement snapshots & resume"). Durable snapshots are opt-in; the
-/// in-memory divergence watchdog is on by default and is numerically
-/// neutral until it actually trips.
+/// Crash-safety knobs (docs/RELIABILITY.md "Placement snapshots &
+/// resume"). Durable snapshots are opt-in. The in-memory divergence
+/// watchdog is always on and numerically neutral until it trips; its
+/// thresholds are constants in global_placer.cpp.
 struct PlacerRecoveryOptions {
   int snapshot_every = 0;    ///< durable snapshot cadence in iterations (0 = off)
   std::string snapshot_dir;  ///< directory for the double-buffered slot files
   bool resume = false;       ///< resume from snapshot_dir when a valid snapshot exists
-  bool watchdog = true;      ///< divergence detection + rollback
-  /// In-memory last-good capture cadence when durable snapshots are off
-  /// (the watchdog needs something to roll back to).
-  int capture_every = 10;
-  double damp_factor = 0.5;  ///< step-scale multiplier compounded per rollback
   int max_rollbacks = 8;     ///< rollback attempts per run before failing cleanly
-  /// HPWL above this multiple of the running-peak HPWL trips the
-  /// watchdog. The peak only grows, so legitimate spreading (which
-  /// raises HPWL steadily) never trips it.
-  double hpwl_explode_factor = 10.0;
-  /// Overflow above last-good + this margin trips the watchdog.
-  double overflow_explode_margin = 0.5;
-  /// Healthy iterations after a rollback before the damped step scale
-  /// relaxes one damp_factor back toward 1.0 (no one-way ratchet).
-  int recover_window = 25;
 };
 
 /// Snapshot/rollback counters for one run() — the one record of its
@@ -92,12 +78,8 @@ struct GlobalPlacerOptions {
   int max_iterations = 600;
   int min_iterations = 100;
   double target_overflow = 0.08;
-  double lambda_init_ratio = 1e-2;  ///< initial density/wirelength gradient ratio
-  double lambda_mult = 1.03;        ///< ratio ramp per iteration
-  double lambda_ratio_cap = 30.0;   ///< max density/wirelength gradient ratio
-  double max_move_bins = 1.0;       ///< trust region: max move per iter (bins)
-  double gamma_base_bins = 1.0;     ///< γ = bins·bin_w·(0.1 + factor·overflow)
-  double gamma_overflow_factor = 4.0;
+  double lambda_mult = 1.03;        ///< density/wirelength ratio ramp per iteration
+  double gamma_overflow_factor = 4.0;  ///< γ = bin_w·(0.1 + factor·overflow)
   bool center_init = true;          ///< start all movables near the core center
   double init_noise_frac = 0.02;    ///< noise stddev as fraction of core width
   /// Stop early when the density ratio is at its cap and overflow has

@@ -172,7 +172,6 @@ SnapshotStore::SnapshotStore(std::string dir) : dir_(std::move(dir)) {
       // A corrupt slot is exactly the one to overwrite first.
     }
   }
-  MutexLock lock(io_mu_);
   next_slot_ = best_slot >= 0 ? best_slot ^ 1 : 0;
 }
 
@@ -196,7 +195,6 @@ SnapshotStore::~SnapshotStore() {
 }
 
 bool SnapshotStore::write_slot(const PlacementSnapshot& snap) {
-  MutexLock lock(io_mu_);
   std::error_code ec;
   fs::create_directories(dir_, ec);
   const auto paths = slot_paths(dir_);
@@ -214,17 +212,10 @@ bool SnapshotStore::write_slot(const PlacementSnapshot& snap) {
   return true;
 }
 
-bool SnapshotStore::save(const PlacementSnapshot& snap) {
-  // save_ns accumulates wall time the *caller* was blocked on snapshot
+void SnapshotStore::save_async(const PlacementSnapshot& snap) {
+  // save_ns accumulates wall time the caller was blocked on snapshot
   // work, which is what the bench_fig8_runtime overhead guardrail
   // measures; the background writer's time lands in write_ns instead.
-  const auto start = std::chrono::steady_clock::now();
-  const bool ok = write_slot(snap);
-  snapshot_counter("save_ns").add(elapsed_ns(start));
-  return ok;
-}
-
-void SnapshotStore::save_async(const PlacementSnapshot& snap) {
   const auto start = std::chrono::steady_clock::now();
   // The copy is the only work on the caller's critical path. Copy into
   // the recycled buffer from the last completed write when one exists:
@@ -255,11 +246,6 @@ void SnapshotStore::flush() {
   while (pending_.has_value() || writing_) cv_.wait(mu_);
 }
 
-std::uint64_t SnapshotStore::async_writes() const {
-  MutexLock lock(mu_);
-  return async_writes_;
-}
-
 std::uint64_t SnapshotStore::async_failures() const {
   MutexLock lock(mu_);
   return async_failures_;
@@ -282,11 +268,7 @@ void SnapshotStore::writer_loop() {
     {
       MutexLock lock(mu_);
       writing_ = false;
-      if (ok) {
-        ++async_writes_;
-      } else {
-        ++async_failures_;
-      }
+      if (!ok) ++async_failures_;
       if (!spare_.has_value()) spare_.swap(job);  // recycle the buffers
     }
     cv_.notify_all();

@@ -61,12 +61,14 @@ PlacementSnapshot load_snapshot_file(const std::string& path);
 
 /// Double-buffered snapshot slots in one directory: saves alternate
 /// between two files, each published atomically, so a crash mid-save
-/// always leaves the previous snapshot intact. load_latest() returns
-/// the valid slot with the highest iteration, skipping any slot that is
-/// missing, truncated, or corrupt. Mirrors activity into the
-/// `placer.snapshot.*` metrics.
+/// always leaves the previous snapshot intact. Writes run on one
+/// background writer thread. load_latest() returns the valid slot with
+/// the highest iteration, skipping any slot that is missing, truncated,
+/// or corrupt. Mirrors activity into the `placer.snapshot.*` metrics.
 class SnapshotStore {
  public:
+  /// Aims the first save at the slot NOT holding the newest valid
+  /// snapshot.
   explicit SnapshotStore(std::string dir);
   /// Drains any pending async save (the handed-off state must land on
   /// disk even when the run unwinds via an exception), then joins the
@@ -74,11 +76,6 @@ class SnapshotStore {
   ~SnapshotStore();
   SnapshotStore(const SnapshotStore&) = delete;
   SnapshotStore& operator=(const SnapshotStore&) = delete;
-
-  /// Saves into the slot NOT holding the newest valid snapshot.
-  /// Synchronous: the snapshot is durable (written + renamed) when
-  /// this returns.
-  bool save(const PlacementSnapshot& snap);
 
   /// Hands `snap` to the background writer and returns after an
   /// in-memory copy — the serialize + CRC + write-temp-rename happens
@@ -90,9 +87,8 @@ class SnapshotStore {
   /// Blocks until the background writer is idle and every handed-off
   /// snapshot has been written (or failed).
   void flush();
-  /// Completed / failed background writes (after flush() these cover
-  /// everything handed to save_async that was not superseded).
-  std::uint64_t async_writes() const;
+  /// Failed background writes (after flush() this covers everything
+  /// handed to save_async that was not superseded).
   std::uint64_t async_failures() const;
 
   /// Best valid snapshot, or nullopt; `why` (optional) collects the
@@ -108,8 +104,9 @@ class SnapshotStore {
   bool write_slot(const PlacementSnapshot& snap);
 
   std::string dir_;
-  Mutex io_mu_;  ///< serializes slot writes (sync save vs writer thread)
-  int next_slot_ LACO_GUARDED_BY(io_mu_) = 0;
+  /// Set by the constructor, then touched only by the writer thread
+  /// (starting the thread orders the two).
+  int next_slot_ = 0;
 
   mutable Mutex mu_;
   CondVar cv_;
@@ -120,7 +117,6 @@ class SnapshotStore {
   std::optional<PlacementSnapshot> spare_ LACO_GUARDED_BY(mu_);
   bool stop_ LACO_GUARDED_BY(mu_) = false;
   bool writing_ LACO_GUARDED_BY(mu_) = false;
-  std::uint64_t async_writes_ LACO_GUARDED_BY(mu_) = 0;
   std::uint64_t async_failures_ LACO_GUARDED_BY(mu_) = 0;
   /// Started lazily by the first save_async (under mu_); joined by the
   /// destructor after stop_ is set, when no other thread can touch it —

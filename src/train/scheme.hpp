@@ -50,14 +50,20 @@ constexpr int g_channels(LacoScheme scheme) {
   return traits_of(scheme).g_uses_flow ? 5 : 3;
 }
 
+/// Channels per frame that the congestion model f sees: the flow pair
+/// only for look-ahead schemes whose f consumes flow, else RUDY,
+/// PinRUDY and MacroRegion.
+constexpr int f_frame_channels(LacoScheme scheme) {
+  const SchemeTraits t = traits_of(scheme);
+  return t.uses_lookahead ? (t.f_uses_flow ? 5 : 3) : 3;
+}
+
 /// Input channels for the congestion model f under this scheme:
-/// DREAM-Cong sees the raw 3-channel stack; look-ahead schemes see the
+/// DREAM-Cong sees the current frame alone; look-ahead schemes see the
 /// predicted frame plus the current frame as a residual shortcut.
 constexpr int f_in_channels(LacoScheme scheme) {
-  const SchemeTraits t = traits_of(scheme);
-  if (!t.uses_lookahead) return 3;
-  const int per = t.f_uses_flow ? 5 : 3;
-  return per * 2;  // prediction + shortcut
+  const int per = f_frame_channels(scheme);
+  return traits_of(scheme).uses_lookahead ? per * 2 : per;
 }
 
 inline std::string to_string(LacoScheme scheme) {

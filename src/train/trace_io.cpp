@@ -1,161 +1,94 @@
 #include "train/trace_io.hpp"
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "util/serial.hpp"
 
 namespace laco {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4c54524bu;  // "LTRK"
-constexpr std::uint32_t kVersion = 1;
+// Version 2 moved trace files onto the framed container and the shared
+// grid/frame codec; a version-1 file fails to load and is recollected.
+constexpr std::uint32_t kVersion = 2;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
+// Corruption guards: every count is checked before anything is
+// allocated from it. A trace holds one run's snapshots (iterations / K).
+constexpr std::uint64_t kMaxTraces = 1u << 16;
+constexpr std::uint64_t kMaxSnapshots = 1u << 16;
+constexpr std::uint32_t kMaxNameBytes = 1u << 12;
 
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("load_traces: truncated stream");
-  return value;
-}
-
-void write_string(std::ostream& out, const std::string& s) {
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& in) {
-  const auto n = read_pod<std::uint32_t>(in);
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  if (!in) throw std::runtime_error("load_traces: truncated string");
-  return s;
-}
-
-void write_map(std::ostream& out, const GridMap& map) {
-  write_pod<std::int32_t>(out, map.nx());
-  write_pod<std::int32_t>(out, map.ny());
-  const Rect& r = map.region();
-  write_pod(out, r.xl);
-  write_pod(out, r.yl);
-  write_pod(out, r.xh);
-  write_pod(out, r.yh);
-  out.write(reinterpret_cast<const char*>(map.data().data()),
-            static_cast<std::streamsize>(map.size() * sizeof(double)));
-}
-
-GridMap read_map(std::istream& in) {
-  const auto nx = read_pod<std::int32_t>(in);
-  const auto ny = read_pod<std::int32_t>(in);
-  Rect r;
-  r.xl = read_pod<double>(in);
-  r.yl = read_pod<double>(in);
-  r.xh = read_pod<double>(in);
-  r.yh = read_pod<double>(in);
-  GridMap map(nx, ny, r, 0.0);
-  in.read(reinterpret_cast<char*>(map.data().data()),
-          static_cast<std::streamsize>(map.size() * sizeof(double)));
-  if (!in) throw std::runtime_error("load_traces: truncated map");
-  return map;
-}
-
-void write_frame(std::ostream& out, const FeatureFrame& frame) {
-  write_pod<std::int32_t>(out, frame.iteration);
-  for (int c = 0; c < FeatureFrame::kNumChannels; ++c) write_map(out, frame.channel(c));
-}
-
-FeatureFrame read_frame(std::istream& in) {
-  FeatureFrame frame;
-  frame.iteration = read_pod<std::int32_t>(in);
-  frame.rudy = read_map(in);
-  frame.pin_rudy = read_map(in);
-  frame.macro_region = read_map(in);
-  frame.flow_x = read_map(in);
-  frame.flow_y = read_map(in);
-  return frame;
+std::vector<PlacementTrace> read_traces(std::istream& in, const std::string& source) {
+  serial::Reader r(in, source, "load_traces");
+  serial::read_frame_header(r, kMagic, kVersion, "trace file");
+  const std::uint64_t count = r.u64("trace count");
+  if (count > kMaxTraces) r.fail("implausible trace count " + std::to_string(count));
+  // Grown as records arrive, not sized from the counts: a corrupt count
+  // under its cap then costs a truncated read, not a large allocation.
+  std::vector<PlacementTrace> traces;
+  for (std::uint64_t t = 0; t < count; ++t) {
+    PlacementTrace trace;
+    trace.design_name = r.str("design name", kMaxNameBytes);
+    trace.spacing = r.i32("spacing");
+    trace.final_hpwl = r.f64("final hpwl");
+    trace.final_overflow = r.f64("final overflow");
+    trace.congestion_label = load_grid(r);
+    const std::uint64_t snaps = r.u64("snapshot count");
+    if (snaps > kMaxSnapshots) r.fail("implausible snapshot count " + std::to_string(snaps));
+    for (std::uint64_t s = 0; s < snaps; ++s) {
+      Snapshot snap;
+      snap.iteration = r.i32("snapshot iteration");
+      snap.frame = load_frame(r);
+      snap.lo_frame = load_frame(r);
+      trace.snapshots.push_back(std::move(snap));
+    }
+    traces.push_back(std::move(trace));
+  }
+  serial::read_frame_trailer(r);
+  return traces;
 }
 
 }  // namespace
 
 void save_traces(const std::vector<PlacementTrace>& traces, std::ostream& out) {
-  write_pod(out, kMagic);
-  write_pod(out, kVersion);
-  write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(traces.size()));
+  serial::Writer w(out);
+  serial::write_frame_header(w, kMagic, kVersion);
+  w.u64(traces.size());
   for (const PlacementTrace& trace : traces) {
-    write_string(out, trace.design_name);
-    write_pod<std::int32_t>(out, trace.spacing);
-    write_pod(out, trace.final_hpwl);
-    write_pod(out, trace.final_overflow);
-    write_map(out, trace.congestion_label);
-    write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(trace.snapshots.size()));
+    w.str(trace.design_name);
+    w.i32(trace.spacing);
+    w.f64(trace.final_hpwl);
+    w.f64(trace.final_overflow);
+    save_grid(w, trace.congestion_label);
+    w.u64(trace.snapshots.size());
     for (const Snapshot& snap : trace.snapshots) {
-      write_pod<std::int32_t>(out, snap.iteration);
-      write_frame(out, snap.frame);
-      write_frame(out, snap.lo_frame);
+      w.i32(snap.iteration);
+      save_frame(w, snap.frame);
+      save_frame(w, snap.lo_frame);
     }
   }
+  serial::write_frame_trailer(w);
 }
 
 bool save_traces_file(const std::vector<PlacementTrace>& traces, const std::string& path) {
-  // Atomic publish, same contract as nn::save_parameters_file: the
-  // trace cache (laco/pipeline.cpp) must never read a half-written file
-  // after a crash mid-collection.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
+  // The trace cache (laco/pipeline.cpp) must never read a half-written
+  // file after a crash mid-collection.
+  return serial::atomic_write_file(path, [&traces](std::ostream& out) {
     save_traces(traces, out);
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+    return static_cast<bool>(out);
+  });
 }
 
-std::vector<PlacementTrace> load_traces(std::istream& in) {
-  if (read_pod<std::uint32_t>(in) != kMagic) throw std::runtime_error("load_traces: bad magic");
-  if (read_pod<std::uint32_t>(in) != kVersion) {
-    throw std::runtime_error("load_traces: unsupported version");
-  }
-  const auto count = read_pod<std::uint32_t>(in);
-  std::vector<PlacementTrace> traces;
-  traces.reserve(count);
-  for (std::uint32_t t = 0; t < count; ++t) {
-    PlacementTrace trace;
-    trace.design_name = read_string(in);
-    trace.spacing = read_pod<std::int32_t>(in);
-    trace.final_hpwl = read_pod<double>(in);
-    trace.final_overflow = read_pod<double>(in);
-    trace.congestion_label = read_map(in);
-    const auto snaps = read_pod<std::uint32_t>(in);
-    trace.snapshots.reserve(snaps);
-    for (std::uint32_t s = 0; s < snaps; ++s) {
-      Snapshot snap;
-      snap.iteration = read_pod<std::int32_t>(in);
-      snap.frame = read_frame(in);
-      snap.lo_frame = read_frame(in);
-      trace.snapshots.push_back(std::move(snap));
-    }
-    traces.push_back(std::move(trace));
-  }
-  return traces;
-}
+std::vector<PlacementTrace> load_traces(std::istream& in) { return read_traces(in, "<stream>"); }
 
 std::vector<PlacementTrace> load_traces_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_traces: cannot open '" + path + "'");
-  return load_traces(in);
+  return read_traces(in, path);
 }
 
 }  // namespace laco

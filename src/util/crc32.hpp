@@ -1,8 +1,7 @@
 // CRC-32 (IEEE 802.3 / zlib polynomial) for checkpoint integrity. A
 // truncated or bit-flipped model file must fail loudly at load time,
-// not produce a silently corrupted network; the serializers append a
-// CRC over their payload and verify it on read (nn/serialize,
-// train/trace_io).
+// not produce a silently corrupted network; util/serial's framed
+// container appends a CRC over the payload and verifies it on read.
 #pragma once
 
 #include <cstddef>

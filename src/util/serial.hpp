@@ -9,10 +9,11 @@
 //   [payload ...]          checksummed
 //   [CRC-32 u32]           not checksummed
 //
-// Both file kinds the project persists — model checkpoints
-// (nn/serialize) and placement snapshots (placer/snapshot) — build on
-// these primitives, so corruption detection, error wording, and the
-// atomic publish protocol behave identically everywhere. The layer DAG
+// Every binary file kind the project persists — model checkpoints
+// (nn/serialize), placement snapshots (placer/snapshot) and trace files
+// (train/trace_io) — builds on these primitives, so corruption
+// detection, error wording, and the atomic publish protocol behave
+// identically everywhere. The layer DAG
 // allows every src/ layer to depend on util, which is why the codec
 // lives here rather than in nn.
 #pragma once
@@ -135,7 +136,8 @@ void read_frame_trailer(Reader& r);
 /// Atomic publish: streams through `fn` into `path + ".tmp"`, flushes,
 /// then rename(2)s over `path` — readers see either the old complete
 /// file or the new complete file, never a partial write. Returns false
-/// on any failure (the temp file is removed).
+/// on any failure (the temp file is removed). Checkpoints, snapshots,
+/// trace files and the model set's text files all publish through it.
 bool atomic_write_file(const std::string& path, const std::function<bool(std::ostream&)>& fn);
 
 }  // namespace laco::serial

@@ -1,54 +1,12 @@
-// Tests for the auxiliary facilities: ASCII heatmap rendering and the
-// model-zoo persistence of complete trained model sets.
+// Tests for the model-zoo persistence of complete trained model sets.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
-#include "gridmap/render.hpp"
 #include "laco/model_zoo.hpp"
 
 namespace laco {
 namespace {
-
-TEST(Render, UsesFullRampAndShape) {
-  GridMap m(8, 4, Rect{0, 0, 8, 4});
-  for (int k = 0; k < 8; ++k) m.at(k, 0) = k;  // gradient along the bottom row
-  RenderOptions opts;
-  const std::string art = ascii_heatmap(m, opts);
-  // 4 data rows + 1 legend line, each data row 8 chars + newline.
-  const std::size_t newlines = std::count(art.begin(), art.end(), '\n');
-  EXPECT_EQ(newlines, 5u);
-  EXPECT_NE(art.find('@'), std::string::npos);  // max value hits ramp top
-  EXPECT_NE(art.find(' '), std::string::npos);  // min hits ramp bottom
-}
-
-TEST(Render, DownsamplesLargeMaps) {
-  GridMap m(256, 256, Rect{0, 0, 1, 1}, 1.0);
-  RenderOptions opts;
-  opts.max_width = 32;
-  opts.max_height = 16;
-  const std::string art = ascii_heatmap(m, opts);
-  // First row is 32 characters.
-  EXPECT_EQ(art.find('\n'), 32u);
-}
-
-TEST(Render, ConstantMapDoesNotDivideByZero) {
-  GridMap m(4, 4, Rect{0, 0, 1, 1}, 2.5);
-  const std::string art = ascii_heatmap(m);
-  EXPECT_FALSE(art.empty());
-}
-
-TEST(Render, FixedBoundsClamp) {
-  GridMap m(2, 1, Rect{0, 0, 1, 1});
-  m.at(0, 0) = -10.0;
-  m.at(1, 0) = 10.0;
-  RenderOptions opts;
-  opts.lo = 0.0;
-  opts.hi = 1.0;
-  const std::string art = ascii_heatmap(m, opts);
-  EXPECT_EQ(art[0], opts.ramp.front());
-  EXPECT_EQ(art[1], opts.ramp.back());
-}
 
 LacoModels tiny_models(LacoScheme scheme) {
   LacoModels models;

@@ -188,21 +188,29 @@ TEST(PlacementSnapshot, BadMagicIsRejected) {
   fs::remove_all(dir);
 }
 
+/// Saves through the placer's one path, the background writer, and
+/// waits for the write; true while no background write has failed.
+bool save_and_flush(SnapshotStore& store, const PlacementSnapshot& snap) {
+  store.save_async(snap);
+  store.flush();
+  return store.async_failures() == 0;
+}
+
 TEST(SnapshotStore, DoubleBuffersAcrossSaves) {
   const fs::path dir = temp_dir("store");
   SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(10)));
-  ASSERT_TRUE(store.save(make_snapshot(20)));
+  ASSERT_TRUE(save_and_flush(store, make_snapshot(10)));
+  ASSERT_TRUE(save_and_flush(store, make_snapshot(20)));
   const auto slots = SnapshotStore::slot_paths(dir.string());
   EXPECT_TRUE(fs::exists(slots[0]));
   EXPECT_TRUE(fs::exists(slots[1]));
-  ASSERT_TRUE(store.save(make_snapshot(30)));  // overwrites the oldest slot
+  ASSERT_TRUE(save_and_flush(store, make_snapshot(30)));  // overwrites the oldest slot
   const auto latest = store.load_latest();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->iteration, 30);
   // A fresh store must aim its first save away from the newest slot.
   SnapshotStore reopened(dir.string());
-  ASSERT_TRUE(reopened.save(make_snapshot(40)));
+  ASSERT_TRUE(save_and_flush(reopened, make_snapshot(40)));
   const auto after = reopened.load_latest();
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->iteration, 40);
@@ -218,8 +226,8 @@ TEST(SnapshotStore, DoubleBuffersAcrossSaves) {
 TEST(SnapshotStore, PartialWriteFallsBackToLastGood) {
   const fs::path dir = temp_dir("partial");
   SnapshotStore store(dir.string());
-  ASSERT_TRUE(store.save(make_snapshot(10)));
-  ASSERT_TRUE(store.save(make_snapshot(20)));
+  ASSERT_TRUE(save_and_flush(store, make_snapshot(10)));
+  ASSERT_TRUE(save_and_flush(store, make_snapshot(20)));
   // Simulate a crash mid-write of the newest slot: truncate it.
   for (const std::string& slot : SnapshotStore::slot_paths(dir.string())) {
     if (load_snapshot_file(slot).iteration == 20) {
