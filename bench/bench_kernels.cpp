@@ -1,10 +1,10 @@
 // Google-benchmark microbenchmarks of the compute kernels the LACO flow
 // spends its time in: feature extraction and its Eq. 17 backward (RUDY
 // and PinRUDY alone and as one paired walk), WA wirelength, the density
-// update, the spectral Poisson solve, conv2d forward/backward, cell-flow
-// quasi-voxelization, maze routing on a saturated grid, and one routed
-// evaluation on the pipeline's router grid. Useful when tuning
-// resolutions (DESIGN.md Sec. 6).
+// update and gradient, the spectral Poisson solve, conv2d
+// forward/backward, cell-flow quasi-voxelization, maze routing on a
+// saturated grid, and one routed evaluation on the pipeline's router
+// grid. Useful when tuning resolutions (DESIGN.md Sec. 6).
 #include <benchmark/benchmark.h>
 
 #include "features/feature_stack.hpp"
@@ -27,6 +27,12 @@ using namespace laco;
 
 const Design& bench_design() {
   static const Design design = make_ispd2015_analog("des_perf_1", 0.004);
+  return design;
+}
+
+/// The `laco_large` design: superblue12 at scale 0.01 (13,196 cells).
+const Design& large_design() {
+  static const Design design = make_ispd2015_analog("superblue12", 0.01);
   return design;
 }
 
@@ -53,8 +59,8 @@ void BM_RudyBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_RudyBackward)->Arg(64);
 
-void BM_WirelengthGrad(benchmark::State& state) {
-  const Design& d = bench_design();
+void BM_WirelengthGrad(benchmark::State& state, const Design& (*design)()) {
+  const Design& d = design();
   WirelengthModel model(d, d.core().width() / 32);
   std::vector<double> gx(d.num_cells()), gy(d.num_cells());
   for (auto _ : state) {
@@ -64,7 +70,8 @@ void BM_WirelengthGrad(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_WirelengthGrad);
+BENCHMARK_CAPTURE(BM_WirelengthGrad, des_perf_1, bench_design);
+BENCHMARK_CAPTURE(BM_WirelengthGrad, superblue12, large_design);
 
 void BM_PinRudy(benchmark::State& state) {
   const int grid = static_cast<int>(state.range(0));
@@ -115,6 +122,21 @@ void BM_DensityUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityUpdate)->Arg(32)->Arg(64);
 
+/// The field gradient at the pipeline's 32 × 32 bins.
+void BM_DensityGradient(benchmark::State& state) {
+  const Design& d = large_design();
+  DensityModel model(d, 32, 32);
+  model.update(d);
+  std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+  for (auto _ : state) {
+    model.add_gradient(d, 1.0, gx, gy);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(gy.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DensityGradient);
+
 void BM_CellFlow(benchmark::State& state) {
   const Design& d = bench_design();
   std::vector<double> px, py;
@@ -127,16 +149,23 @@ void BM_CellFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_CellFlow);
 
+/// The placer's field-only solve (second argument 0), or with ψ (1).
 void BM_PoissonSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const bool potential = state.range(1) != 0;
   PoissonSolver solver(n, n, 1.0, 1.0);
   std::vector<double> rho(static_cast<std::size_t>(n) * n, 0.0);
   for (std::size_t i = 0; i < rho.size(); i += 7) rho[i] = 1.0;
+  std::vector<double> fx, fy, psi;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(rho));
+    solver.solve_field(rho, fx, fy, potential ? &psi : nullptr);
+    benchmark::DoNotOptimize(fx.data());
+    benchmark::DoNotOptimize(fy.data());
+    benchmark::DoNotOptimize(psi.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_PoissonSolve)->Arg(32)->Arg(64);
+BENCHMARK(BM_PoissonSolve)->ArgsProduct({{32, 64}, {0, 1}});
 
 void BM_Conv2dForward(benchmark::State& state) {
   nn::Tensor x = nn::Tensor::zeros({1, 8, 64, 64});

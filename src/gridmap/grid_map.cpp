@@ -63,7 +63,7 @@ void GridMap::add_rect(const Rect& r, double value, bool density_mode) {
   for_each_overlap(r, [&](std::size_t i, double ov) { data_[i] += value * ov * inv_area; });
 }
 
-double GridMap::sample_bilinear(Point p) const {
+GridMap::Bilinear GridMap::bilinear(Point p) const {
   // Sample sites are bin centers; clamp to the border band.
   const double gx = (p.x - region_.xl) / bin_w_ - 0.5;
   const double gy = (p.y - region_.yl) / bin_h_ - 0.5;
@@ -71,11 +71,11 @@ double GridMap::sample_bilinear(Point p) const {
   const int l0 = std::clamp(static_cast<int>(std::floor(gy)), 0, ny_ - 1);
   const int k1 = std::min(k0 + 1, nx_ - 1);
   const int l1 = std::min(l0 + 1, ny_ - 1);
-  const double tx = std::clamp(gx - k0, 0.0, 1.0);
-  const double ty = std::clamp(gy - l0, 0.0, 1.0);
-  const double a = at(k0, l0) * (1 - tx) + at(k1, l0) * tx;
-  const double b = at(k0, l1) * (1 - tx) + at(k1, l1) * tx;
-  return a * (1 - ty) + b * ty;
+  // In range by the clamps, so the indices skip index()'s check.
+  const std::size_t row0 = static_cast<std::size_t>(l0) * nx_;
+  const std::size_t row1 = static_cast<std::size_t>(l1) * nx_;
+  return {row0 + k0, row0 + k1, row1 + k0, row1 + k1, std::clamp(gx - k0, 0.0, 1.0),
+          std::clamp(gy - l0, 0.0, 1.0)};
 }
 
 double GridMap::min() const { return *std::min_element(data_.begin(), data_.end()); }

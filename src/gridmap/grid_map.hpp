@@ -70,7 +70,23 @@ class GridMap {
 
   /// Bilinear interpolation of the field at layout point p (bin centers
   /// are the sample sites; clamped at the boundary).
-  double sample_bilinear(Point p) const;
+  double sample_bilinear(Point p) const { return sample(bilinear(p)); }
+
+  /// sample_bilinear's stencil at p: the flat indices of the four
+  /// surrounding bin centers (clamped to the grid) and the weights.
+  /// It depends on the geometry only, so one stencil samples every map
+  /// of this shape and region.
+  struct Bilinear {
+    std::size_t i00, i10, i01, i11;  ///< bins (k0, l0), (k1, l0), (k0, l1), (k1, l1)
+    double tx, ty;
+  };
+  Bilinear bilinear(Point p) const;
+  /// The field at a stencil that a map of this geometry built.
+  double sample(const Bilinear& s) const {
+    const double a = data_[s.i00] * (1 - s.tx) + data_[s.i10] * s.tx;
+    const double b = data_[s.i01] * (1 - s.tx) + data_[s.i11] * s.tx;
+    return a * (1 - s.ty) + b * s.ty;
+  }
 
   double min() const;
   double max() const;

@@ -99,7 +99,7 @@ void load_parameters(Module& module, std::istream& in, const std::string& source
     loaded[name] = {std::move(shape), std::move(data)};
   }
 
-  if (versioned) serial::read_frame_trailer(r);
+  if (versioned) serial::read_frame_trailer(r, "checkpoint");
 
   for (auto& [name, tensor] : module.named_parameters()) {
     const auto it = loaded.find(name);

@@ -12,9 +12,9 @@ DensityModel::DensityModel(const Design& design, int nx, int ny)
       density_(nx, ny, design.core(), 0.0),
       movable_density_(nx, ny, design.core(), 0.0),
       capacity_(nx, ny, design.core(), 0.0),
-      potential_(nx, ny, design.core(), 0.0),
       field_x_(nx, ny, design.core(), 0.0),
-      field_y_(nx, ny, design.core(), 0.0) {
+      field_y_(nx, ny, design.core(), 0.0),
+      rho_(static_cast<std::size_t>(nx) * ny) {
   // Uniform spread of all charge (movable + fixed macro) over all bins —
   // the DC level removed before the Poisson solve.
   const double total_charge = design.total_movable_area() + design.total_fixed_area();
@@ -76,31 +76,20 @@ void DensityModel::update(const Design& design) {
     }
   }
   // Remove the DC (target) level so the field pushes toward uniformity.
-  std::vector<double> rho = density_.data();
-  for (double& v : rho) v -= target_density_;
-  PoissonSolver::Solution sol = solver_.solve(rho);
-  potential_.data() = std::move(sol.potential);
-  field_x_.data() = std::move(sol.field_x);
-  field_y_.data() = std::move(sol.field_y);
-}
-
-double DensityModel::energy(const Design& design) const {
-  double e = 0.0;
-  for (const CellId id : design.movable_cells()) {
-    const Cell& cell = design.cell(id);
-    e += cell.area() * potential_.sample_bilinear(cell.center());
-  }
-  return 0.5 * e;
+  const std::vector<double>& charge = density_.data();
+  for (std::size_t i = 0; i < rho_.size(); ++i) rho_[i] = charge[i] - target_density_;
+  solver_.solve_field(rho_, field_x_.data(), field_y_.data());
 }
 
 void DensityModel::add_gradient(const Design& design, double weight,
                                 std::vector<double>& grad_x, std::vector<double>& grad_y) const {
   for (const CellId id : design.movable_cells()) {
     const Cell& cell = design.cell(id);
-    const Point c = cell.center();
+    // The field maps share one geometry, so one stencil samples both.
+    const GridMap::Bilinear s = field_x_.bilinear(cell.center());
     // dD/dx = −q·E_x: cells are driven along the field (downhill in ψ).
-    grad_x[static_cast<std::size_t>(id)] -= weight * cell.area() * field_x_.sample_bilinear(c);
-    grad_y[static_cast<std::size_t>(id)] -= weight * cell.area() * field_y_.sample_bilinear(c);
+    grad_x[static_cast<std::size_t>(id)] -= weight * cell.area() * field_x_.sample(s);
+    grad_y[static_cast<std::size_t>(id)] -= weight * cell.area() * field_y_.sample(s);
   }
 }
 

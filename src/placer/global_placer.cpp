@@ -99,6 +99,15 @@ PlacementResult GlobalPlacer::run() {
   const PlacerRecoveryOptions& rec = options_.recovery;
   std::vector<double> x, y;
   initialize_positions(x, y);
+  // Nothing draws from rng_ after initialization, so its state is
+  // serialized here and again only when a snapshot restores one.
+  std::string rng_state;
+  const auto serialize_rng = [&] {
+    std::ostringstream rng_out;
+    rng_out << rng_.engine();
+    rng_state = rng_out.str();
+  };
+  serialize_rng();
 
   const double bin_w = density_.density().bin_width();
   // Initial BB-free step: a fraction of a bin per unit normalized gradient.
@@ -144,9 +153,7 @@ PlacementResult GlobalPlacer::run() {
     snap.rollbacks = carried_rollbacks + result.recovery.rollbacks;
     snap.rollback_damp = rollback_damp;
     snap.last_rollback_iter = last_rollback_iter;
-    std::ostringstream rng_out;
-    rng_out << rng_.engine();
-    snap.rng_state = rng_out.str();
+    snap.rng_state = rng_state;
     snap.optimizer = optimizer.state();
     snap.history = result.history;
     if (penalty_saver_) snap.penalty_state = penalty_saver_();
@@ -165,6 +172,7 @@ PlacementResult GlobalPlacer::run() {
     if (!snap.rng_state.empty()) {
       std::istringstream rng_in(snap.rng_state);
       rng_in >> rng_.engine();
+      serialize_rng();
     }
     if (penalty_restorer_) penalty_restorer_(snap.penalty_state);
     iter = snap.iteration;

@@ -1,120 +1,209 @@
 #include "placer/poisson.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 
 namespace laco {
+namespace {
+
+// 4-lane double vectors for the product tiles, 256 bits wide like the
+// nn tiles' (512-bit arithmetic can lower the core clock for the code
+// that follows). This TU builds with the kernel flags
+// (-ffp-contract=off, docs/KERNELS.md): element-wise + and * on these
+// vectors round exactly like the scalar ops, so each lane runs the
+// scalar chain of its output element.
+#if defined(__GNUC__) || defined(__clang__)
+#define LACO_HAVE_VECD 1
+typedef double VecD __attribute__((vector_size(32)));
+constexpr int kLanes = 4;
+#if defined(__AVX512VL__)
+constexpr int kRowBlock = 4;  // 16 accumulators of 32 vector registers
+#else
+constexpr int kRowBlock = 2;  // 8 accumulators of 16
+#endif
+#else
+#define LACO_HAVE_VECD 0
+constexpr int kLanes = 1;
+#endif
+constexpr int kColBlock = 4;  // vectors per tile row
+
+std::size_t round_up(int n) {
+  return static_cast<std::size_t>((n + kLanes - 1) / kLanes) * kLanes;
+}
+
+#if LACO_HAVE_VECD
+/// Rows [0, R) × columns [j, j + C·kLanes) of out = a·b. Every element
+/// starts from +0.0 and adds a[i][p]·b[p][j] for p ascending; b's rows
+/// are readable for whole vectors, and only columns below n are stored.
+template <int R, int C>
+void product_tile(const double* a, std::size_t lda, const double* b, std::size_t ldb, int q,
+                  double* out, std::size_t ldo, int j, int n) {
+  VecD acc[R][C] = {};
+  // LACO_DETERMINISTIC: each lane holds one output element's whole
+  // chain, in ascending p.
+  for (int p = 0; p < q; ++p) {
+    const double* brow = b + static_cast<std::size_t>(p) * ldb + j;
+    VecD bv[C];
+    for (int c = 0; c < C; ++c) std::memcpy(&bv[c], brow + c * kLanes, sizeof(VecD));
+    for (int r = 0; r < R; ++r) {
+      const double av = a[r * lda + static_cast<std::size_t>(p)];
+      for (int c = 0; c < C; ++c) acc[r][c] = acc[r][c] + av * bv[c];
+    }
+  }
+  // Stores go through copies, so acc itself stays in registers.
+  for (int r = 0; r < R; ++r) {
+    double* row = out + r * ldo + j;
+    for (int c = 0; c < C; ++c) {
+      const VecD v = acc[r][c];
+      const int cols = n - j - c * kLanes;
+      if (cols >= kLanes) {
+        std::memcpy(row + c * kLanes, &v, sizeof v);
+      } else if (cols > 0) {
+        double lanes[kLanes];
+        std::memcpy(lanes, &v, sizeof v);
+        std::copy(lanes, lanes + cols, row + c * kLanes);
+      }
+    }
+  }
+}
+
+template <int R>
+void product_rows(const double* a, std::size_t lda, const double* b, std::size_t ldb, int q,
+                  double* out, std::size_t ldo, int n) {
+  const int vectors = (n + kLanes - 1) / kLanes;
+  int v = 0;
+  for (; v + kColBlock <= vectors; v += kColBlock) {
+    product_tile<R, kColBlock>(a, lda, b, ldb, q, out, ldo, v * kLanes, n);
+  }
+  for (; v < vectors; ++v) product_tile<R, 1>(a, lda, b, ldb, q, out, ldo, v * kLanes, n);
+}
+#endif
+
+/// out (m × n, row stride ldo) = a (m × q) · b (q × n): out[i][j] is
+/// +0.0 plus a[i][p]·b[p][j] for p = 0, 1, …, q − 1, rounded after every
+/// multiply and add. b's row stride is n rounded up to whole vectors.
+void product(int m, int q, int n, const double* a, std::size_t lda, const double* b,
+             std::size_t ldb, double* out, std::size_t ldo) {
+#if LACO_HAVE_VECD
+  int i = 0;
+  for (; i + kRowBlock <= m; i += kRowBlock) {
+    product_rows<kRowBlock>(a + i * lda, lda, b, ldb, q, out + i * ldo, ldo, n);
+  }
+  for (; i < m; ++i) product_rows<1>(a + i * lda, lda, b, ldb, q, out + i * ldo, ldo, n);
+#else
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      double acc = 0.0;
+      for (int p = 0; p < q; ++p) acc += a[i * lda + p] * b[p * ldb + j];
+      out[i * ldo + j] = acc;
+    }
+  }
+#endif
+}
+
+}  // namespace
 
 PoissonSolver::PoissonSolver(int nx, int ny, double lx, double ly)
-    : nx_(nx), ny_(ny), lx_(lx), ly_(ly) {
+    : nx_(nx), ny_(ny), stride_(round_up(nx)) {
   if (nx <= 0 || ny <= 0 || lx <= 0.0 || ly <= 0.0) {
     throw std::invalid_argument("PoissonSolver: non-positive dimensions");
   }
-  cos_x_.resize(static_cast<std::size_t>(nx) * nx);
-  sin_x_.resize(static_cast<std::size_t>(nx) * nx);
-  cos_y_.resize(static_cast<std::size_t>(ny) * ny);
-  sin_y_.resize(static_cast<std::size_t>(ny) * ny);
-  wu_.resize(static_cast<std::size_t>(nx));
-  wv_.resize(static_cast<std::size_t>(ny));
+  const std::size_t snx = static_cast<std::size_t>(nx);
+  const std::size_t sny = static_cast<std::size_t>(ny);
+  cos_x_t_.assign(snx * stride_, 0.0);
+  cos_x_.assign(snx * stride_, 0.0);
+  sin_x_.assign(snx * stride_, 0.0);
+  cos_y_.resize(sny * sny);
+  cos_y_t_.resize(sny * sny);
+  sin_y_t_.resize(sny * sny);
+  wu_.resize(snx);
+  wv_.resize(sny);
   for (int u = 0; u < nx; ++u) {
     wu_[static_cast<std::size_t>(u)] = std::numbers::pi * u / lx;
     for (int k = 0; k < nx; ++k) {
       const double arg = std::numbers::pi * u * (k + 0.5) / nx;
-      cos_x_[static_cast<std::size_t>(u) * nx + k] = std::cos(arg);
-      sin_x_[static_cast<std::size_t>(u) * nx + k] = std::sin(arg);
+      const double c = std::cos(arg);
+      cos_x_[static_cast<std::size_t>(u) * stride_ + k] = c;
+      cos_x_t_[static_cast<std::size_t>(k) * stride_ + u] = c;
+      sin_x_[static_cast<std::size_t>(u) * stride_ + k] = std::sin(arg);
     }
   }
   for (int v = 0; v < ny; ++v) {
     wv_[static_cast<std::size_t>(v)] = std::numbers::pi * v / ly;
     for (int l = 0; l < ny; ++l) {
       const double arg = std::numbers::pi * v * (l + 0.5) / ny;
-      cos_y_[static_cast<std::size_t>(v) * ny + l] = std::cos(arg);
-      sin_y_[static_cast<std::size_t>(v) * ny + l] = std::sin(arg);
+      const double c = std::cos(arg);
+      cos_y_[static_cast<std::size_t>(v) * sny + l] = c;
+      cos_y_t_[static_cast<std::size_t>(l) * sny + v] = c;
+      sin_y_t_[static_cast<std::size_t>(l) * sny + v] = std::sin(arg);
     }
+  }
+  // b_uv = α_u α_v B[u][v] with α_0 = 1/N, α_{>0} = 2/N (DCT-III
+  // normalization), and the Laplacian's symbol w_u² + w_v².
+  norm_.assign(sny * stride_, 0.0);
+  w2_.assign(sny * stride_, 0.0);
+  for (int v = 0; v < ny; ++v) {
+    const double av = (v == 0 ? 1.0 : 2.0) / ny;
+    const double wv = wv_[static_cast<std::size_t>(v)];
+    for (int u = 0; u < nx; ++u) {
+      const double au = (u == 0 ? 1.0 : 2.0) / nx;
+      const double wu = wu_[static_cast<std::size_t>(u)];
+      norm_[static_cast<std::size_t>(v) * stride_ + u] = au * av;
+      w2_[static_cast<std::size_t>(v) * stride_ + u] = wu * wu + wv * wv;
+    }
+  }
+  for (std::vector<double>* scratch : {&stage_, &coef_, &coef_x_, &coef_y_}) {
+    scratch->assign(sny * stride_, 0.0);
   }
 }
 
-PoissonSolver::Solution PoissonSolver::solve(const std::vector<double>& density) const {
+PoissonSolver::Solution PoissonSolver::solve(const std::vector<double>& density) {
+  Solution sol;
+  solve_field(density, sol.field_x, sol.field_y, &sol.potential);
+  return sol;
+}
+
+void PoissonSolver::solve_field(const std::vector<double>& density, std::vector<double>& field_x,
+                                std::vector<double>& field_y, std::vector<double>* potential) {
   const std::size_t n = static_cast<std::size_t>(nx_) * ny_;
   if (density.size() != n) throw std::invalid_argument("PoissonSolver::solve: size mismatch");
+  const std::size_t snx = static_cast<std::size_t>(nx_);
+  const std::size_t sny = static_cast<std::size_t>(ny_);
 
-  // Forward DCT-II along x: tmp[v-run later] — first transform rows.
-  // A[u][l] = sum_k density[l][k] * cos_x[u][k]
-  std::vector<double> a_ul(static_cast<std::size_t>(nx_) * ny_, 0.0);
-  for (int l = 0; l < ny_; ++l) {
-    for (int u = 0; u < nx_; ++u) {
-      double acc = 0.0;
-      const double* cx = &cos_x_[static_cast<std::size_t>(u) * nx_];
-      const double* row = &density[static_cast<std::size_t>(l) * nx_];
-      for (int k = 0; k < nx_; ++k) acc += row[k] * cx[k];
-      a_ul[static_cast<std::size_t>(u) * ny_ + l] = acc;
+  // Analysis: the DCT-II along x, A[l][u] = Σ_k ρ[l][k] cos_x[u][k],
+  // then along y, B[v][u] = Σ_l cos_y[v][l] A[l][u].
+  product(ny_, nx_, nx_, density.data(), snx, cos_x_t_.data(), stride_, stage_.data(), stride_);
+  product(ny_, ny_, nx_, cos_y_.data(), sny, stage_.data(), stride_, coef_.data(), stride_);
+
+  // Spectral coefficients: ψ's in place over B, then E_x's and E_y's;
+  // the DC term (0, 0) is dropped.
+  for (std::size_t v = 0; v < sny; ++v) {
+    const std::size_t row = v * stride_;
+    const double wv = wv_[v];
+    for (std::size_t u = 0; u < snx; ++u) {
+      const double p = norm_[row + u] * coef_[row + u] / w2_[row + u];
+      coef_[row + u] = p;
+      coef_x_[row + u] = p * wu_[u];
+      coef_y_[row + u] = p * wv;
     }
   }
-  // Then columns: B[u][v] = sum_l A[u][l] * cos_y[v][l], with DCT-III
-  // normalization folded in: b_uv = alpha_u alpha_v B[u][v],
-  // alpha_0 = 1/N, alpha_{>0} = 2/N.
-  std::vector<double> b_uv(static_cast<std::size_t>(nx_) * ny_, 0.0);
-  for (int u = 0; u < nx_; ++u) {
-    const double au = (u == 0 ? 1.0 : 2.0) / nx_;
-    for (int v = 0; v < ny_; ++v) {
-      const double av = (v == 0 ? 1.0 : 2.0) / ny_;
-      double acc = 0.0;
-      const double* cy = &cos_y_[static_cast<std::size_t>(v) * ny_];
-      const double* row = &a_ul[static_cast<std::size_t>(u) * ny_];
-      for (int l = 0; l < ny_; ++l) acc += row[l] * cy[l];
-      b_uv[static_cast<std::size_t>(u) * ny_ + v] = au * av * acc;
-    }
+  coef_[0] = coef_x_[0] = coef_y_[0] = 0.0;
+
+  // Synthesis, y then x: out[l][k] = Σ_u (Σ_v by[l][v] coeff[v][u]) bx[u][k].
+  field_x.resize(n);
+  field_y.resize(n);
+  product(ny_, ny_, nx_, cos_y_t_.data(), sny, coef_x_.data(), stride_, stage_.data(), stride_);
+  product(ny_, nx_, nx_, stage_.data(), stride_, sin_x_.data(), stride_, field_x.data(), snx);
+  product(ny_, ny_, nx_, sin_y_t_.data(), sny, coef_y_.data(), stride_, stage_.data(), stride_);
+  product(ny_, nx_, nx_, stage_.data(), stride_, cos_x_.data(), stride_, field_y.data(), snx);
+  if (potential != nullptr) {
+    potential->resize(n);
+    product(ny_, ny_, nx_, cos_y_t_.data(), sny, coef_.data(), stride_, stage_.data(), stride_);
+    product(ny_, nx_, nx_, stage_.data(), stride_, cos_x_.data(), stride_, potential->data(), snx);
   }
-
-  // Spectral coefficients for potential and field.
-  std::vector<double> p_uv(b_uv.size(), 0.0);   // psi coefficients
-  std::vector<double> fx_uv(b_uv.size(), 0.0);  // E_x coefficients (sin-cos basis)
-  std::vector<double> fy_uv(b_uv.size(), 0.0);  // E_y coefficients (cos-sin basis)
-  for (int u = 0; u < nx_; ++u) {
-    for (int v = 0; v < ny_; ++v) {
-      if (u == 0 && v == 0) continue;
-      const double w2 = wu_[static_cast<std::size_t>(u)] * wu_[static_cast<std::size_t>(u)] +
-                        wv_[static_cast<std::size_t>(v)] * wv_[static_cast<std::size_t>(v)];
-      const double p = b_uv[static_cast<std::size_t>(u) * ny_ + v] / w2;
-      p_uv[static_cast<std::size_t>(u) * ny_ + v] = p;
-      fx_uv[static_cast<std::size_t>(u) * ny_ + v] = p * wu_[static_cast<std::size_t>(u)];
-      fy_uv[static_cast<std::size_t>(u) * ny_ + v] = p * wv_[static_cast<std::size_t>(v)];
-    }
-  }
-
-  // Synthesis helper: out[l][k] = sum_{u,v} coeff[u][v] * bx[u][k] * by[v][l].
-  const auto synthesize = [&](const std::vector<double>& coeff, const std::vector<double>& bx,
-                              const std::vector<double>& by, std::vector<double>& out) {
-    // First contract over v: T[u][l] = sum_v coeff[u][v] by[v][l].
-    std::vector<double> t(static_cast<std::size_t>(nx_) * ny_, 0.0);
-    for (int u = 0; u < nx_; ++u) {
-      for (int v = 0; v < ny_; ++v) {
-        const double c = coeff[static_cast<std::size_t>(u) * ny_ + v];
-        if (c == 0.0) continue;
-        const double* byrow = &by[static_cast<std::size_t>(v) * ny_];
-        double* trow = &t[static_cast<std::size_t>(u) * ny_];
-        for (int l = 0; l < ny_; ++l) trow[l] += c * byrow[l];
-      }
-    }
-    out.assign(static_cast<std::size_t>(nx_) * ny_, 0.0);
-    for (int u = 0; u < nx_; ++u) {
-      const double* bxrow = &bx[static_cast<std::size_t>(u) * nx_];
-      const double* trow = &t[static_cast<std::size_t>(u) * ny_];
-      for (int l = 0; l < ny_; ++l) {
-        const double tv = trow[l];
-        if (tv == 0.0) continue;
-        double* orow = &out[static_cast<std::size_t>(l) * nx_];
-        for (int k = 0; k < nx_; ++k) orow[k] += tv * bxrow[k];
-      }
-    }
-  };
-
-  Solution sol;
-  synthesize(p_uv, cos_x_, cos_y_, sol.potential);
-  synthesize(fx_uv, sin_x_, cos_y_, sol.field_x);
-  synthesize(fy_uv, cos_x_, sin_y_, sol.field_y);
-  return sol;
 }
 
 }  // namespace laco

@@ -7,9 +7,13 @@
 //   E_y(k,l)= Σ'      b_uv · w_v / (w_u² + w_v²) · cos sin
 // with w_u = πu/Lx, w_v = πv/Ly, sampled at bin centers. The transforms
 // use precomputed cosine/sine matrices (O(N³), fast at placement bin
-// resolutions).
+// resolutions). Each stage is one dense matrix product whose elements
+// sum their terms in ascending index order from +0.0, run as
+// register-blocked SIMD tiles (docs/ALGORITHMS.md, "Electrostatic
+// density").
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 namespace laco {
@@ -27,17 +31,35 @@ class PoissonSolver {
 
   /// density: nx·ny row-major. The mean (DC) component is implicitly
   /// removed — pass ρ − ρ_target or raw ρ, the result is identical.
-  Solution solve(const std::vector<double>& density) const;
+  Solution solve(const std::vector<double>& density);
+
+  /// The placer's path: writes E_x and E_y (resized to nx·ny) and skips
+  /// ψ's synthesis unless `potential` is set. Bitwise the fields of
+  /// solve(). Reuses the solver's scratch, so calls must not overlap.
+  void solve_field(const std::vector<double>& density, std::vector<double>& field_x,
+                   std::vector<double>& field_y, std::vector<double>* potential = nullptr);
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }
 
  private:
   int nx_, ny_;
-  double lx_, ly_;
-  // Basis tables: cos_x_[u * nx + k] = cos(pi u (k+0.5) / nx), etc.
-  std::vector<double> cos_x_, sin_x_, cos_y_, sin_y_;
+  std::size_t stride_;  ///< row stride of nx-column operands: nx rounded up to whole vectors
+  // Basis tables. Right-hand operands have stride_ columns (the padding
+  // is never stored out); left-hand ones are dense.
+  std::vector<double> cos_x_t_;  ///< [k][u] = cos(π u (k+0.5) / nx), analysis along x
+  std::vector<double> cos_x_;    ///< [u][k], synthesis of ψ and E_y along x
+  std::vector<double> sin_x_;    ///< [u][k], synthesis of E_x along x
+  std::vector<double> cos_y_;    ///< [v][l] = cos(π v (l+0.5) / ny), analysis along y
+  std::vector<double> cos_y_t_;  ///< [l][v], synthesis of ψ and E_x along y
+  std::vector<double> sin_y_t_;  ///< [l][v], synthesis of E_y along y
   std::vector<double> wu_, wv_;  ///< angular frequencies
+  std::vector<double> norm_;     ///< [v][u] α_u·α_v, the DCT-III normalization
+  std::vector<double> w2_;       ///< [v][u] w_u² + w_v²
+  // Scratch, ny × stride_ each: the x analysis and then each y
+  // synthesis, the spectrum (then ψ's coefficients), and E_x's and E_y's
+  // coefficients.
+  std::vector<double> stage_, coef_, coef_x_, coef_y_;
 };
 
 }  // namespace laco

@@ -144,7 +144,7 @@ PlacementSnapshot load_snapshot_file(const std::string& path) {
   serial::read_frame_header(r, kSnapshotMagic, PlacementSnapshot::kVersion,
                             "placement snapshot");
   PlacementSnapshot snap = PlacementSnapshot::load(r);
-  serial::read_frame_trailer(r);
+  serial::read_frame_trailer(r, "placement snapshot");
   return snap;
 }
 

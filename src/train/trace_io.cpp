@@ -48,7 +48,7 @@ std::vector<PlacementTrace> read_traces(std::istream& in, const std::string& sou
     }
     traces.push_back(std::move(trace));
   }
-  serial::read_frame_trailer(r);
+  serial::read_frame_trailer(r, "trace file");
   return traces;
 }
 

@@ -70,7 +70,7 @@ void read_frame_header(Reader& r, std::uint32_t magic, std::uint32_t expected_ve
   }
 }
 
-void read_frame_trailer(Reader& r) {
+void read_frame_trailer(Reader& r, const char* kind) {
   const std::uint32_t computed = r.crc();
   r.stop_checksum();
   const std::uint32_t stored = r.u32("checksum");
@@ -78,7 +78,7 @@ void read_frame_trailer(Reader& r) {
     char buf[96];
     std::snprintf(buf, sizeof(buf), "checksum mismatch (stored 0x%08x, computed 0x%08x)", stored,
                   computed);
-    r.fail(std::string(buf) + " — checkpoint corrupt");
+    r.fail(std::string(buf) + " — " + kind + " corrupt");
   }
 }
 

@@ -130,8 +130,9 @@ void read_frame_header(Reader& r, std::uint32_t magic, std::uint32_t expected_ve
                        const char* kind);
 
 /// Reads the trailing digest and fails on mismatch with the canonical
-/// "checksum mismatch (stored 0x…, computed 0x…)" wording.
-void read_frame_trailer(Reader& r);
+/// "checksum mismatch (stored 0x…, computed 0x…) — <kind> corrupt"
+/// wording, `kind` naming the file kind as for read_frame_header.
+void read_frame_trailer(Reader& r, const char* kind);
 
 /// Atomic publish: streams through `fn` into `path + ".tmp"`, flushes,
 /// then rename(2)s over `path` — readers see either the old complete

@@ -3,9 +3,11 @@
 // std::priority_queue that evaluates the edge-cost formula per
 // relaxation, pattern routes that build every candidate path, bin_rect +
 // overlap_area per covered bin, a density update that walks each cell
-// once per map, RUDY and PinRUDY as separate passes, and a WA pass that
-// gathers each net's pins into fresh vectors. Each fast path must match
-// its oracle bit for bit (docs/ALGORITHMS.md).
+// once per map, the dense Poisson solve with its zero skips, a density
+// gradient that samples each field map on its own, RUDY and PinRUDY as
+// separate passes, and a WA pass that gathers each net's pins into
+// fresh vectors and takes every pin's exponentials. Each fast path must
+// match its oracle bit for bit (docs/ALGORITHMS.md).
 #pragma once
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numbers>
 #include <queue>
 #include <string>
 #include <utility>
@@ -215,6 +218,134 @@ inline std::pair<GridMap, GridMap> density_maps(const Design& design, int nx, in
     if (!cell.fixed) add_rect(movable, expanded, cell.area(), /*density_mode=*/true);
   }
   return {std::move(all), std::move(movable)};
+}
+
+/// Equal bit patterns, except that any NaN matches any NaN: IEEE 754
+/// leaves a NaN's sign and payload open (docs/KERNELS.md).
+inline bool same_bits_any_nan(double a, double b) {
+  return same_bits(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
+inline bool same_bits_any_nan(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits_any_nan(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+struct PoissonFields {
+  std::vector<double> potential, field_x, field_y;
+};
+
+/// PoissonSolver::solve as a dense scalar solve: dot-product analyses
+/// over [u][k] and [v][l] basis tables, and two-stage syntheses that
+/// skip zero coefficients and zero partial sums.
+inline PoissonFields poisson_solve(int nx, int ny, double lx, double ly,
+                                   const std::vector<double>& density) {
+  const std::size_t snx = static_cast<std::size_t>(nx), sny = static_cast<std::size_t>(ny);
+  std::vector<double> cos_x(snx * snx), sin_x(snx * snx), cos_y(sny * sny), sin_y(sny * sny);
+  std::vector<double> wu(snx), wv(sny);
+  for (int u = 0; u < nx; ++u) {
+    wu[static_cast<std::size_t>(u)] = std::numbers::pi * u / lx;
+    for (int k = 0; k < nx; ++k) {
+      const double arg = std::numbers::pi * u * (k + 0.5) / nx;
+      cos_x[static_cast<std::size_t>(u) * snx + k] = std::cos(arg);
+      sin_x[static_cast<std::size_t>(u) * snx + k] = std::sin(arg);
+    }
+  }
+  for (int v = 0; v < ny; ++v) {
+    wv[static_cast<std::size_t>(v)] = std::numbers::pi * v / ly;
+    for (int l = 0; l < ny; ++l) {
+      const double arg = std::numbers::pi * v * (l + 0.5) / ny;
+      cos_y[static_cast<std::size_t>(v) * sny + l] = std::cos(arg);
+      sin_y[static_cast<std::size_t>(v) * sny + l] = std::sin(arg);
+    }
+  }
+  // A[u][l] = Σ_k ρ[l][k] cos_x[u][k]; b_uv = α_u α_v Σ_l A[u][l] cos_y[v][l].
+  std::vector<double> a_ul(snx * sny, 0.0);
+  for (int l = 0; l < ny; ++l) {
+    for (int u = 0; u < nx; ++u) {
+      double acc = 0.0;
+      for (int k = 0; k < nx; ++k) {
+        acc += density[static_cast<std::size_t>(l) * snx + k] *
+               cos_x[static_cast<std::size_t>(u) * snx + k];
+      }
+      a_ul[static_cast<std::size_t>(u) * sny + l] = acc;
+    }
+  }
+  std::vector<double> p_uv(snx * sny, 0.0), fx_uv(snx * sny, 0.0), fy_uv(snx * sny, 0.0);
+  for (int u = 0; u < nx; ++u) {
+    const double au = (u == 0 ? 1.0 : 2.0) / nx;
+    for (int v = 0; v < ny; ++v) {
+      const double av = (v == 0 ? 1.0 : 2.0) / ny;
+      double acc = 0.0;
+      for (int l = 0; l < ny; ++l) {
+        acc += a_ul[static_cast<std::size_t>(u) * sny + l] *
+               cos_y[static_cast<std::size_t>(v) * sny + l];
+      }
+      if (u == 0 && v == 0) continue;
+      const double wu_u = wu[static_cast<std::size_t>(u)], wv_v = wv[static_cast<std::size_t>(v)];
+      const double p = au * av * acc / (wu_u * wu_u + wv_v * wv_v);
+      p_uv[static_cast<std::size_t>(u) * sny + v] = p;
+      fx_uv[static_cast<std::size_t>(u) * sny + v] = p * wu_u;
+      fy_uv[static_cast<std::size_t>(u) * sny + v] = p * wv_v;
+    }
+  }
+  // out[l][k] = Σ_u (Σ_v coeff[u][v] by[v][l]) bx[u][k].
+  const auto synthesize = [&](const std::vector<double>& coeff, const std::vector<double>& bx,
+                              const std::vector<double>& by) {
+    std::vector<double> t(snx * sny, 0.0);
+    for (int u = 0; u < nx; ++u) {
+      for (int v = 0; v < ny; ++v) {
+        const double c = coeff[static_cast<std::size_t>(u) * sny + v];
+        if (c == 0.0) continue;
+        for (int l = 0; l < ny; ++l) {
+          t[static_cast<std::size_t>(u) * sny + l] += c * by[static_cast<std::size_t>(v) * sny + l];
+        }
+      }
+    }
+    std::vector<double> out(snx * sny, 0.0);
+    for (int u = 0; u < nx; ++u) {
+      for (int l = 0; l < ny; ++l) {
+        const double tv = t[static_cast<std::size_t>(u) * sny + l];
+        if (tv == 0.0) continue;
+        double* orow = &out[static_cast<std::size_t>(l) * snx];
+        const double* bxrow = &bx[static_cast<std::size_t>(u) * snx];
+        for (int k = 0; k < nx; ++k) orow[k] += tv * bxrow[k];
+      }
+    }
+    return out;
+  };
+  return {synthesize(p_uv, cos_x, cos_y), synthesize(fx_uv, sin_x, cos_y),
+          synthesize(fy_uv, cos_x, sin_y)};
+}
+
+/// GridMap::sample_bilinear with a bounds-checked load per corner.
+inline double sample_bilinear(const GridMap& map, Point p) {
+  const double gx = (p.x - map.region().xl) / map.bin_width() - 0.5;
+  const double gy = (p.y - map.region().yl) / map.bin_height() - 0.5;
+  const int k0 = std::clamp(static_cast<int>(std::floor(gx)), 0, map.nx() - 1);
+  const int l0 = std::clamp(static_cast<int>(std::floor(gy)), 0, map.ny() - 1);
+  const int k1 = std::min(k0 + 1, map.nx() - 1);
+  const int l1 = std::min(l0 + 1, map.ny() - 1);
+  const double tx = std::clamp(gx - k0, 0.0, 1.0);
+  const double ty = std::clamp(gy - l0, 0.0, 1.0);
+  const double a = map.at(k0, l0) * (1 - tx) + map.at(k1, l0) * tx;
+  const double b = map.at(k0, l1) * (1 - tx) + map.at(k1, l1) * tx;
+  return a * (1 - ty) + b * ty;
+}
+
+/// DensityModel::add_gradient sampling each field map on its own.
+inline void density_gradient(const Design& design, const GridMap& field_x,
+                             const GridMap& field_y, double weight,
+                             std::vector<double>& grad_x, std::vector<double>& grad_y) {
+  for (const CellId id : design.movable_cells()) {
+    const Cell& cell = design.cell(id);
+    const Point c = cell.center();
+    grad_x[static_cast<std::size_t>(id)] -= weight * cell.area() * sample_bilinear(field_x, c);
+    grad_y[static_cast<std::size_t>(id)] -= weight * cell.area() * sample_bilinear(field_y, c);
+  }
 }
 
 /// RUDY's widened net box: the raw pin box, the pins at its extremes,

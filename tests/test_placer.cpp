@@ -86,34 +86,94 @@ TEST(Wirelength, WeightScalesContribution) {
   EXPECT_NEAR(model.evaluate(d), 2.5 * base, 1e-9);
 }
 
+/// Nets whose pins tie at an extreme in x or y, or coincide: pins at
+/// cmax or cmin share exponentials, so ties and the ±0 coordinates of
+/// the last nets must take the per-pin values.
+Design tie_design() {
+  Design d("ties", Rect{-4, -4, 28, 28}, 1.0);
+  const auto add_net = [&](std::initializer_list<Point> pins, bool first_fixed = false) {
+    const NetId net = d.add_net("n" + std::to_string(d.num_nets()));
+    for (const Point p : pins) {
+      Cell c;
+      c.width = 1.0;
+      c.height = 1.0;
+      c.x = p.x - 0.5;
+      c.y = p.y - 0.5;
+      c.fixed = first_fixed && d.net(net).pins.empty();
+      d.add_pin(d.add_cell(c), net, 0.5, 0.5);
+    }
+  };
+  add_net({{2, 4}, {9, 4}, {9, 11}});              // x ties at cmax, y at cmin
+  add_net({{2, 11}, {2, 4}, {9, 11}});             // x ties at cmin, y at cmax
+  add_net({{5, 7}, {5, 7}, {5, 7}});               // every pin coincides
+  add_net({{6, 3}, {6, 3}});                       // two coincident pins
+  add_net({{2, 1}, {9, 8}, {5, 4}, {9, 1}, {2, 8}}, true);  // ties at both extremes
+  add_net({{1, 2}, {1, 2}, {4, 2}, {4, 9}, {1, 9}, {4, 2}, {3, 5}, {1, 9}, {4, 5}, {3, 2},
+           {1, 2}, {4, 9}});
+  // Pins at x = −0 (cell and pin offset −0) next to pins at +0.
+  for (const double far : {0.0, 3.0}) {
+    const NetId net = d.add_net("z" + std::to_string(d.num_nets()));
+    for (const double x : {-0.0, 0.0, far}) {
+      Cell c;
+      c.width = 1.0;
+      c.height = 1.0;
+      c.x = x;
+      c.y = 6.0;
+      d.add_pin(d.add_cell(c), net, std::signbit(x) ? -0.0 : 0.0, 0.5);
+    }
+  }
+  return d;
+}
+
+/// One evaluation with gradient and one without, each against the
+/// oracle, from gradient buffers holding −0 and random values. Without
+/// `pin_nan_bits` any NaN matches any NaN (docs/KERNELS.md).
+void expect_wa_matches_oracle(const Design& d, WirelengthModel& model, double gamma, Rng& rng,
+                              bool pin_nan_bits) {
+  const auto same = [&](const auto& a, const auto& b) {
+    return pin_nan_bits ? oracle::same_bits(a, b) : oracle::same_bits_any_nan(a, b);
+  };
+  model.set_gamma(gamma);
+  std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+  for (std::size_t i = 0; i < gx.size(); ++i) {
+    gx[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+    gy[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
+  }
+  std::vector<double> rx = gx, ry = gy;
+  const double total = model.evaluate_with_grad(d, gx, gy);
+  EXPECT_TRUE(same(total, oracle::wa_wirelength(d, gamma, &rx, &ry)));
+  EXPECT_TRUE(same(gx, rx));
+  EXPECT_TRUE(same(gy, ry));
+  EXPECT_TRUE(same(model.evaluate(d), oracle::wa_wirelength(d, gamma, nullptr, nullptr)));
+}
+
 TEST(Wirelength, FlatPassMatchesPerNetOracleBitwise) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    Design d = oracle::random_design(seed);
+  // γ in bins of a 32-column grid, then absolute values: tiny and huge
+  // (whose gradients hold 0·inf NaNs), and the non-finite 1/γ of γ = 0
+  // and NaN, where every pin takes its own exponentials.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::uint64_t seed : {1u, 2u, 3u, 0u}) {
+    // Seed 0 stands for the tie design.
+    Design d = seed == 0 ? tie_design() : oracle::random_design(seed);
     const double bin = d.core().width() / 32;
     WirelengthModel model(d, bin);
     Rng rng(seed);
     for (int step = 0; step < 2; ++step) {
       for (const double gamma_bins : {0.05, 0.3, 1.0, 4.0}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", step " << step << ", gamma "
+                                          << gamma_bins << " bins");
+        expect_wa_matches_oracle(d, model, gamma_bins * bin, rng, /*pin_nan_bits=*/true);
+      }
+      for (const double gamma : {1e-300, 1.0, 1e300, 0.0, nan, inf}) {
         SCOPED_TRACE(::testing::Message()
-                     << "seed " << seed << ", step " << step << ", gamma " << gamma_bins);
-        const double gamma = gamma_bins * bin;
-        model.set_gamma(gamma);
-        std::vector<double> gx(d.num_cells()), gy(d.num_cells());
-        for (std::size_t i = 0; i < gx.size(); ++i) {
-          gx[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
-          gy[i] = rng.flip(0.5) ? -0.0 : rng.uniform(-1.0, 1.0);
-        }
-        std::vector<double> rx = gx, ry = gy;
-        const double total = model.evaluate_with_grad(d, gx, gy);
-        EXPECT_TRUE(oracle::same_bits(total, oracle::wa_wirelength(d, gamma, &rx, &ry)));
-        EXPECT_TRUE(oracle::same_bits(gx, rx));
-        EXPECT_TRUE(oracle::same_bits(gy, ry));
-        EXPECT_TRUE(oracle::same_bits(model.evaluate(d),
-                                      oracle::wa_wirelength(d, gamma, nullptr, nullptr)));
+                     << "seed " << seed << ", step " << step << ", gamma " << gamma);
+        expect_wa_matches_oracle(d, model, gamma, rng, /*pin_nan_bits=*/false);
       }
       // Positions and net weights are read at evaluation time.
       for (const CellId cid : d.movable_cells()) {
         Cell& c = d.cell(cid);
+        if (seed == 0) continue;  // the ties stay tied
         c.x = std::clamp(c.x + rng.normal(0.0, bin), d.core().xl, d.core().xh - c.width);
       }
       for (std::size_t j = 0; j < d.num_nets(); j += 3) {
@@ -202,6 +262,67 @@ TEST(Density, SingleWalkMatchesTwoMapOracleBitwise) {
       const auto [all, movable] = oracle::density_maps(d, nx, ny);
       EXPECT_TRUE(oracle::same_bits(model.density().data(), all.data()));
       EXPECT_TRUE(oracle::same_bits(model.movable_density().data(), movable.data()));
+    }
+  }
+}
+
+TEST(Density, GradientMatchesTwoSampleOracleBitwise) {
+  for (const std::uint64_t seed : {1u, 2u}) {
+    Design d = oracle::random_design(seed);
+    // Movable cell centers on the bin edges and bin centers of the
+    // 32 × 24 grid (2 × 2 bins), in the clamp band within half a bin of
+    // the core's edge, and outside the core.
+    const Rect core = d.core();
+    Rng rng(seed + 10);
+    const auto& movable = d.movable_cells();
+    for (std::size_t i = 0; i < movable.size(); ++i) {
+      Cell& c = d.cell(movable[i]);
+      double cx = c.center().x, cy = c.center().y;
+      switch (i % 5) {
+        case 0:
+          cx = core.xl + 2.0 * rng.uniform_int(0, 32);
+          cy = core.yl + 2.0 * rng.uniform_int(0, 24);
+          break;
+        case 1:
+          cx = core.xl + 1.0 + 2.0 * rng.uniform_int(0, 31);
+          cy = core.yl + 1.0 + 2.0 * rng.uniform_int(0, 23);
+          break;
+        case 2:
+          cx = rng.flip(0.5) ? core.xl + rng.uniform(0.0, 1.0) : core.xh - rng.uniform(0.0, 1.0);
+          cy = rng.flip(0.5) ? core.yl + rng.uniform(0.0, 1.0) : core.yh - rng.uniform(0.0, 1.0);
+          break;
+        case 3:
+          cx = rng.flip(0.5) ? core.xl - rng.uniform(0.1, 9.0) : core.xh + rng.uniform(0.1, 9.0);
+          cy = rng.flip(0.5) ? core.yl - rng.uniform(0.1, 9.0) : core.yh + rng.uniform(0.1, 9.0);
+          break;
+        default:
+          break;
+      }
+      c.x = cx - 0.5 * c.width;
+      c.y = cy - 0.5 * c.height;
+    }
+    for (const auto& [nx, ny] :
+         {std::pair{32, 24}, {13, 7}, {64, 64}, {1, 1}, {1, 9}, {9, 1}}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << nx << "x" << ny);
+      DensityModel model(d, nx, ny);
+      model.update(d);
+      // The fields are the dense solve's, of the charge less its target.
+      std::vector<double> rho = model.density().data();
+      for (double& v : rho) v -= model.target_density();
+      const oracle::PoissonFields want =
+          oracle::poisson_solve(nx, ny, core.width(), core.height(), rho);
+      EXPECT_TRUE(oracle::same_bits(model.field_x().data(), want.field_x));
+      EXPECT_TRUE(oracle::same_bits(model.field_y().data(), want.field_y));
+      std::vector<double> gx(d.num_cells()), gy(d.num_cells());
+      for (std::size_t i = 0; i < gx.size(); ++i) {
+        gx[i] = rng.flip(0.3) ? -0.0 : rng.uniform(-1.0, 1.0);
+        gy[i] = rng.flip(0.3) ? -0.0 : rng.uniform(-1.0, 1.0);
+      }
+      std::vector<double> rx = gx, ry = gy;
+      model.add_gradient(d, 0.75, gx, gy);
+      oracle::density_gradient(d, model.field_x(), model.field_y(), 0.75, rx, ry);
+      EXPECT_TRUE(oracle::same_bits(gx, rx));
+      EXPECT_TRUE(oracle::same_bits(gy, ry));
     }
   }
 }

@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
+#include "oracle_loops.hpp"
 #include "placer/poisson.hpp"
+#include "util/rng.hpp"
 
 namespace laco {
 namespace {
@@ -92,11 +95,71 @@ TEST(Poisson, LinearInDensity) {
   }
 }
 
+/// Charge maps that probe the products' chains: signed and exact
+/// zeros, constants (whose spectrum is zero but for the dropped DC
+/// term), values near 2^-1000 whose terms go subnormal, and values near
+/// 1e300.
+std::vector<std::pair<const char*, std::vector<double>>> oracle_densities(int nx, int ny,
+                                                                          Rng& rng) {
+  const std::size_t n = static_cast<std::size_t>(nx) * ny;
+  std::vector<std::pair<const char*, std::vector<double>>> out;
+  std::vector<double> mixed(n), zeros(n, 0.0), constant(n, 0.8125), tiny(n), huge(n);
+  std::vector<double> sparse(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = rng.uniform(-1.0, 1.0);
+    mixed[i] = rng.flip(0.2) ? (rng.flip(0.5) ? 0.0 : -0.0) : r;
+    tiny[i] = std::ldexp(r, -1000);
+    huge[i] = 1e300 * r;
+    if (i % 7 == 3) sparse[i] = rng.flip(0.5) ? -0.0 : 2.5;
+  }
+  zeros[n / 2] = -0.0;
+  out.emplace_back("mixed", std::move(mixed));
+  out.emplace_back("zeros", std::move(zeros));
+  out.emplace_back("constant", std::move(constant));
+  out.emplace_back("sparse", std::move(sparse));
+  out.emplace_back("tiny", std::move(tiny));
+  out.emplace_back("huge", std::move(huge));
+  return out;
+}
+
+TEST(Poisson, FieldMatchesDenseOracleBitwise) {
+  Rng rng(41);
+  const std::pair<int, int> shapes[] = {{1, 1},   {1, 7},   {7, 1},   {5, 3},  {17, 15},
+                                        {31, 33}, {32, 32}, {48, 20}, {64, 64}};
+  for (const auto& [nx, ny] : shapes) {
+    // Unit sides keep the 1e300 maps finite; the others are a placer's.
+    for (const auto& [lx, ly] : {std::pair{1.0, 1.0}, {37.5, 12.25}}) {
+      PoissonSolver solver(nx, ny, lx, ly);
+      for (const auto& [name, rho] : oracle_densities(nx, ny, rng)) {
+        if (lx != 1.0 && std::string(name) == "huge") continue;
+        SCOPED_TRACE(::testing::Message()
+                     << nx << "x" << ny << ", " << lx << " x " << ly << ", " << name);
+        const oracle::PoissonFields want = oracle::poisson_solve(nx, ny, lx, ly, rho);
+        // The placer's field-only path, then the full solve on the same
+        // scratch, then the field-only path again.
+        std::vector<double> fx, fy;
+        solver.solve_field(rho, fx, fy);
+        EXPECT_TRUE(oracle::same_bits(fx, want.field_x));
+        EXPECT_TRUE(oracle::same_bits(fy, want.field_y));
+        const PoissonSolver::Solution sol = solver.solve(rho);
+        EXPECT_TRUE(oracle::same_bits(sol.potential, want.potential));
+        EXPECT_TRUE(oracle::same_bits(sol.field_x, want.field_x));
+        EXPECT_TRUE(oracle::same_bits(sol.field_y, want.field_y));
+        solver.solve_field(rho, fx, fy);
+        EXPECT_TRUE(oracle::same_bits(fx, want.field_x));
+        EXPECT_TRUE(oracle::same_bits(fy, want.field_y));
+      }
+    }
+  }
+}
+
 TEST(Poisson, RejectsBadSizes) {
   EXPECT_THROW(PoissonSolver(0, 4, 1, 1), std::invalid_argument);
   EXPECT_THROW(PoissonSolver(4, 4, 0, 1), std::invalid_argument);
   PoissonSolver solver(4, 4, 1, 1);
   EXPECT_THROW(solver.solve(std::vector<double>(3)), std::invalid_argument);
+  std::vector<double> fx, fy;
+  EXPECT_THROW(solver.solve_field(std::vector<double>(17), fx, fy), std::invalid_argument);
 }
 
 }  // namespace

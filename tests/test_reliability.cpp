@@ -128,6 +128,7 @@ TEST(CheckpointIntegrity, FlippedBitFailsChecksum) {
     FAIL() << "corrupt stream loaded";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum mismatch"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("checkpoint corrupt"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("unit.bin"), std::string::npos) << e.what();
   }
 }

@@ -151,6 +151,8 @@ TEST(PlacementSnapshot, FlippedPayloadByteFailsChecksum) {
     FAIL() << "corrupt snapshot accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("checksum mismatch"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("placement snapshot corrupt"), std::string::npos)
+        << e.what();
   }
   fs::remove_all(dir);
 }

@@ -184,6 +184,20 @@ TEST(TraceIo, EveryByteFlipAndTruncationFailsWithOffset) {
   save_traces(load_traces_file(path), resaved);
   ASSERT_EQ(resaved.str(), good);
 
+  // A flipped bit in the last grid value (the last frame's iteration and
+  // the digest are the final eight bytes) is structurally valid, so the
+  // digest catches it, and the error names the file kind.
+  const std::size_t value_byte = good.size() - 12;
+  poke(path, value_byte, static_cast<char>(good[value_byte] ^ 0x10));
+  try {
+    load_traces_file(path);
+    ADD_FAILURE() << "flipped payload bit loaded without error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum mismatch"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("trace file corrupt"), std::string::npos) << e.what();
+  }
+  poke(path, value_byte, good[value_byte]);
+
   // Every byte, each of its eight single-bit flips and its complement:
   // header, counts, grid sides, regions, data and the checksum itself.
   // Bytes are changed in place and the file is shortened in place, which
