@@ -2,120 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numbers>
 #include <stdexcept>
 
 namespace laco {
 namespace {
 
-// 4-lane double vectors for the product tiles, 256 bits wide like the
-// nn tiles' (512-bit arithmetic can lower the core clock for the code
-// that follows). This TU builds with the kernel flags
-// (-ffp-contract=off, docs/KERNELS.md): element-wise + and * on these
-// vectors round exactly like the scalar ops, so each lane runs the
-// scalar chain of its output element.
-#if defined(__GNUC__) || defined(__clang__)
-#define LACO_HAVE_VECD 1
-typedef double VecD __attribute__((vector_size(32)));
-constexpr int kLanes = 4;
-#if defined(__AVX512VL__)
-constexpr int kRowBlock = 4;  // 16 accumulators of 32 vector registers
-#else
-constexpr int kRowBlock = 2;  // 8 accumulators of 16
-#endif
-#else
-#define LACO_HAVE_VECD 0
-constexpr int kLanes = 1;
-#endif
-constexpr int kColBlock = 4;  // vectors per tile row
-
-std::size_t round_up(int n) {
-  return static_cast<std::size_t>((n + kLanes - 1) / kLanes) * kLanes;
-}
-
-#if LACO_HAVE_VECD
-/// Rows [0, R) × columns [j, j + C·kLanes) of out = a·b. Every element
-/// starts from +0.0 and adds a[i][p]·b[p][j] for p ascending; b's rows
-/// are readable for whole vectors, and only columns below n are stored.
-template <int R, int C>
-void product_tile(const double* a, std::size_t lda, const double* b, std::size_t ldb, int q,
-                  double* out, std::size_t ldo, int j, int n) {
-  VecD acc[R][C] = {};
-  // LACO_DETERMINISTIC: each lane holds one output element's whole
-  // chain, in ascending p.
-  for (int p = 0; p < q; ++p) {
-    const double* brow = b + static_cast<std::size_t>(p) * ldb + j;
-    VecD bv[C];
-    for (int c = 0; c < C; ++c) std::memcpy(&bv[c], brow + c * kLanes, sizeof(VecD));
-    for (int r = 0; r < R; ++r) {
-      const double av = a[r * lda + static_cast<std::size_t>(p)];
-      for (int c = 0; c < C; ++c) acc[r][c] = acc[r][c] + av * bv[c];
+/// out (m × n) = a (m × q) · b (q × n), all dense row-major: out[i][j]
+/// is +0.0 plus a[i][p]·b[p][j] for p = 0, 1, …, q − 1, rounded after
+/// every multiply and add. This TU builds with the kernel flags (-O3
+/// -ffp-contract=off, docs/KERNELS.md): the j loop vectorizes, and each
+/// lane runs one element's scalar chain without fused multiply-adds.
+void product(int m, int q, int n, const double* a, const double* b, double* __restrict out) {
+  const std::size_t sq = static_cast<std::size_t>(q);
+  const std::size_t sn = static_cast<std::size_t>(n);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(m); ++i) {
+    double* row = out + i * sn;
+    std::fill(row, row + sn, 0.0);
+    // LACO_DETERMINISTIC: every element's chain runs in ascending p.
+    for (std::size_t p = 0; p < sq; ++p) {
+      const double av = a[i * sq + p];
+      const double* brow = b + p * sn;
+      for (std::size_t j = 0; j < sn; ++j) row[j] += av * brow[j];
     }
   }
-  // Stores go through copies, so acc itself stays in registers.
-  for (int r = 0; r < R; ++r) {
-    double* row = out + r * ldo + j;
-    for (int c = 0; c < C; ++c) {
-      const VecD v = acc[r][c];
-      const int cols = n - j - c * kLanes;
-      if (cols >= kLanes) {
-        std::memcpy(row + c * kLanes, &v, sizeof v);
-      } else if (cols > 0) {
-        double lanes[kLanes];
-        std::memcpy(lanes, &v, sizeof v);
-        std::copy(lanes, lanes + cols, row + c * kLanes);
-      }
-    }
-  }
-}
-
-template <int R>
-void product_rows(const double* a, std::size_t lda, const double* b, std::size_t ldb, int q,
-                  double* out, std::size_t ldo, int n) {
-  const int vectors = (n + kLanes - 1) / kLanes;
-  int v = 0;
-  for (; v + kColBlock <= vectors; v += kColBlock) {
-    product_tile<R, kColBlock>(a, lda, b, ldb, q, out, ldo, v * kLanes, n);
-  }
-  for (; v < vectors; ++v) product_tile<R, 1>(a, lda, b, ldb, q, out, ldo, v * kLanes, n);
-}
-#endif
-
-/// out (m × n, row stride ldo) = a (m × q) · b (q × n): out[i][j] is
-/// +0.0 plus a[i][p]·b[p][j] for p = 0, 1, …, q − 1, rounded after every
-/// multiply and add. b's row stride is n rounded up to whole vectors.
-void product(int m, int q, int n, const double* a, std::size_t lda, const double* b,
-             std::size_t ldb, double* out, std::size_t ldo) {
-#if LACO_HAVE_VECD
-  int i = 0;
-  for (; i + kRowBlock <= m; i += kRowBlock) {
-    product_rows<kRowBlock>(a + i * lda, lda, b, ldb, q, out + i * ldo, ldo, n);
-  }
-  for (; i < m; ++i) product_rows<1>(a + i * lda, lda, b, ldb, q, out + i * ldo, ldo, n);
-#else
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (int p = 0; p < q; ++p) acc += a[i * lda + p] * b[p * ldb + j];
-      out[i * ldo + j] = acc;
-    }
-  }
-#endif
 }
 
 }  // namespace
 
-PoissonSolver::PoissonSolver(int nx, int ny, double lx, double ly)
-    : nx_(nx), ny_(ny), stride_(round_up(nx)) {
+PoissonSolver::PoissonSolver(int nx, int ny, double lx, double ly) : nx_(nx), ny_(ny) {
   if (nx <= 0 || ny <= 0 || lx <= 0.0 || ly <= 0.0) {
     throw std::invalid_argument("PoissonSolver: non-positive dimensions");
   }
   const std::size_t snx = static_cast<std::size_t>(nx);
   const std::size_t sny = static_cast<std::size_t>(ny);
-  cos_x_t_.assign(snx * stride_, 0.0);
-  cos_x_.assign(snx * stride_, 0.0);
-  sin_x_.assign(snx * stride_, 0.0);
+  cos_x_t_.resize(snx * snx);
+  cos_x_.resize(snx * snx);
+  sin_x_.resize(snx * snx);
   cos_y_.resize(sny * sny);
   cos_y_t_.resize(sny * sny);
   sin_y_t_.resize(sny * sny);
@@ -126,9 +49,9 @@ PoissonSolver::PoissonSolver(int nx, int ny, double lx, double ly)
     for (int k = 0; k < nx; ++k) {
       const double arg = std::numbers::pi * u * (k + 0.5) / nx;
       const double c = std::cos(arg);
-      cos_x_[static_cast<std::size_t>(u) * stride_ + k] = c;
-      cos_x_t_[static_cast<std::size_t>(k) * stride_ + u] = c;
-      sin_x_[static_cast<std::size_t>(u) * stride_ + k] = std::sin(arg);
+      cos_x_[static_cast<std::size_t>(u) * snx + k] = c;
+      cos_x_t_[static_cast<std::size_t>(k) * snx + u] = c;
+      sin_x_[static_cast<std::size_t>(u) * snx + k] = std::sin(arg);
     }
   }
   for (int v = 0; v < ny; ++v) {
@@ -143,45 +66,41 @@ PoissonSolver::PoissonSolver(int nx, int ny, double lx, double ly)
   }
   // b_uv = α_u α_v B[u][v] with α_0 = 1/N, α_{>0} = 2/N (DCT-III
   // normalization), and the Laplacian's symbol w_u² + w_v².
-  norm_.assign(sny * stride_, 0.0);
-  w2_.assign(sny * stride_, 0.0);
+  norm_.resize(sny * snx);
+  w2_.resize(sny * snx);
   for (int v = 0; v < ny; ++v) {
     const double av = (v == 0 ? 1.0 : 2.0) / ny;
     const double wv = wv_[static_cast<std::size_t>(v)];
     for (int u = 0; u < nx; ++u) {
       const double au = (u == 0 ? 1.0 : 2.0) / nx;
       const double wu = wu_[static_cast<std::size_t>(u)];
-      norm_[static_cast<std::size_t>(v) * stride_ + u] = au * av;
-      w2_[static_cast<std::size_t>(v) * stride_ + u] = wu * wu + wv * wv;
+      norm_[static_cast<std::size_t>(v) * snx + u] = au * av;
+      w2_[static_cast<std::size_t>(v) * snx + u] = wu * wu + wv * wv;
     }
   }
   for (std::vector<double>* scratch : {&stage_, &coef_, &coef_x_, &coef_y_}) {
-    scratch->assign(sny * stride_, 0.0);
+    scratch->resize(sny * snx);
   }
-}
-
-PoissonSolver::Solution PoissonSolver::solve(const std::vector<double>& density) {
-  Solution sol;
-  solve_field(density, sol.field_x, sol.field_y, &sol.potential);
-  return sol;
 }
 
 void PoissonSolver::solve_field(const std::vector<double>& density, std::vector<double>& field_x,
                                 std::vector<double>& field_y, std::vector<double>* potential) {
-  const std::size_t n = static_cast<std::size_t>(nx_) * ny_;
-  if (density.size() != n) throw std::invalid_argument("PoissonSolver::solve: size mismatch");
   const std::size_t snx = static_cast<std::size_t>(nx_);
   const std::size_t sny = static_cast<std::size_t>(ny_);
+  const std::size_t n = snx * sny;
+  if (density.size() != n) {
+    throw std::invalid_argument("PoissonSolver::solve_field: size mismatch");
+  }
 
   // Analysis: the DCT-II along x, A[l][u] = Σ_k ρ[l][k] cos_x[u][k],
   // then along y, B[v][u] = Σ_l cos_y[v][l] A[l][u].
-  product(ny_, nx_, nx_, density.data(), snx, cos_x_t_.data(), stride_, stage_.data(), stride_);
-  product(ny_, ny_, nx_, cos_y_.data(), sny, stage_.data(), stride_, coef_.data(), stride_);
+  product(ny_, nx_, nx_, density.data(), cos_x_t_.data(), stage_.data());
+  product(ny_, ny_, nx_, cos_y_.data(), stage_.data(), coef_.data());
 
   // Spectral coefficients: ψ's in place over B, then E_x's and E_y's;
   // the DC term (0, 0) is dropped.
   for (std::size_t v = 0; v < sny; ++v) {
-    const std::size_t row = v * stride_;
+    const std::size_t row = v * snx;
     const double wv = wv_[v];
     for (std::size_t u = 0; u < snx; ++u) {
       const double p = norm_[row + u] * coef_[row + u] / w2_[row + u];
@@ -195,14 +114,14 @@ void PoissonSolver::solve_field(const std::vector<double>& density, std::vector<
   // Synthesis, y then x: out[l][k] = Σ_u (Σ_v by[l][v] coeff[v][u]) bx[u][k].
   field_x.resize(n);
   field_y.resize(n);
-  product(ny_, ny_, nx_, cos_y_t_.data(), sny, coef_x_.data(), stride_, stage_.data(), stride_);
-  product(ny_, nx_, nx_, stage_.data(), stride_, sin_x_.data(), stride_, field_x.data(), snx);
-  product(ny_, ny_, nx_, sin_y_t_.data(), sny, coef_y_.data(), stride_, stage_.data(), stride_);
-  product(ny_, nx_, nx_, stage_.data(), stride_, cos_x_.data(), stride_, field_y.data(), snx);
+  product(ny_, ny_, nx_, cos_y_t_.data(), coef_x_.data(), stage_.data());
+  product(ny_, nx_, nx_, stage_.data(), sin_x_.data(), field_x.data());
+  product(ny_, ny_, nx_, sin_y_t_.data(), coef_y_.data(), stage_.data());
+  product(ny_, nx_, nx_, stage_.data(), cos_x_.data(), field_y.data());
   if (potential != nullptr) {
     potential->resize(n);
-    product(ny_, ny_, nx_, cos_y_t_.data(), sny, coef_.data(), stride_, stage_.data(), stride_);
-    product(ny_, nx_, nx_, stage_.data(), stride_, cos_x_.data(), stride_, potential->data(), snx);
+    product(ny_, ny_, nx_, cos_y_t_.data(), coef_.data(), stage_.data());
+    product(ny_, nx_, nx_, stage_.data(), cos_x_.data(), potential->data());
   }
 }
 

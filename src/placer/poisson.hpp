@@ -8,9 +8,8 @@
 // with w_u = πu/Lx, w_v = πv/Ly, sampled at bin centers. The transforms
 // use precomputed cosine/sine matrices (O(N³), fast at placement bin
 // resolutions). Each stage is one dense matrix product whose elements
-// sum their terms in ascending index order from +0.0, run as
-// register-blocked SIMD tiles (docs/ALGORITHMS.md, "Electrostatic
-// density").
+// sum their terms in ascending index order from +0.0, vectorized across
+// output columns (docs/ALGORITHMS.md, "Electrostatic density").
 #pragma once
 
 #include <cstddef>
@@ -23,19 +22,11 @@ class PoissonSolver {
   /// Grid of nx × ny bins over a region of physical size lx × ly.
   PoissonSolver(int nx, int ny, double lx, double ly);
 
-  struct Solution {
-    std::vector<double> potential;  ///< ψ, nx·ny row-major (l·nx + k)
-    std::vector<double> field_x;    ///< E_x = −∂ψ/∂x
-    std::vector<double> field_y;    ///< E_y = −∂ψ/∂y
-  };
-
-  /// density: nx·ny row-major. The mean (DC) component is implicitly
-  /// removed — pass ρ − ρ_target or raw ρ, the result is identical.
-  Solution solve(const std::vector<double>& density);
-
-  /// The placer's path: writes E_x and E_y (resized to nx·ny) and skips
-  /// ψ's synthesis unless `potential` is set. Bitwise the fields of
-  /// solve(). Reuses the solver's scratch, so calls must not overlap.
+  /// density: nx·ny row-major (l·nx + k). Writes E_x = −∂ψ/∂x and
+  /// E_y = −∂ψ/∂y, each resized to nx·ny, and ψ only when `potential` is
+  /// set. The mean (DC) component is implicitly removed — pass ρ −
+  /// ρ_target or raw ρ, the result is identical. Reuses the solver's
+  /// scratch, so calls must not overlap.
   void solve_field(const std::vector<double>& density, std::vector<double>& field_x,
                    std::vector<double>& field_y, std::vector<double>* potential = nullptr);
 
@@ -44,9 +35,7 @@ class PoissonSolver {
 
  private:
   int nx_, ny_;
-  std::size_t stride_;  ///< row stride of nx-column operands: nx rounded up to whole vectors
-  // Basis tables. Right-hand operands have stride_ columns (the padding
-  // is never stored out); left-hand ones are dense.
+  // Basis tables, dense row-major.
   std::vector<double> cos_x_t_;  ///< [k][u] = cos(π u (k+0.5) / nx), analysis along x
   std::vector<double> cos_x_;    ///< [u][k], synthesis of ψ and E_y along x
   std::vector<double> sin_x_;    ///< [u][k], synthesis of E_x along x
@@ -56,7 +45,7 @@ class PoissonSolver {
   std::vector<double> wu_, wv_;  ///< angular frequencies
   std::vector<double> norm_;     ///< [v][u] α_u·α_v, the DCT-III normalization
   std::vector<double> w2_;       ///< [v][u] w_u² + w_v²
-  // Scratch, ny × stride_ each: the x analysis and then each y
+  // Scratch, ny × nx each: the x analysis and then each y
   // synthesis, the spectrum (then ψ's coefficients), and E_x's and E_y's
   // coefficients.
   std::vector<double> stage_, coef_, coef_x_, coef_y_;

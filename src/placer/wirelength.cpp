@@ -21,26 +21,14 @@ double wa_axis(const double* coords, std::size_t n, double gamma, double* ep, do
     cmin = std::min(cmin, coords[i]);
   }
   const double inv_g = 1.0 / gamma;
-  // Extreme pins share their exponentials when 1/γ and cmax − cmin are
-  // finite: at a cmax pin e⁺ = exp(±0) = 1, at a cmin pin e⁻ = 1, and
-  // e⁺ at a cmin pin and e⁻ at a cmax pin are both exp((cmin − cmax)/γ),
-  // the same expression the per-pin exp evaluates there.
-  const bool shared = std::isfinite(inv_g) && std::isfinite(cmax - cmin);
-  const double e_span = shared ? std::exp((cmin - cmax) * inv_g) : 0.0;
   double sp = 0.0, sxp = 0.0, sm = 0.0, sxm = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double c = coords[i];
-    if (shared && (c == cmax || c == cmin)) {
-      ep[i] = c == cmax ? 1.0 : e_span;
-      em[i] = c == cmin ? 1.0 : e_span;
-    } else {
-      ep[i] = std::exp((c - cmax) * inv_g);
-      em[i] = std::exp((cmin - c) * inv_g);
-    }
+    ep[i] = std::exp((coords[i] - cmax) * inv_g);
+    em[i] = std::exp((cmin - coords[i]) * inv_g);
     sp += ep[i];
-    sxp += c * ep[i];
+    sxp += coords[i] * ep[i];
     sm += em[i];
-    sxm += c * em[i];
+    sxm += coords[i] * em[i];
   }
   const double wa_max = sxp / sp;
   const double wa_min = sxm / sm;

@@ -238,7 +238,7 @@ struct PoissonFields {
   std::vector<double> potential, field_x, field_y;
 };
 
-/// PoissonSolver::solve as a dense scalar solve: dot-product analyses
+/// ψ, E_x and E_y by a dense scalar solve: dot-product analyses
 /// over [u][k] and [v][l] basis tables, and two-stage syntheses that
 /// skip zero coefficients and zero partial sums.
 inline PoissonFields poisson_solve(int nx, int ny, double lx, double ly,

@@ -86,9 +86,9 @@ TEST(Wirelength, WeightScalesContribution) {
   EXPECT_NEAR(model.evaluate(d), 2.5 * base, 1e-9);
 }
 
-/// Nets whose pins tie at an extreme in x or y, or coincide: pins at
-/// cmax or cmin share exponentials, so ties and the ±0 coordinates of
-/// the last nets must take the per-pin values.
+/// Nets whose pins tie at an extreme in x or y, or coincide, and nets
+/// with pins at x = ±0: the cases where a pass that special-cases a
+/// net's extreme pins would stop matching the per-pin exponentials.
 Design tie_design() {
   Design d("ties", Rect{-4, -4, 28, 28}, 1.0);
   const auto add_net = [&](std::initializer_list<Point> pins, bool first_fixed = false) {
@@ -150,7 +150,7 @@ void expect_wa_matches_oracle(const Design& d, WirelengthModel& model, double ga
 TEST(Wirelength, FlatPassMatchesPerNetOracleBitwise) {
   // γ in bins of a 32-column grid, then absolute values: tiny and huge
   // (whose gradients hold 0·inf NaNs), and the non-finite 1/γ of γ = 0
-  // and NaN, where every pin takes its own exponentials.
+  // and NaN.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (const std::uint64_t seed : {1u, 2u, 3u, 0u}) {
