@@ -4,14 +4,12 @@
 // mechanism itself adds little; feature gathering and congestion
 // prediction dominate the penalty cost, and cell flow is much cheaper
 // than feature gathering (cells only vs all nets).
-#include <chrono>
 #include <filesystem>
 
 #include "bench_common.hpp"
 #include "laco/laco_placer.hpp"
 #include "netlist/generator.hpp"
 #include "obs/bench_report.hpp"
-#include "obs/metrics.hpp"
 #include "placer/global_placer.hpp"
 
 using namespace laco;
@@ -24,7 +22,11 @@ int main() {
   const auto& train_traces = pipeline.traces_for(ispd2015_first8_names());
   const LacoModels models = pipeline.train_models(LacoScheme::kCellFlowKL, train_traces);
 
+  // The designs' records, appended into one; the unattributed time is
+  // each run's extent minus its phases, summed over the designs.
   RuntimeBreakdown total;
+  double extent_s = 0.0;
+  double unattributed_s = 0.0;
   const std::vector<std::string> designs{"des_perf_1", "fft_1", "pci_bridge32_a"};
   for (const std::string& name : designs) {
     Design design = make_ispd2015_analog(name, s.scale);
@@ -35,10 +37,16 @@ int main() {
     cfg.penalty.apply_every = 1;  // penalty every iteration, as the paper runs it
     cfg.router = pipeline.config().trace.router;
     const LacoRunResult result = run_laco_placement(design, cfg, &models);
-    for (const auto& [phase, seconds, frac] : result.breakdown.table()) {
-      total.add(phase, seconds);
+    for (const RuntimeBreakdown::Entry& e : result.breakdown.entries()) {
+      total.add(e.name, e.start, e.duration);
     }
-    std::cout << "  placed " << name << " (" << design.num_movable() << " cells)\n";
+    const double extent = result.breakdown.extent();
+    const double unattributed = extent - result.breakdown.total();
+    extent_s += extent;
+    unattributed_s += unattributed;
+    std::cout << "  placed " << name << " (" << design.num_movable() << " cells): "
+              << Table::fmt(extent, 3) << "s, unattributed "
+              << Table::fmt(extent > 0.0 ? unattributed / extent * 100.0 : 0.0, 1) << "%\n";
   }
   std::cout << '\n';
 
@@ -47,7 +55,6 @@ int main() {
   report.set_setting("designs", static_cast<int>(designs.size()));
 
   Table table({"phase", "seconds", "share"});
-  double total_s = 0.0;
   for (const auto& [phase, seconds, frac] : total.table()) {
     table.add_row({phase, Table::fmt(seconds, 3), Table::fmt(frac * 100.0, 1) + "%"});
     obs::Json row = obs::Json::object();
@@ -55,36 +62,41 @@ int main() {
     row["seconds"] = seconds;
     row["share"] = frac;
     report.add_row("phases", std::move(row));
-    total_s += seconds;
   }
   std::cout << table.to_string();
   table.write_csv("fig8_runtime.csv");
 
   const double flow = total.seconds("cell flow");
   const double gather = total.seconds("feature gathering");
-  report.set_metric("total_s", total_s);
+  const double unattributed_frac = extent_s > 0.0 ? unattributed_s / extent_s : 0.0;
+  std::cout << "unattributed (extent minus phases): " << Table::fmt(unattributed_s, 3) << "s of "
+            << Table::fmt(extent_s, 3) << "s (" << Table::fmt(unattributed_frac * 100.0, 1)
+            << "%)\n";
+  report.set_metric("total_s", total.total());
   report.set_metric("cell_flow_s", flow);
   report.set_metric("feature_gathering_s", gather);
+  report.set_metric("unattributed_frac", unattributed_frac);
 
   // Snapshot overhead (docs/RELIABILITY.md "Placement snapshots &
-  // resume"): wall time spent inside durable snapshot saves as a
-  // fraction of the placement run, at the default every-10 cadence.
+  // resume"): time the loop spends handing snapshots to the store's
+  // background writer (the `placement: snapshot save` phase) as a
+  // fraction of the rest of the run, at the default every-10 cadence.
   // Guardrail: < 2%, checked warn-only by CI (bench-smoke).
   //
-  // Measured from a single run via the placer.snapshot.save_ns
-  // counter rather than an on/off A/B of whole runs: run-to-run
-  // scheduler noise on CI runners is far larger than the overhead
-  // being measured, while save time and run time from the *same* run
-  // share the noise. Deliberately NOT scaled by LACO_BENCH_SCALE — on
-  // toy designs the fixed write-temp-rename cost swamps the
-  // microsecond iterations and the ratio says nothing about real
-  // runs; a fixed 8k-cell design keeps iteration cost realistic.
+  // Both numbers come from one run's record rather than an on/off A/B
+  // of whole runs: run-to-run scheduler noise on CI runners is far
+  // larger than the overhead being measured, while save time and run
+  // time from the *same* run share the noise. Deliberately NOT scaled
+  // by LACO_BENCH_SCALE — on toy designs the fixed write-temp-rename
+  // cost swamps the microsecond iterations and the ratio says nothing
+  // about real runs; a fixed 8k-cell design keeps iteration cost
+  // realistic.
   //
-  // save_ns counts the loop's *blocking* cost (the copy handed to the
-  // store's background writer). On a single-core machine the writer
-  // shares the core with the loop, so the handoff degrades to a forced
-  // context switch (~1 ms) and the number approaches the synchronous
-  // cost; with >= 2 cores the write overlaps placement compute.
+  // The phase is the loop's *blocking* cost (the copy handed to the
+  // writer). On a single-core machine the writer shares the core with
+  // the loop, so the handoff degrades to a forced context switch
+  // (~1 ms) and the number approaches the synchronous cost; with >= 2
+  // cores the write overlaps placement compute.
   {
     const char* snap_dir = "bench_snapshot_dir";
     GeneratorConfig gen;
@@ -99,15 +111,13 @@ int main() {
     opts.stall_window = 0;
     opts.recovery.snapshot_dir = snap_dir;
     opts.recovery.snapshot_every = 10;
-    obs::Counter& save_ns = obs::MetricRegistry::global().counter("placer.snapshot.save_ns");
-    const std::uint64_t ns_before = save_ns.value();
     GlobalPlacer placer(design, opts);
-    const auto start = std::chrono::steady_clock::now();
+    RuntimeBreakdown record;
+    placer.set_runtime_breakdown(&record);
     placer.run();
-    const double run_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    const double save_s = static_cast<double>(save_ns.value() - ns_before) * 1e-9;
     std::filesystem::remove_all(snap_dir);
+    const double run_s = record.extent();
+    const double save_s = record.seconds("placement: snapshot save");
     const double overhead = run_s > save_s ? save_s / (run_s - save_s) : 0.0;
     report.set_metric("snapshot_run_s", run_s);
     report.set_metric("snapshot_save_s", save_s);

@@ -37,11 +37,10 @@ double abs_sum(const std::vector<double>& a, const std::vector<double>& b) {
 /// Converts one channel of a tensor's gradient into a GridMap, applying
 /// the (multiplicative) feature normalization's chain factor.
 GridMap grad_channel(const nn::Tensor& t, int channel, const Rect& region, float scale) {
-  const int c = t.dim(1), h = t.dim(2), w = t.dim(3);
+  const int h = t.dim(2), w = t.dim(3);
   GridMap map(w, h, region, 0.0);
   if (t.grad().empty()) return map;
   const std::size_t base = static_cast<std::size_t>(channel) * h * w;
-  (void)c;
   for (std::size_t i = 0; i < map.size(); ++i) {
     map[i] = static_cast<double>(t.grad()[base + i]) * scale;
   }
@@ -85,11 +84,11 @@ FeatureFrame CongestionPenalty::compute_frame(const Design& design,
                                               int iteration) const {
   FeatureFrame frame;
   {
-    obs::PhaseSpan phase(breakdown_, "feature gathering");
+    obs::Span phase(breakdown_, "feature gathering");
     frame = extractor.compute(design, nullptr, nullptr, iteration);
   }
   if (extractor.config().with_flow && px != nullptr && py != nullptr) {
-    obs::PhaseSpan phase(breakdown_, "cell flow");
+    obs::Span phase(breakdown_, "cell flow");
     CellFlow flow = compute_cell_flow(design, *px, *py, extractor.config().nx,
                                       extractor.config().ny, extractor.config().scheme);
     frame.flow_x = std::move(flow.flow_x);
@@ -126,7 +125,7 @@ nn::Tensor CongestionPenalty::build_input(const Design& design, nn::Tensor& hi_i
 
   nn::Tensor prediction;
   {
-    obs::PhaseSpan phase(breakdown_, "look-ahead model");
+    obs::Span phase(breakdown_, "look-ahead model");
     prediction = models_.lookahead->forward(g_in).prediction;
   }
   return join_f_input(models_, prediction, hi_input);
@@ -149,7 +148,6 @@ double CongestionPenalty::operator()(const Design& design, int iteration,
   if (traits_.uses_lookahead && !history_.ready()) return 0.0;
 
   ++stats_.applications;
-  obs::TraceSpan span("laco.penalty", "laco");
   std::vector<double> pen_gx(design.num_movable(), 0.0);
   std::vector<double> pen_gy(design.num_movable(), 0.0);
 
@@ -203,12 +201,12 @@ double CongestionPenalty::learned_penalty(const Design& design, std::vector<doub
 
   nn::Tensor penalty;
   {
-    obs::PhaseSpan phase(breakdown_, "congestion model");
+    obs::Span phase(breakdown_, "congestion model");
     // Eq. (9)/(10): mean squared congestion prediction.
     penalty = nn::mean_square(models_.congestion->forward(f_in));
   }
   {
-    obs::PhaseSpan phase(breakdown_, "nn backward");
+    obs::Span phase(breakdown_, "nn backward");
     penalty.backward();
   }
 
@@ -235,7 +233,7 @@ double CongestionPenalty::learned_penalty(const Design& design, std::vector<doub
     }
   };
   {
-    obs::PhaseSpan phase(breakdown_, "feature backward");
+    obs::Span phase(breakdown_, "feature backward");
     accumulate(hi_input, hi_extractor_, models_.scale_hi);
     if (traits_.uses_lookahead) accumulate(lo_input, lo_extractor_, models_.scale_lo);
   }
@@ -283,7 +281,7 @@ double analytic_rudy_penalty(const Design& design, const FeatureExtractor& extra
 
 double CongestionPenalty::analytic_penalty(const Design& design, std::vector<double>& pen_gx,
                                            std::vector<double>& pen_gy) {
-  obs::PhaseSpan phase(breakdown_, "analytic fallback");
+  obs::Span phase(breakdown_, "analytic fallback");
   return analytic_rudy_penalty(design, hi_extractor_,
                                static_cast<double>(models_.scale_hi.scale[0]), pen_gx, pen_gy);
 }

@@ -103,6 +103,8 @@ class CongestionPenalty {
   double operator()(const Design& design, int iteration, std::vector<double>& grad_x,
                     std::vector<double>& grad_y);
 
+  /// The penalty appends its phase spans here when set, next to the
+  /// placer's in the run's record.
   void set_runtime_breakdown(RuntimeBreakdown* breakdown) { breakdown_ = breakdown; }
 
   /// Predicted congestion map at the design's current state (inference
@@ -156,7 +158,6 @@ class CongestionPenalty {
   FeatureExtractor hi_extractor_;
   FeatureExtractor lo_extractor_;
   FrameHistory history_;
-  // Positions at the last history tick, at congestion resolution reuse.
   RuntimeBreakdown* breakdown_ = nullptr;
 
   // Degradation state (single-threaded with the placer loop).

@@ -51,13 +51,10 @@ LacoRunResult run_laco_placement(Design& design, const LacoPlacerConfig& config,
         });
   }
 
-  {
-    obs::TraceSpan span("laco: global placement", "laco");
-    result.placement = placer.run();
-  }
+  result.placement = placer.run();
   if (penalty) result.penalty_stats = penalty->stats();
   {
-    obs::TraceSpan span("laco: evaluation routing", "laco");
+    obs::Span phase(&result.breakdown, "evaluation");
     result.evaluation = evaluate_placement(design, config.router);
   }
   return result;

@@ -22,6 +22,8 @@ struct LacoPlacerConfig {
 struct LacoRunResult {
   PlacementResult placement;
   PlacementEvaluation evaluation;
+  /// The run's phase spans: the placer's and the penalty's, then
+  /// `evaluation` (legalization, detailed placement and routing).
   RuntimeBreakdown breakdown;
   /// Degradation bookkeeping (zero-valued for schemes without a
   /// penalty): how often the learned penalty ran, failed, and fell back

@@ -4,7 +4,6 @@
 #include <functional>
 #include <sstream>
 
-#include "obs/trace.hpp"
 #include "train/trace_io.hpp"
 #include "util/logging.hpp"
 
@@ -81,7 +80,6 @@ const std::vector<PlacementTrace>& Pipeline::traces_for(const std::vector<std::s
       }
     }
   }
-  obs::TraceSpan span("pipeline: collect traces", "pipeline");
   auto traces = collect_traces(names, config_.scale, config_.runs_per_design, config_.trace);
   if (!cache_path.empty()) {
     if (!save_traces_file(traces, cache_path)) {
@@ -92,7 +90,6 @@ const std::vector<PlacementTrace>& Pipeline::traces_for(const std::vector<std::s
 }
 
 LacoModels Pipeline::train_models(LacoScheme scheme, const std::vector<PlacementTrace>& traces) {
-  obs::TraceSpan span("pipeline: train models", "pipeline");
   const SchemeTraits traits = traits_of(scheme);
   LacoModels models;
   models.scheme = scheme;

@@ -55,18 +55,13 @@ std::string geometry(const Tensor& x, const Tensor& w, int stride, int padding) 
 
 int div_ceil(int a, int b) { return a >= 0 ? (a + b - 1) / b : -((-a) / b); }
 
-// 8-lane float vectors for the tiles. Element-wise + and * on these
+// 8-lane float vectors for the tiles (GCC/Clang vector extensions,
+// which the tree already requires). Element-wise + and * on these
 // round exactly like the matching scalar ops (no fusion, no
 // reassociation), so the bitwise contract is unaffected; they only
 // pick better instructions than the auto-vectorizer does.
-#if defined(__GNUC__) || defined(__clang__)
-#define LACO_HAVE_VEC8 1
 typedef float Vec8 __attribute__((vector_size(32)));
 typedef int Vec8i __attribute__((vector_size(32)));
-#else
-#define LACO_HAVE_VEC8 0
-typedef float Vec8[8];  // the scalar fallback: same lanes, same chains
-#endif
 
 /// Splits `rows` output rows into blocks: small enough that the input
 /// a block reads (`floats_per_row` per output row) stays
@@ -232,7 +227,6 @@ void conv2d_tile(const Conv2dParams& p, const float* xpad, int len, const std::i
             float wk[NC];
             for (int c = 0; c < NC; ++c) wk[c] = wr[c * wchan + kx];
             for (int t = 0; t < 4 && 8 * t < mb; ++t) {
-#if LACO_HAVE_VEC8
               Vec8 xv;
               std::memcpy(&xv, xs + 8 * t, sizeof xv);
               if (edge) {
@@ -245,12 +239,6 @@ void conv2d_tile(const Conv2dParams& p, const float* xpad, int len, const std::i
               } else {
                 for (int c = 0; c < NC; ++c) acc[c][t] += wk[c] * xv;
               }
-#else
-              for (int j = 0; j < 8; ++j) {
-                if (edge && om[8 * t + j] != 0) continue;
-                for (int c = 0; c < NC; ++c) acc[c][t][j] += wk[c] * xs[8 * t + j];
-              }
-#endif
             }
           }
         }
@@ -388,7 +376,6 @@ void wgrad_block(const WgradParams& p, const float* dyl, int cpad, const float* 
                         static_cast<std::size_t>(p.transposed ? u : tu) * p.w +
                         (p.transposed ? v0 : tv0);
       for (int v = v0; v < v1; ++v, gp += gstep, xp += xstep) {
-#if LACO_HAVE_VEC8
         Vec8 gv;
         std::memcpy(&gv, gp, sizeof gv);
         const Vec8i skip = (gv == 0.0f);
@@ -396,12 +383,6 @@ void wgrad_block(const WgradParams& p, const float* dyl, int cpad, const float* 
           const Vec8 sum = acc[c] + gv * xp[c * xplane];
           acc[c] = skip ? acc[c] : sum;
         }
-#else
-        for (int j = 0; j < 8; ++j) {
-          if (gp[j] == 0.0f) continue;
-          for (int c = 0; c < NCI; ++c) acc[c][j] += gp[j] * xp[c * xplane];
-        }
-#endif
       }
     }
   }
@@ -418,17 +399,11 @@ void bgrad_block(const WgradParams& p, const float* dyl, int cpad, float* bg, in
   const std::size_t pixels = static_cast<std::size_t>(p.n) * p.oh * p.ow;
   const float* gp = dyl + static_cast<std::size_t>(8) * (g * div_ceil(p.cout_g, 8) + cb);
   for (std::size_t i = 0; i < pixels; ++i, gp += cpad) {
-#if LACO_HAVE_VEC8
     Vec8 gv;
     std::memcpy(&gv, gp, sizeof gv);
     const Vec8i skip = (gv == 0.0f);
     const Vec8 sum = acc[0] + gv;
     acc[0] = skip ? acc[0] : sum;
-#else
-    for (int j = 0; j < 8; ++j) {
-      if (gp[j] != 0.0f) acc[0][j] += gp[j];
-    }
-#endif
   }
   lanes_store<1>(acc, bt, 0, 1, lanes);
 }
@@ -549,7 +524,6 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
                 float wk[NC] = {};
                 for (int c = 0; c < NC; ++c) wk[c] = wci[c * wchan + dy * p.kw + dx];
                 for (int t = 0; t < 4 && 8 * t < mb; ++t) {
-#if LACO_HAVE_VEC8
                   Vec8 xv = {};
                   std::memcpy(&xv, xs + 8 * t, sizeof xv);
                   if constexpr (decltype(skip_zero)::value) {
@@ -561,13 +535,6 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
                   } else {
                     for (int c = 0; c < NC; ++c) acc[c][t] += wk[c] * xv;
                   }
-#else
-                  for (int j = 0; j < 8; ++j) {
-                    const float xv = xs[8 * t + j];
-                    if (decltype(skip_zero)::value && xv == 0.0f) continue;
-                    for (int c = 0; c < NC; ++c) acc[c][t][j] += wk[c] * xv;
-                  }
-#endif
                 }
               }
             }

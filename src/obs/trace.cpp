@@ -1,106 +1,40 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
-#include <utility>
 
 namespace laco::obs {
 
-void TraceRecorder::start() {
-  MutexLock lock(mutex_);
-  events_.clear();
-  tids_.clear();
-  epoch_ = std::chrono::steady_clock::now();
-  enabled_.store(true, std::memory_order_relaxed);
-}
+Json chrome_trace(const RuntimeBreakdown& record) {
+  using Micros = std::chrono::duration<double, std::micro>;
+  RuntimeBreakdown::Clock::time_point epoch{};
+  if (!record.entries().empty()) epoch = record.entries().front().start;
+  for (const RuntimeBreakdown::Entry& e : record.entries()) epoch = std::min(epoch, e.start);
 
-void TraceRecorder::record(std::string name, std::string category,
-                           std::chrono::steady_clock::time_point begin,
-                           std::chrono::steady_clock::time_point end) {
-  TraceEvent event;
-  event.name = std::move(name);
-  event.category = std::move(category);
-  MutexLock lock(mutex_);
-  const auto [it, inserted] =
-      tids_.try_emplace(std::this_thread::get_id(), static_cast<int>(tids_.size()));
-  event.tid = it->second;
-  event.ts_us = std::chrono::duration<double, std::micro>(begin - epoch_).count();
-  event.dur_us = std::chrono::duration<double, std::micro>(end - begin).count();
-  events_.push_back(std::move(event));
-}
-
-std::size_t TraceRecorder::event_count() const {
-  MutexLock lock(mutex_);
-  return events_.size();
-}
-
-std::vector<TraceEvent> TraceRecorder::events() const {
-  MutexLock lock(mutex_);
-  return events_;
-}
-
-void TraceRecorder::clear() {
-  MutexLock lock(mutex_);
-  events_.clear();
-  tids_.clear();
-}
-
-Json TraceRecorder::chrome_trace() const {
-  Json events_json = Json::array();
-  for (const TraceEvent& event : events()) {
-    Json e = Json::object();
-    e["name"] = event.name;
-    e["cat"] = event.category;
-    e["ph"] = "X";
-    e["ts"] = event.ts_us;
-    e["dur"] = event.dur_us;
-    e["pid"] = 1;
-    e["tid"] = event.tid;
-    events_json.push_back(std::move(e));
+  Json events = Json::array();
+  for (const RuntimeBreakdown::Entry& e : record.entries()) {
+    Json event = Json::object();
+    event["name"] = e.name;
+    event["cat"] = "phase";
+    event["ph"] = "X";
+    event["ts"] = Micros(e.start - epoch).count();
+    event["dur"] = Micros(e.duration).count();
+    event["pid"] = 1;
+    event["tid"] = 0;
+    events.push_back(std::move(event));
   }
   Json out = Json::object();
-  out["traceEvents"] = std::move(events_json);
+  out["traceEvents"] = std::move(events);
   out["displayTimeUnit"] = "ms";
   return out;
 }
 
-bool TraceRecorder::write_chrome_trace(const std::string& path) const {
+bool write_chrome_trace(const RuntimeBreakdown& record, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  out << chrome_trace().dump(1);
+  out << chrome_trace(record).dump(1);
   return static_cast<bool>(out);
-}
-
-TraceRecorder& TraceRecorder::global() {
-  static TraceRecorder recorder;
-  return recorder;
-}
-
-TraceSpan::TraceSpan(std::string name, std::string category)
-    : active_(TraceRecorder::global().enabled()) {
-  if (!active_) return;
-  name_ = std::move(name);
-  category_ = std::move(category);
-  begin_ = std::chrono::steady_clock::now();
-}
-
-TraceSpan::~TraceSpan() {
-  if (!active_) return;
-  TraceRecorder::global().record(std::move(name_), std::move(category_), begin_,
-                                 std::chrono::steady_clock::now());
-}
-
-PhaseSpan::PhaseSpan(RuntimeBreakdown* breakdown, const char* name)
-    : breakdown_(breakdown), name_(name), tracing_(TraceRecorder::global().enabled()) {
-  if (breakdown_ != nullptr || tracing_) begin_ = std::chrono::steady_clock::now();
-}
-
-PhaseSpan::~PhaseSpan() {
-  if (breakdown_ == nullptr && !tracing_) return;
-  const auto end = std::chrono::steady_clock::now();
-  if (breakdown_ != nullptr) {
-    breakdown_->add(name_, std::chrono::duration<double>(end - begin_).count());
-  }
-  if (tracing_) TraceRecorder::global().record(name_, "phase", begin_, end);
 }
 
 }  // namespace laco::obs

@@ -231,34 +231,41 @@ PlacementResult GlobalPlacer::run() {
                   << optimizer.step_scale();
   };
 
+  // Every statement of the loop that walks cells, pins or bins sits in
+  // exactly one flat phase; a rollback is timed in the phase that
+  // detected the divergence. The penalty hook records its own phases.
   while (iter < options_.max_iterations) {
     // Chaos hook: crash/error injection at the iteration boundary, the
     // granularity the snapshot/resume protocol guarantees recovery at.
     LACO_FAILPOINT("placer.iteration");
     if (iter % cadence == 0 && (!last_good || last_good->iteration != iter)) {
-      last_good = capture(iter);
+      {
+        obs::Span phase(breakdown_, "placement: capture");
+        last_good = capture(iter);
+      }
       if (store && rec.snapshot_every > 0) {
         // Hand the copy to the store's background writer: the loop
         // pays for the in-memory copy only, and the destructor/flush
         // guarantee the write lands even if this run throws.
+        obs::Span phase(breakdown_, "placement: snapshot save");
         store->save_async(*last_good);
         ++result.recovery.snapshot_saves;
       }
     }
 
-    obs::TraceSpan iter_span("placement: iteration", "placer");
-    design_.set_movable_positions(optimizer.vx(), optimizer.vy());
-
+    double overflow = 0.0;
     {
-      obs::PhaseSpan phase(breakdown_, "placement: density");
+      obs::Span phase(breakdown_, "placement: density");
+      design_.set_movable_positions(optimizer.vx(), optimizer.vy());
       density_.update(design_);
-    }
-    const double overflow = density_.overflow(design_);
-    if (last_good && !last_good->history.empty() &&
-        overflow > last_good->history.back().overflow + kOverflowExplodeMargin) {
-      handle_divergence("overflow explosion (" + std::to_string(overflow) + " vs last good " +
-                        std::to_string(last_good->history.back().overflow) + ")");
-      continue;
+      overflow = density_.overflow(design_);
+      if (last_good && !last_good->history.empty() &&
+          overflow > last_good->history.back().overflow + kOverflowExplodeMargin) {
+        handle_divergence("overflow explosion (" + std::to_string(overflow) +
+                          " vs last good " + std::to_string(last_good->history.back().overflow) +
+                          ")");
+        continue;
+      }
     }
 
     // γ anneals with overflow: smooth early, HPWL-accurate late.
@@ -267,42 +274,48 @@ PlacementResult GlobalPlacer::run() {
         (0.1 + options_.gamma_overflow_factor * std::min(1.0, overflow));
     wirelength_.set_gamma(gamma);
 
-    std::fill(gx_cell.begin(), gx_cell.end(), 0.0);
-    std::fill(gy_cell.begin(), gy_cell.end(), 0.0);
     double wa_wl = 0.0;
+    double hpwl_now = 0.0;
     {
-      obs::PhaseSpan phase(breakdown_, "placement: wirelength");
+      obs::Span phase(breakdown_, "placement: wirelength");
+      std::fill(gx_cell.begin(), gx_cell.end(), 0.0);
+      std::fill(gy_cell.begin(), gy_cell.end(), 0.0);
       wa_wl = wirelength_.evaluate_with_grad(design_, gx_cell, gy_cell);
-    }
-    // The WA pass gathered every pin, so it also sums HPWL (bitwise
-    // design_.hpwl()). Checking it here rather than before the pass makes
-    // the same decisions; a trip only wastes this iteration's WA work.
-    const double hpwl_now = wirelength_.hpwl();
-    if (hpwl_peak > 0.0 && !(hpwl_now <= kHpwlExplodeFactor * hpwl_peak)) {
-      handle_divergence("hpwl explosion (" + std::to_string(hpwl_now) + " vs peak " +
-                        std::to_string(hpwl_peak) + ")");
-      continue;
+      // The WA pass gathered every pin, so it also sums HPWL (bitwise
+      // design_.hpwl()). Checking it here rather than before the pass
+      // makes the same decisions; a trip only wastes this iteration's
+      // WA work.
+      hpwl_now = wirelength_.hpwl();
+      if (hpwl_peak > 0.0 && !(hpwl_now <= kHpwlExplodeFactor * hpwl_peak)) {
+        handle_divergence("hpwl explosion (" + std::to_string(hpwl_now) + " vs peak " +
+                          std::to_string(hpwl_peak) + ")");
+        continue;
+      }
     }
 
-    std::fill(dgx_cell.begin(), dgx_cell.end(), 0.0);
-    std::fill(dgy_cell.begin(), dgy_cell.end(), 0.0);
-    density_.add_gradient(design_, 1.0, dgx_cell, dgy_cell);
-    const double wl_norm = abs_sum(gx_cell, gy_cell);
-    const double d_norm = abs_sum(dgx_cell, dgy_cell);
-    const double lambda = d_norm > 0.0 ? ratio * wl_norm / d_norm : 0.0;
-    for (std::size_t i = 0; i < gx_cell.size(); ++i) {
-      gx_cell[i] += lambda * dgx_cell[i];
-      gy_cell[i] += lambda * dgy_cell[i];
-    }
-    // Jacobi preconditioning (DREAMPlace): normalize each cell's gradient
-    // by its wirelength stake (pin count) + λ-weighted density stake
-    // (area), which evens out per-cell step sizes.
-    for (const CellId cid : design_.movable_cells()) {
-      const std::size_t i = static_cast<std::size_t>(cid);
-      const double precond =
-          std::max(1.0, pin_count_[i] + lambda * design_.cell(cid).area() / bin_area_);
-      gx_cell[i] /= precond;
-      gy_cell[i] /= precond;
+    double lambda = 0.0;
+    {
+      obs::Span phase(breakdown_, "placement: density gradient");
+      std::fill(dgx_cell.begin(), dgx_cell.end(), 0.0);
+      std::fill(dgy_cell.begin(), dgy_cell.end(), 0.0);
+      density_.add_gradient(design_, 1.0, dgx_cell, dgy_cell);
+      const double wl_norm = abs_sum(gx_cell, gy_cell);
+      const double d_norm = abs_sum(dgx_cell, dgy_cell);
+      lambda = d_norm > 0.0 ? ratio * wl_norm / d_norm : 0.0;
+      for (std::size_t i = 0; i < gx_cell.size(); ++i) {
+        gx_cell[i] += lambda * dgx_cell[i];
+        gy_cell[i] += lambda * dgy_cell[i];
+      }
+      // Jacobi preconditioning (DREAMPlace): normalize each cell's
+      // gradient by its wirelength stake (pin count) + λ-weighted
+      // density stake (area), which evens out per-cell step sizes.
+      for (const CellId cid : design_.movable_cells()) {
+        const std::size_t i = static_cast<std::size_t>(cid);
+        const double precond =
+            std::max(1.0, pin_count_[i] + lambda * design_.cell(cid).area() / bin_area_);
+        gx_cell[i] /= precond;
+        gy_cell[i] /= precond;
+      }
     }
 
     double penalty_value = 0.0;
@@ -310,17 +323,21 @@ PlacementResult GlobalPlacer::run() {
       penalty_value = penalty_(design_, iter, gx_cell, gy_cell);
     }
 
-    gather_movable(design_, gx_cell, gy_cell, gx, gy);
-    // Check the gradient before feeding it to the optimizer: one NaN
-    // would poison the BB history and every subsequent iterate.
-    if (!all_finite(gx, gy)) {
-      handle_divergence("non-finite gradient");
-      continue;
-    }
-    const double step = optimizer.step(gx, gy, kMaxMoveBins * bin_w);
-    if (!all_finite(optimizer.vx(), optimizer.vy())) {
-      handle_divergence("non-finite positions");
-      continue;
+    double step = 0.0;
+    {
+      obs::Span phase(breakdown_, "placement: optimizer");
+      gather_movable(design_, gx_cell, gy_cell, gx, gy);
+      // Check the gradient before feeding it to the optimizer: one NaN
+      // would poison the BB history and every subsequent iterate.
+      if (!all_finite(gx, gy)) {
+        handle_divergence("non-finite gradient");
+        continue;
+      }
+      step = optimizer.step(gx, gy, kMaxMoveBins * bin_w);
+      if (!all_finite(optimizer.vx(), optimizer.vy())) {
+        handle_divergence("non-finite positions");
+        continue;
+      }
     }
 
     IterationStats stats;

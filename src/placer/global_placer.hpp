@@ -46,8 +46,7 @@ struct PlacerRecoveryOptions {
 };
 
 /// Snapshot/rollback counters for one run() — the one record of its
-/// watchdog and rollback events (the snapshot store's own I/O counts
-/// are the `placer.snapshot.*` metrics).
+/// watchdog, rollback and snapshot events.
 struct PlacerRecoveryStats {
   /// Snapshots handed to the store's background writer (latest-wins:
   /// a capture superseded before its write started produces no file).
@@ -122,7 +121,8 @@ class GlobalPlacer {
     penalty_saver_ = std::move(saver);
     penalty_restorer_ = std::move(restorer);
   }
-  /// Phase timings are recorded here when set (Fig. 8 reproduction).
+  /// run() appends its phase spans here when set; a null record (the
+  /// default) leaves the run untimed.
   void set_runtime_breakdown(RuntimeBreakdown* breakdown) { breakdown_ = breakdown; }
 
   PlacementResult run();

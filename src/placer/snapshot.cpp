@@ -1,6 +1,5 @@
 #include "placer/snapshot.hpp"
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -8,7 +7,6 @@
 #include <system_error>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "util/logging.hpp"
 
 namespace laco {
@@ -22,12 +20,6 @@ constexpr std::uint32_t kSnapshotMagic = 0x4c534e50u;  // "PNSL" little-endian: 
 // field must produce a clean error, not a huge allocation.
 constexpr std::uint64_t kMaxHistory = std::uint64_t{1} << 22;
 constexpr std::uint32_t kMaxRngStateBytes = 1u << 16;
-
-/// Registry mirror for the snapshot subsystem. Saves happen once per
-/// snapshot_every iterations — off the hot path.
-obs::Counter& snapshot_counter(const char* field) {
-  return obs::MetricRegistry::global().counter(std::string("placer.snapshot.") + field);
-}
 
 void save_iteration_stats(serial::Writer& w, const IterationStats& s) {
   w.i32(s.iteration);
@@ -175,16 +167,6 @@ SnapshotStore::SnapshotStore(std::string dir) : dir_(std::move(dir)) {
   next_slot_ = best_slot >= 0 ? best_slot ^ 1 : 0;
 }
 
-namespace {
-
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now() - start)
-                                        .count());
-}
-
-}  // namespace
-
 SnapshotStore::~SnapshotStore() {
   {
     MutexLock lock(mu_);
@@ -200,23 +182,14 @@ bool SnapshotStore::write_slot(const PlacementSnapshot& snap) {
   const auto paths = slot_paths(dir_);
   const std::string& path = paths[static_cast<std::size_t>(next_slot_)];
   if (!save_snapshot_file(snap, path)) {
-    snapshot_counter("save_failures").add(1);
     LACO_LOG_WARN << "snapshot save failed for '" << path << "' (disk full or unwritable)";
     return false;
   }
   next_slot_ ^= 1;
-  snapshot_counter("saves").add(1);
-  std::error_code size_ec;
-  const auto size = fs::file_size(path, size_ec);
-  if (!size_ec) snapshot_counter("bytes").add(static_cast<std::uint64_t>(size));
   return true;
 }
 
 void SnapshotStore::save_async(const PlacementSnapshot& snap) {
-  // save_ns accumulates wall time the caller was blocked on snapshot
-  // work, which is what the bench_fig8_runtime overhead guardrail
-  // measures; the background writer's time lands in write_ns instead.
-  const auto start = std::chrono::steady_clock::now();
   // The copy is the only work on the caller's critical path. Copy into
   // the recycled buffer from the last completed write when one exists:
   // copy-assignment reuses the vectors' capacity, so steady state is a
@@ -238,7 +211,6 @@ void SnapshotStore::save_async(const PlacementSnapshot& snap) {
     if (buf.has_value() && !spare_.has_value()) spare_.swap(buf);
   }
   cv_.notify_all();
-  snapshot_counter("save_ns").add(elapsed_ns(start));
 }
 
 void SnapshotStore::flush() {
@@ -262,9 +234,7 @@ void SnapshotStore::writer_loop() {
       pending_.reset();
       writing_ = true;
     }
-    const auto start = std::chrono::steady_clock::now();
     const bool ok = write_slot(*job);
-    snapshot_counter("write_ns").add(elapsed_ns(start));
     {
       MutexLock lock(mu_);
       writing_ = false;
@@ -286,10 +256,8 @@ std::optional<PlacementSnapshot> SnapshotStore::load_latest(std::string* why) co
     }
     try {
       PlacementSnapshot snap = load_snapshot_file(path);
-      snapshot_counter("loads").add(1);
       if (!best || snap.iteration > best->iteration) best = std::move(snap);
     } catch (const std::exception& e) {
-      snapshot_counter("load_failures").add(1);
       LACO_LOG_WARN << "snapshot slot rejected: " << e.what();
       reasons += std::string(e.what()) + "; ";
     }

@@ -64,7 +64,7 @@ PlacementSnapshot load_snapshot_file(const std::string& path);
 /// always leaves the previous snapshot intact. Writes run on one
 /// background writer thread. load_latest() returns the valid slot with
 /// the highest iteration, skipping any slot that is missing, truncated,
-/// or corrupt. Mirrors activity into the `placer.snapshot.*` metrics.
+/// or corrupt.
 class SnapshotStore {
  public:
   /// Aims the first save at the slot NOT holding the newest valid

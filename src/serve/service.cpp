@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "obs/trace.hpp"
 #include "serve/errors.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -137,7 +136,6 @@ void InferenceService::execute(Batch batch) {
   bool succeeded = false;
   double exec_ms = 0.0;  ///< forward wall time
   if (!live.items.empty()) {
-    obs::TraceSpan span("serve.execute_batch", "serve");
     Timer exec_timer;
     try {
       const nn::Tensor output = forward_batch(live);

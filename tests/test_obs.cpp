@@ -1,22 +1,21 @@
 // src/obs under contention and at its export boundaries: exact counter
-// totals across a ThreadPool, well-nested trace spans per thread,
+// totals across a ThreadPool, flat phase records of real placement runs,
 // structurally valid Chrome trace JSON, and the laco-bench schema
 // validator. The same binary runs under the TSan CI job, so the
 // hammer tests double as data-race probes (docs/OBSERVABILITY.md).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <map>
-#include <set>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "laco/laco_placer.hpp"
+#include "netlist/generator.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -83,130 +82,138 @@ TEST(MetricRegistry, SnapshotJsonAndStringCarryAllInstruments) {
   EXPECT_EQ(filtered.find("a.count"), std::string::npos);
 }
 
-// --- tracing -------------------------------------------------------------
+// --- phase spans and the run record --------------------------------------
 
-/// Per-tid well-nestedness: RAII spans on one thread must form a proper
-/// bracket structure — any two spans are disjoint or one contains the
-/// other. Partial overlap means begin/end got attributed to the wrong
-/// thread or the recorder scrambled timestamps.
-void expect_well_nested(const std::vector<TraceEvent>& events) {
-  std::map<int, std::vector<TraceEvent>> by_tid;
-  for (const TraceEvent& e : events) by_tid[e.tid].push_back(e);
-  for (auto& [tid, track] : by_tid) {
-    std::sort(track.begin(), track.end(), [](const TraceEvent& a, const TraceEvent& b) {
-      return a.ts_us < b.ts_us;
-    });
-    for (std::size_t i = 0; i < track.size(); ++i) {
-      for (std::size_t j = i + 1; j < track.size(); ++j) {
-        const double a0 = track[i].ts_us, a1 = a0 + track[i].dur_us;
-        const double b0 = track[j].ts_us, b1 = b0 + track[j].dur_us;
-        const bool disjoint = b0 >= a1 - 1e-9;
-        const bool contained = b1 <= a1 + 1e-9;
-        EXPECT_TRUE(disjoint || contained)
-            << "tid " << tid << ": spans [" << a0 << "," << a1 << ") '" << track[i].name
-            << "' and [" << b0 << "," << b1 << ") '" << track[j].name << "' partially overlap";
-      }
-    }
+TEST(Trace, NullRecordDropsSpans) {
+  RuntimeBreakdown record;
+  {
+    Span dropped(nullptr, "dropped");
+    Span kept(&record, "kept");
   }
+  ASSERT_EQ(record.entries().size(), 1u);
+  EXPECT_STREQ(record.entries()[0].name, "kept");
+  EXPECT_GE(record.seconds("kept"), 0.0);
 }
 
-TEST(Trace, ConcurrentSpansAreWellNestedPerThread) {
-  TraceRecorder& rec = TraceRecorder::global();
-  rec.start();
-  constexpr int kTasks = 16;
-  {
-    ThreadPool pool(3);
-    for (int t = 0; t < kTasks; ++t) {
-      ASSERT_TRUE(pool.submit([t] {
-        TraceSpan outer("task " + std::to_string(t), "test");
-        for (int i = 0; i < 3; ++i) {
-          TraceSpan inner("step", "test");
-        }
-      }));
-    }
+/// The exact Chrome trace_event shape chrome://tracing and Perfetto
+/// accept, one complete event per span of `record`, in record order.
+void expect_chrome_trace_of(const Json& doc, const RuntimeBreakdown& record) {
+  ASSERT_TRUE(doc.is_object());
+  EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
+  ASSERT_TRUE(doc.at("traceEvents").is_array());
+  const JsonArray& evs = doc.at("traceEvents").as_array();
+  ASSERT_EQ(evs.size(), record.entries().size());
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    const Json& e = evs[i];
+    EXPECT_EQ(e.at("ph").as_string(), "X");
+    EXPECT_EQ(e.at("cat").as_string(), "phase");
+    EXPECT_EQ(e.at("name").as_string(), record.entries()[i].name);
+    EXPECT_GE(e.at("ts").as_double(), 0.0);
+    EXPECT_GE(e.at("dur").as_double(), 0.0);
+    EXPECT_TRUE(e.at("pid").is_number());
+    EXPECT_TRUE(e.at("tid").is_number());
   }
-  rec.stop();
-  const std::vector<TraceEvent> events = rec.events();
-  EXPECT_EQ(events.size(), static_cast<std::size_t>(kTasks) * 4);  // 1 outer + 3 inner
-  expect_well_nested(events);
-  std::set<int> tids;
-  for (const TraceEvent& e : events) tids.insert(e.tid);
-  EXPECT_GE(tids.size(), 1u);
-  EXPECT_LE(tids.size(), 3u);  // at most one track per pool worker
-  for (const TraceEvent& e : events) {
-    EXPECT_GE(e.ts_us, 0.0);
-    EXPECT_GE(e.dur_us, 0.0);
-    EXPECT_EQ(e.category, "test");
-  }
-  rec.clear();
-}
-
-TEST(Trace, DisabledRecorderDropsSpans) {
-  TraceRecorder& rec = TraceRecorder::global();
-  rec.stop();
-  rec.clear();
-  {
-    TraceSpan span("invisible", "test");
-  }
-  EXPECT_EQ(rec.event_count(), 0u);
 }
 
 TEST(Trace, ChromeTraceJsonIsStructurallyValid) {
-  TraceRecorder& rec = TraceRecorder::global();
-  rec.start();
-  {
-    TraceSpan outer("outer", "test");
-    TraceSpan inner("inner", "test");
+  RuntimeBreakdown record;
+  for (const char* name : {"first", "second"}) {
+    Span span(&record, name);
   }
-  rec.stop();
 
   const std::string path = ::testing::TempDir() + "/obs_chrome.trace.json";
-  ASSERT_TRUE(rec.write_chrome_trace(path));
+  ASSERT_TRUE(write_chrome_trace(record, path));
   std::ifstream in(path);
   ASSERT_TRUE(in);
   std::ostringstream buf;
   buf << in.rdbuf();
   const Json doc = Json::parse(buf.str());  // throws on malformed JSON
-
-  // The exact shape chrome://tracing / Perfetto accept.
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
-  ASSERT_TRUE(doc.at("traceEvents").is_array());
-  const JsonArray& evs = doc.at("traceEvents").as_array();
-  ASSERT_EQ(evs.size(), 2u);
-  std::set<std::string> names;
-  for (const Json& e : evs) {
-    EXPECT_EQ(e.at("ph").as_string(), "X");
-    EXPECT_EQ(e.at("cat").as_string(), "test");
-    EXPECT_TRUE(e.at("name").is_string());
-    EXPECT_TRUE(e.at("ts").is_number());
-    EXPECT_TRUE(e.at("dur").is_number());
-    EXPECT_TRUE(e.at("pid").is_number());
-    EXPECT_TRUE(e.at("tid").is_number());
-    names.insert(e.at("name").as_string());
-  }
-  EXPECT_EQ(names, (std::set<std::string>{"outer", "inner"}));
-  rec.clear();
+  expect_chrome_trace_of(doc, record);
   std::remove(path.c_str());
 }
 
-TEST(Trace, PhaseSpanFeedsBreakdownAndRecorder) {
-  TraceRecorder& rec = TraceRecorder::global();
-  rec.start();
-  RuntimeBreakdown breakdown;
-  {
-    PhaseSpan span(&breakdown, "unit phase");
+/// A run's phases are flat: in closing order each span starts after the
+/// previous one ended. So the table sums to the total, and the total
+/// fits in the extent.
+void expect_flat_record(const RuntimeBreakdown& record) {
+  const auto& entries = record.entries();
+  ASSERT_FALSE(entries.empty());
+  for (std::size_t i = 0; i + 1 < entries.size(); ++i) {
+    EXPECT_GE(entries[i + 1].start, entries[i].start + entries[i].duration)
+        << "'" << entries[i + 1].name << "' overlaps '" << entries[i].name << "'";
   }
+  double table_s = 0.0;
+  for (const auto& [phase, seconds, frac] : record.table()) table_s += seconds;
+  EXPECT_NEAR(table_s, record.total(), 1e-12 * record.total());
+  EXPECT_LE(record.total(), record.extent());
+}
+
+TEST(Trace, PlacementRecordIsFlatAndExportsChromeTrace) {
+  GeneratorConfig gcfg;
+  gcfg.num_cells = 120;
+  gcfg.seed = 5;
+  const std::string snap_dir = ::testing::TempDir() + "/obs_record_snapshots";
+
+  // GlobalPlacer alone, with durable snapshots so every placer phase
+  // runs, and one NaN gradient so a rollback runs inside a phase.
   {
-    PhaseSpan null_target(nullptr, "no breakdown");  // must be safe
+    Design design = generate_design(gcfg);
+    GlobalPlacerOptions opts;
+    opts.bin_nx = opts.bin_ny = 8;
+    opts.max_iterations = opts.min_iterations = 40;
+    opts.target_overflow = 0.0;
+    opts.recovery.snapshot_dir = snap_dir;
+    opts.recovery.snapshot_every = 10;
+    GlobalPlacer placer(design, opts);
+    RuntimeBreakdown record;
+    placer.set_runtime_breakdown(&record);
+    bool injected = false;
+    placer.set_penalty_hook(
+        [&injected](const Design& d, int iter, std::vector<double>& gx, std::vector<double>&) {
+          if (iter == 25 && !injected) {
+            injected = true;
+            gx[static_cast<std::size_t>(d.movable_cells()[0])] =
+                std::numeric_limits<double>::quiet_NaN();
+          }
+          return 0.0;
+        });
+    EXPECT_EQ(placer.run().recovery.rollbacks, 1u);
+    expect_flat_record(record);
+    for (const char* phase :
+         {"placement: capture", "placement: snapshot save", "placement: density",
+          "placement: wirelength", "placement: density gradient", "placement: optimizer"}) {
+      EXPECT_GT(record.seconds(phase), 0.0) << phase;
+    }
+    expect_chrome_trace_of(Json::parse(chrome_trace(record).dump()), record);
   }
-  rec.stop();
-  EXPECT_GE(breakdown.seconds("unit phase"), 0.0);
-  EXPECT_EQ(breakdown.table().size(), 1u);  // null-target span adds nothing
-  const std::vector<TraceEvent> events = rec.events();
-  ASSERT_EQ(events.size(), 2u);
-  for (const TraceEvent& e : events) EXPECT_EQ(e.category, "phase");
-  rec.clear();
+  std::filesystem::remove_all(snap_dir);
+
+  // run_laco_placement with a learned penalty: the penalty's phases sit
+  // between the placer's, and the evaluation closes the record.
+  Design design = generate_design(gcfg);
+  LacoModels models;
+  models.scheme = LacoScheme::kDreamCong;
+  CongestionFcnConfig fc;
+  fc.in_channels = f_in_channels(models.scheme);
+  fc.base_width = 4;
+  nn::reset_init_seed(17);
+  models.congestion = std::make_shared<CongestionFcn>(fc);
+  LacoPlacerConfig cfg;
+  cfg.scheme = LacoScheme::kDreamCong;
+  cfg.placer.bin_nx = cfg.placer.bin_ny = 8;
+  cfg.placer.max_iterations = cfg.placer.min_iterations = 40;
+  cfg.placer.target_overflow = 0.0;
+  cfg.penalty.features_hi = FeatureConfig{16, 16, QuasiVoxScheme::kWeightedSum, true};
+  cfg.penalty.start_iteration = 20;
+  cfg.router.grid.nx = cfg.router.grid.ny = 16;
+  const LacoRunResult result = run_laco_placement(design, cfg, &models);
+  expect_flat_record(result.breakdown);
+  for (const char* phase : {"feature gathering", "congestion model", "nn backward",
+                            "feature backward", "evaluation"}) {
+    EXPECT_GT(result.breakdown.seconds(phase), 0.0) << phase;
+  }
+  EXPECT_STREQ(result.breakdown.entries().back().name, "evaluation");
+  expect_chrome_trace_of(Json::parse(chrome_trace(result.breakdown).dump()), result.breakdown);
 }
 
 // --- bench reports -------------------------------------------------------

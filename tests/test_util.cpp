@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "util/csv.hpp"
 #include "util/geometry.hpp"
 #include "util/rng.hpp"
@@ -93,12 +95,15 @@ TEST(Table, FormatAndCsv) {
 }
 
 TEST(RuntimeBreakdown, AccumulatesAndSorts) {
+  using std::chrono::seconds;
   RuntimeBreakdown bd;
-  bd.add("a", 1.0);
-  bd.add("b", 3.0);
-  bd.add("a", 1.0);
+  const RuntimeBreakdown::Clock::time_point t0{};
+  bd.add("a", t0, seconds(1));
+  bd.add("b", t0 + seconds(1), seconds(3));
+  bd.add("a", t0 + seconds(4), seconds(1));
   EXPECT_DOUBLE_EQ(bd.seconds("a"), 2.0);
   EXPECT_DOUBLE_EQ(bd.total(), 5.0);
+  EXPECT_DOUBLE_EQ(bd.extent(), 5.0);
   const auto table = bd.table();
   ASSERT_EQ(table.size(), 2u);
   EXPECT_EQ(std::get<0>(table[0]), "b");

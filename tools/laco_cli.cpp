@@ -12,7 +12,7 @@
 //              [--json-out FILE.json]
 //       Runs global placement (+ LG + DP), optionally congestion-guided
 //       with models saved by `laco train` / the train_lookahead example.
-//       --trace-out records per-phase spans and writes Chrome
+//       --trace-out writes the run's phase spans as Chrome
 //       trace_event JSON (chrome://tracing / ui.perfetto.dev).
 //       --snapshot-dir enables durable iteration snapshots (every N
 //       iterations, default 10) and --resume continues an interrupted
@@ -235,21 +235,17 @@ int cmd_place(const Args& args) {
     models_ptr = &models;
   }
 
-  // --trace-out FILE: record per-phase spans for the whole run and
-  // export Chrome trace_event JSON (chrome://tracing, ui.perfetto.dev).
-  const std::string trace_out = args.get("trace-out", "");
-  if (!trace_out.empty()) obs::TraceRecorder::global().start();
-
   const LacoRunResult result = run_laco_placement(design, cfg, models_ptr);
 
+  // --trace-out FILE: the run's phase spans as Chrome trace_event JSON
+  // (chrome://tracing, ui.perfetto.dev).
+  const std::string trace_out = args.get("trace-out", "");
   if (!trace_out.empty()) {
-    obs::TraceRecorder::global().stop();
-    if (!obs::TraceRecorder::global().write_chrome_trace(trace_out)) {
+    if (!obs::write_chrome_trace(result.breakdown, trace_out)) {
       std::cerr << "cannot write trace " << trace_out << '\n';
       return 1;
     }
-    std::cout << "wrote trace " << trace_out << " ("
-              << obs::TraceRecorder::global().event_count()
+    std::cout << "wrote trace " << trace_out << " (" << result.breakdown.entries().size()
               << " events; load in chrome://tracing)\n";
   }
   std::cout << "placement: " << result.placement.iterations << " iterations, HPWL "
