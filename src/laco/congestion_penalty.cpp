@@ -18,8 +18,8 @@ namespace {
 constexpr std::uint64_t kMaxSnapshotFrames = 64;
 
 void freeze(nn::Module& module) {
-  // Conditional write: model sets handed out by serve::ModelRegistry
-  // arrive pre-frozen and shared across threads; skipping the redundant
+  // Conditional write: a model set from serve::clone_frozen arrives
+  // pre-frozen and may be shared across threads; skipping the redundant
   // store keeps shared weight impls strictly read-only here.
   for (nn::Tensor p : module.parameters()) {
     if (p.requires_grad()) p.set_requires_grad(false);
@@ -151,35 +151,21 @@ double CongestionPenalty::operator()(const Design& design, int iteration,
   std::vector<double> pen_gx(design.num_movable(), 0.0);
   std::vector<double> pen_gy(design.num_movable(), 0.0);
 
-  // Degraded mode: skip the learned path entirely while the bench timer
-  // runs; when it reaches zero the next application re-probes it.
-  bool use_learned = true;
-  if (degraded_remaining_ > 0) {
-    --degraded_remaining_;
-    use_learned = false;
-  }
-
+  // The models, config and frame shapes are fixed for the run, so a
+  // learned-path failure would recur: the first one hands the rest of
+  // the run to the analytic penalty.
   double loss = 0.0;
   bool have_loss = false;
-  if (use_learned) {
+  if (stats_.learned_failures == 0) {
     try {
       loss = learned_penalty(design, pen_gx, pen_gy);
       have_loss = true;
       ++stats_.learned_applications;
-      consecutive_failures_ = 0;
     } catch (const std::exception& e) {
       ++stats_.learned_failures;
-      ++consecutive_failures_;
       LACO_LOG_WARN << "CongestionPenalty: learned penalty failed at iteration " << iteration
-                    << " (" << e.what() << "); using analytic RUDY fallback";
-      if (consecutive_failures_ >= config_.degrade_threshold) {
-        degraded_remaining_ = std::max(1, config_.reprobe_after);
-        consecutive_failures_ = 0;
-        ++stats_.degradations;
-        LACO_LOG_WARN << "CongestionPenalty: " << config_.degrade_threshold
-                      << " consecutive failures; degrading to analytic penalty for "
-                      << degraded_remaining_ << " applications before re-probing";
-      }
+                    << " (" << e.what() << "); the analytic RUDY penalty carries the rest of"
+                    << " the run";
       // The learned path may have thrown mid-accumulation.
       std::fill(pen_gx.begin(), pen_gx.end(), 0.0);
       std::fill(pen_gy.begin(), pen_gy.end(), 0.0);
@@ -325,9 +311,6 @@ void CongestionPenalty::save_state(serial::Writer& w) const {
   w.u64(stats_.learned_applications);
   w.u64(stats_.learned_failures);
   w.u64(stats_.analytic_fallbacks);
-  w.u64(stats_.degradations);
-  w.i32(consecutive_failures_);
-  w.i32(degraded_remaining_);
 }
 
 void CongestionPenalty::restore_state(serial::Reader& r) {
@@ -350,9 +333,6 @@ void CongestionPenalty::restore_state(serial::Reader& r) {
   stats_.learned_applications = r.u64("learned applications");
   stats_.learned_failures = r.u64("learned failures");
   stats_.analytic_fallbacks = r.u64("analytic fallbacks");
-  stats_.degradations = r.u64("degradations");
-  consecutive_failures_ = r.i32("consecutive failures");
-  degraded_remaining_ = r.i32("degraded remaining");
 }
 
 }  // namespace laco

@@ -53,25 +53,19 @@ struct PenaltyConfig {
   double eta = 0.25;          ///< penalty gradient weight (norm fraction)
   int start_iteration = 50;   ///< no penalty before this iteration
   int apply_every = 5;        ///< penalty recomputed every n iterations
-
-  // Graceful degradation (docs/RELIABILITY.md): a learned-penalty
-  // failure falls back to the analytic RUDY penalty for that iteration;
-  // after `degrade_threshold` consecutive failures the learned path is
-  // skipped entirely for `reprobe_after` applications before probing it
-  // again. The placement run always completes.
-  int degrade_threshold = 3;  ///< consecutive failures that enter degraded mode
-  int reprobe_after = 4;      ///< analytic-only applications per degraded stretch
 };
 
-/// Degradation bookkeeping for one CongestionPenalty instance; surfaced
+/// Fallback bookkeeping for one CongestionPenalty instance; surfaced
 /// through LacoRunResult::penalty_stats so callers (and the chaos ctest
-/// target) can assert the fallback actually engaged.
+/// target) can assert the fallback actually engaged. Graceful
+/// degradation (docs/RELIABILITY.md): the first learned-path failure
+/// hands the rest of the run to the analytic RUDY penalty, so
+/// `learned_failures` is 0 or 1.
 struct PenaltyStats {
   std::uint64_t applications = 0;          ///< iterations where the penalty ran
   std::uint64_t learned_applications = 0;  ///< learned f∘g path succeeded
   std::uint64_t learned_failures = 0;      ///< learned path threw
   std::uint64_t analytic_fallbacks = 0;    ///< analytic RUDY penalty used instead
-  std::uint64_t degradations = 0;          ///< times degraded mode was entered
 };
 
 /// f's input for a look-ahead scheme, the one join f's training
@@ -114,19 +108,17 @@ class CongestionPenalty {
   bool predict(const Design& design, GridMap& out);
 
   /// Snapshot codec (docs/RELIABILITY.md "Placement snapshots &
-  /// resume"): serializes the penalty's loop state — frame history,
-  /// degradation counters, stats — so a resumed placement replays the
-  /// uninterrupted run bitwise. The payload is versioned by kVersion;
-  /// version 2 dropped the two remote-forward counters of version 1.
-  static constexpr std::uint32_t kVersion = 2;
+  /// resume"): serializes the penalty's loop state — frame history and
+  /// stats — so a resumed placement replays the uninterrupted run
+  /// bitwise. The payload is versioned by kVersion; version 2 dropped
+  /// the two remote-forward counters of version 1, and version 3 the
+  /// degraded-mode counters.
+  static constexpr std::uint32_t kVersion = 3;
   void save_state(serial::Writer& w) const;
   void restore_state(serial::Reader& r);
 
   const PenaltyConfig& config() const { return config_; }
   const PenaltyStats& stats() const { return stats_; }
-  /// True while the learned path is benched and the analytic fallback
-  /// carries the penalty (docs/RELIABILITY.md).
-  bool degraded() const { return degraded_remaining_ > 0; }
 
  private:
   /// Assembles f's input tensor; `hi_input`/`lo_input` receive the
@@ -159,11 +151,7 @@ class CongestionPenalty {
   FeatureExtractor lo_extractor_;
   FrameHistory history_;
   RuntimeBreakdown* breakdown_ = nullptr;
-
-  // Degradation state (single-threaded with the placer loop).
-  PenaltyStats stats_;
-  int consecutive_failures_ = 0;  ///< learned-path failures in a row
-  int degraded_remaining_ = 0;    ///< analytic-only applications left
+  PenaltyStats stats_;  ///< single-threaded with the placer loop
 };
 
 }  // namespace laco

@@ -33,7 +33,7 @@ LacoRunResult run_laco_placement(Design& design, const LacoPlacerConfig& config,
                                        std::vector<double>& gy) {
       return (*penalty)(d, iter, gx, gy);
     });
-    // Snapshot codec: the penalty's frame history and degradation state
+    // Snapshot codec: the penalty's frame history and fallback stats
     // ride along in placement snapshots as an opaque blob, so resumed
     // runs replay the penalty schedule bitwise (docs/RELIABILITY.md).
     placer.set_penalty_state_codec(

@@ -1,12 +1,10 @@
 #include "nn/kernel_pool.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <thread>
-#include <utility>
 
 #include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
@@ -113,27 +111,6 @@ void parallel_tiles(std::size_t tile_count, const std::function<void(std::size_t
     while (run->finished != run->tile_count) run->done_cv.wait(run->mutex);
     if (run->error != nullptr) std::rethrow_exception(run->error);
   }
-}
-
-OpStats make_op_stats(const char* name) {
-  obs::MetricRegistry& reg = obs::MetricRegistry::global();
-  const std::string prefix = std::string("nn.op.") + name;
-  return OpStats{reg.counter(prefix + ".calls"), reg.counter(prefix + ".ns")};
-}
-
-namespace {
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-}  // namespace
-
-OpTimer::OpTimer(const OpStats& stats) : stats_(stats), start_ns_(now_ns()) {}
-
-OpTimer::~OpTimer() {
-  stats_.calls.add(1);
-  stats_.ns.add(now_ns() - start_ns_);
 }
 
 }  // namespace laco::nn

@@ -56,15 +56,4 @@ Tensor GroupNorm::forward(const Tensor& x) const {
   return group_norm(x, num_groups_, gamma_, beta_, eps_);
 }
 
-Linear::Linear(int in_features, int out_features, bool bias) {
-  Tensor w = Tensor::zeros({out_features, in_features});
-  fill_kaiming(w, in_features, next_init_seed());
-  weight_ = register_parameter("weight", w);
-  if (bias) {
-    bias_ = register_parameter("bias", Tensor::zeros({out_features}));
-  }
-}
-
-Tensor Linear::forward(const Tensor& x) const { return linear(x, weight_, bias_); }
-
 }  // namespace laco::nn

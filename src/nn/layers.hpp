@@ -1,7 +1,7 @@
 // Standard layers built on the op catalog: Conv2d, ConvTranspose2d,
-// GroupNorm, Linear. Initialization is Kaiming-normal for conv/linear
-// weights, zeros for biases, ones/zeros for norm affine — seeded
-// deterministically from the layer's construction order.
+// GroupNorm. Initialization is Kaiming-normal for conv weights, zeros
+// for biases, ones/zeros for norm affine — seeded deterministically
+// from the layer's construction order.
 #pragma once
 
 #include "nn/module.hpp"
@@ -55,16 +55,6 @@ class GroupNorm : public Module {
   Tensor beta_;
   int num_groups_;
   float eps_;
-};
-
-class Linear : public Module {
- public:
-  Linear(int in_features, int out_features, bool bias = true);
-  Tensor forward(const Tensor& x) const;
-
- private:
-  Tensor weight_;
-  Tensor bias_;
 };
 
 }  // namespace laco::nn

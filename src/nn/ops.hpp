@@ -12,13 +12,8 @@ Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 Tensor scale(const Tensor& a, float s);
 Tensor add_scalar(const Tensor& a, float s);
-Tensor neg(const Tensor& a);
 Tensor leaky_relu(const Tensor& a, float negative_slope = 0.01f);
-Tensor relu(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
-Tensor tanh_op(const Tensor& a);
 Tensor exp_op(const Tensor& a);
-Tensor log_op(const Tensor& a);  ///< log(max(x, 1e-12))
 Tensor square(const Tensor& a);
 
 // --- reductions / losses (losses.cpp) ---------------------------------
@@ -30,10 +25,6 @@ Tensor mean_square(const Tensor& prediction);
 /// Diagonal-Gaussian KL(N(mu, exp(logvar)) || N(0, I)) summed over all
 /// elements and divided by batch size (paper Eq. 16).
 Tensor vae_kl_loss(const Tensor& mu, const Tensor& logvar);
-
-// --- linear algebra (ops_linear.cpp) ----------------------------------
-/// x:[N,In] · weight:[Out,In]ᵀ + bias:[Out] → [N,Out]; bias may be undefined.
-Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias);
 
 // --- convolutions, NCHW (ops_conv.cpp) --------------------------------
 /// weight: [Cout, Cin/groups, Kh, Kw]; bias: [Cout] or undefined.
@@ -62,9 +53,5 @@ Tensor stack_batch(const std::vector<Tensor>& tensors);
 // --- resampling (ops_resample.cpp) --------------------------------------
 /// Bilinear resize of NCHW to (out_h, out_w), align_corners=false.
 Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w);
-/// kxk average pooling with stride k (exact division required).
-Tensor avg_pool2d(const Tensor& x, int k);
-/// [N,C,H,W] → [N,C] spatial mean.
-Tensor global_avg_pool(const Tensor& x);
 
 }  // namespace laco::nn

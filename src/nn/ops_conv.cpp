@@ -248,8 +248,7 @@ void conv2d_tile(const Conv2dParams& p, const float* xpad, int len, const std::i
   }
 }
 
-/// Untimed: also runs conv_transpose2d's input gradient, which must
-/// not count as a conv2d forward (see conv2d_forward).
+/// The eager and plan forward, and conv_transpose2d's input gradient.
 void conv2d_run(Conv2dParams p, const float* xd, const float* wd, const float* bd, float* y) {
   // A pointwise conv that maps each input plane to an output plane of
   // the same shape runs as one long row per channel.
@@ -284,14 +283,6 @@ void conv2d_run(Conv2dParams p, const float* xd, const float* wd, const float* b
             [&](int b, int cog, int nc, int y0, int y1) {
               kTiles[nc - 1](p, xpad, len, outside, wd, bd, y, b, cog, y0, y1);
             });
-}
-
-/// The eager and plan forward: the only conv2d_run caller `nn.op.conv2d.*` counts.
-void conv2d_forward(const Conv2dParams& p, const float* xd, const float* wd, const float* bd,
-                    float* y) {
-  static const OpStats stats = make_op_stats("conv2d");
-  OpTimer timer(stats);
-  conv2d_run(p, xd, wd, bd, y);
 }
 
 // ---------------------------------------------------- weight gradients
@@ -551,8 +542,8 @@ void conv_transpose2d_tile(const ConvT2dParams& p, const float* xpad, std::size_
   }
 }
 
-/// Untimed: also runs conv2d's input gradient (`accumulate` = true,
-/// bd = nullptr), which must not count as a conv_transpose2d forward.
+/// The eager and plan forward (`accumulate` = false), and conv2d's
+/// input gradient (`accumulate` = true, bd = nullptr).
 void conv_transpose2d_run(const ConvT2dParams& p, const float* xd, const float* wd,
                           const float* bd, bool accumulate, float* y) {
   // The tile reads a zero-padded copy of the input: `lead` zeros before
@@ -576,14 +567,6 @@ void conv_transpose2d_run(const ConvT2dParams& p, const float* xd, const float* 
             [&](int b, int cog, int nc, int y0, int y1) {
               kTiles[nc - 1](p, xpad, pitch, wd, bd, accumulate, y, b, cog, y0, y1);
             });
-}
-
-/// The eager and plan forward: the only caller `nn.op.conv_transpose2d.*` counts.
-void conv_transpose2d_forward(const ConvT2dParams& p, const float* xd, const float* wd,
-                              const float* bd, float* y) {
-  static const OpStats stats = make_op_stats("conv_transpose2d");
-  OpTimer timer(stats);
-  conv_transpose2d_run(p, xd, wd, bd, /*accumulate=*/false, y);
 }
 
 void conv_transpose2d_backward_b(const ConvT2dParams& p, const float* gout_d, float* bg) {
@@ -640,7 +623,7 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output<"conv2d">(
+  Tensor out = make_op_output(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -664,11 +647,11 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
         }
       });
 
-  conv2d_forward(params, x.data().data(), weight.data().data(),
-                 bias.defined() ? bias.data().data() : nullptr, out.data().data());
+  conv2d_run(params, x.data().data(), weight.data().data(),
+             bias.defined() ? bias.data().data() : nullptr, out.data().data());
   trace_op("conv2d", {&x, &weight, &bias}, out, [params]() -> OpKernel {
     return [params](const float* const* in, float* o) {
-      conv2d_forward(params, in[0], in[1], in[2], o);
+      conv2d_run(params, in[0], in[1], in[2], o);
     };
   });
   return out;
@@ -713,7 +696,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output<"conv_transpose2d">(
+  Tensor out = make_op_output(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -739,11 +722,12 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
         }
       });
 
-  conv_transpose2d_forward(params, x.data().data(), weight.data().data(),
-                           bias.defined() ? bias.data().data() : nullptr, out.data().data());
+  conv_transpose2d_run(params, x.data().data(), weight.data().data(),
+                       bias.defined() ? bias.data().data() : nullptr, /*accumulate=*/false,
+                       out.data().data());
   trace_op("conv_transpose2d", {&x, &weight, &bias}, out, [params]() -> OpKernel {
     return [params](const float* const* in, float* o) {
-      conv_transpose2d_forward(params, in[0], in[1], in[2], o);
+      conv_transpose2d_run(params, in[0], in[1], in[2], /*accumulate=*/false, o);
     };
   });
   return out;

@@ -33,8 +33,6 @@ struct GroupNormParams {
 /// backward pass; each slot has exactly one writer.
 void group_norm_forward(const GroupNormParams& p, const float* xd, const float* gamma,
                         const float* beta, float* means, float* inv_stds, float* y) {
-  static const OpStats stats = make_op_stats("group_norm");
-  OpTimer timer(stats);
   const std::size_t tiles = static_cast<std::size_t>(p.n) * p.num_groups;
   // LACO_DETERMINISTIC: per-(b, g) tile; double mean/var chains and
   // normalized writes in the reference element order.
@@ -100,7 +98,7 @@ Tensor group_norm(const Tensor& x, int num_groups, const Tensor& gamma, const Te
   auto xi = x.impl();
   auto gi = gamma.impl();
   auto bi = beta.impl();
-  Tensor out = make_op_output<"group_norm">(
+  Tensor out = make_op_output(
       x.shape(), {&x, &gamma, &beta},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;

@@ -59,27 +59,6 @@ void upsample_bilinear_forward(int n, int c, int h, int w, int out_h, int out_w,
   }
 }
 
-void avg_pool2d_forward(int n, int c, int h, int w, int oh, int ow, int k, float inv,
-                        const float* xd, float* y) {
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      const std::size_t ib = (static_cast<std::size_t>(b) * c + ch) * h * w;
-      const std::size_t ob = (static_cast<std::size_t>(b) * c + ch) * oh * ow;
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          float acc = 0.0f;
-          for (int dy = 0; dy < k; ++dy) {
-            for (int dx = 0; dx < k; ++dx) {
-              acc += xd[ib + static_cast<std::size_t>(oy * k + dy) * w + ox * k + dx];
-            }
-          }
-          y[ob + static_cast<std::size_t>(oy) * ow + ox] = acc * inv;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w) {
@@ -88,7 +67,7 @@ Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w) {
   if (out_h <= 0 || out_w <= 0) throw std::invalid_argument("upsample_bilinear: bad size");
 
   auto xi = x.impl();
-  Tensor out = make_op_output<"upsample_bilinear">(
+  Tensor out = make_op_output(
       {n, c, out_h, out_w}, {&x}, [xi, n, c, h, w, out_h, out_w](TensorImpl& self) {
         if (!xi->requires_grad) return;
         xi->ensure_grad();
@@ -122,77 +101,6 @@ Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w) {
       upsample_bilinear_forward(n, c, h, w, out_h, out_w, in[0], o);
     };
   });
-  return out;
-}
-
-Tensor avg_pool2d(const Tensor& x, int k) {
-  if (x.shape().size() != 4) throw std::invalid_argument("avg_pool2d: expected NCHW");
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  if (k <= 0 || h % k != 0 || w % k != 0) {
-    throw std::invalid_argument("avg_pool2d: spatial dims must divide k");
-  }
-  const int oh = h / k, ow = w / k;
-  const float inv = 1.0f / static_cast<float>(k * k);
-
-  auto xi = x.impl();
-  Tensor out = make_op_output<"avg_pool2d">(
-      {n, c, oh, ow}, {&x}, [xi, n, c, h, w, oh, ow, k, inv](TensorImpl& self) {
-        if (!xi->requires_grad) return;
-        xi->ensure_grad();
-        for (int b = 0; b < n; ++b) {
-          for (int ch = 0; ch < c; ++ch) {
-            const std::size_t ib = (static_cast<std::size_t>(b) * c + ch) * h * w;
-            const std::size_t ob = (static_cast<std::size_t>(b) * c + ch) * oh * ow;
-            for (int oy = 0; oy < oh; ++oy) {
-              for (int ox = 0; ox < ow; ++ox) {
-                const float g = self.grad[ob + static_cast<std::size_t>(oy) * ow + ox] * inv;
-                for (int dy = 0; dy < k; ++dy) {
-                  for (int dx = 0; dx < k; ++dx) {
-                    xi->grad[ib + static_cast<std::size_t>(oy * k + dy) * w + ox * k + dx] += g;
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
-
-  avg_pool2d_forward(n, c, h, w, oh, ow, k, inv, x.data().data(), out.data().data());
-  trace_op("avg_pool2d", {&x}, out, [n, c, h, w, oh, ow, k, inv]() -> OpKernel {
-    return [n, c, h, w, oh, ow, k, inv](const float* const* in, float* o) {
-      avg_pool2d_forward(n, c, h, w, oh, ow, k, inv, in[0], o);
-    };
-  });
-  return out;
-}
-
-Tensor global_avg_pool(const Tensor& x) {
-  if (x.shape().size() != 4) throw std::invalid_argument("global_avg_pool: expected NCHW");
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const float inv = 1.0f / static_cast<float>(plane);
-
-  auto xi = x.impl();
-  Tensor out = make_op_output<"global_avg_pool">(
-      {n, c}, {&x}, [xi, n, c, plane, inv](TensorImpl& self) {
-        if (!xi->requires_grad) return;
-        xi->ensure_grad();
-        for (int b = 0; b < n; ++b) {
-          for (int ch = 0; ch < c; ++ch) {
-            const float g = self.grad[static_cast<std::size_t>(b) * c + ch] * inv;
-            const std::size_t base = (static_cast<std::size_t>(b) * c + ch) * plane;
-            for (std::size_t i = 0; i < plane; ++i) xi->grad[base + i] += g;
-          }
-        }
-      });
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      const std::size_t base = (static_cast<std::size_t>(b) * c + ch) * plane;
-      double acc = 0.0;
-      for (std::size_t i = 0; i < plane; ++i) acc += x.data()[base + i];
-      out.data()[static_cast<std::size_t>(b) * c + ch] = static_cast<float>(acc * inv);
-    }
-  }
   return out;
 }
 

@@ -4,32 +4,8 @@
 
 namespace laco::nn {
 
-void Optimizer::zero_grad() {
-  for (Tensor& p : params_) p.zero_grad();
-}
-
-Sgd::Sgd(std::vector<Tensor> parameters, float lr, float momentum)
-    : Optimizer(std::move(parameters)), lr_(lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    velocity_[i].assign(params_[i].data().size(), 0.0f);
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    if (p.grad().size() != p.data().size()) continue;  // never touched by backward
-    auto& vel = velocity_[i];
-    for (std::size_t j = 0; j < p.data().size(); ++j) {
-      vel[j] = momentum_ * vel[j] + p.grad()[j];
-      p.data()[j] -= lr_ * vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> parameters, float lr, float beta1, float beta2, float eps)
-    : Optimizer(std::move(parameters)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
+    : params_(std::move(parameters)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   m_.resize(params_.size());
   v_.resize(params_.size());
   for (std::size_t i = 0; i < params_.size(); ++i) {
@@ -56,6 +32,10 @@ void Adam::step() {
       p.data()[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
+}
+
+void Adam::zero_grad() {
+  for (Tensor& p : params_) p.zero_grad();
 }
 
 }  // namespace laco::nn

@@ -1,6 +1,5 @@
-// First-order optimizers over a flat parameter list: SGD (+momentum)
-// and Adam. step() consumes the gradients accumulated by backward();
-// call zero_grad() between iterations.
+// Adam over a flat parameter list. step() consumes the gradients
+// accumulated by backward(); call zero_grad() between iterations.
 #pragma once
 
 #include <vector>
@@ -9,37 +8,17 @@
 
 namespace laco::nn {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Tensor> parameters) : params_(std::move(parameters)) {}
-  virtual ~Optimizer() = default;
-  virtual void step() = 0;
-  void zero_grad();
-
- protected:
-  std::vector<Tensor> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> parameters, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-class Adam : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<Tensor> parameters, float lr = 1e-3f, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
-  void step() override;
+  void step();
+  void zero_grad();
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
 
  private:
+  std::vector<Tensor> params_;
   float lr_, beta1_, beta2_, eps_;
   int t_ = 0;
   std::vector<std::vector<float>> m_, v_;

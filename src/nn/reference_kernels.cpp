@@ -62,7 +62,7 @@ Tensor conv2d(const Tensor& x, const Tensor& weight, const Tensor& bias, int str
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output<"reference_conv2d">(
+  Tensor out = make_op_output(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -153,7 +153,7 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& weight, const Tensor& bia
   auto wi = weight.impl();
   auto bi = bias.defined() ? bias.impl() : nullptr;
 
-  Tensor out = make_op_output<"reference_conv_transpose2d">(
+  Tensor out = make_op_output(
       {n, cout, oh, ow}, {&x, &weight, &bias},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -285,7 +285,7 @@ Tensor group_norm(const Tensor& x, int num_groups, const Tensor& gamma, const Te
   auto xi = x.impl();
   auto gi = gamma.impl();
   auto bi = beta.impl();
-  Tensor out = make_op_output<"reference_group_norm">(
+  Tensor out = make_op_output(
       x.shape(), {&x, &gamma, &beta},
       [=](TensorImpl& self) {
         const bool need_x = xi->requires_grad;
@@ -365,7 +365,7 @@ Tensor upsample_bilinear(const Tensor& x, int out_h, int out_w) {
   }
 
   auto xi = x.impl();
-  Tensor out = make_op_output<"reference_upsample_bilinear">(
+  Tensor out = make_op_output(
       {n, c, out_h, out_w}, {&x}, [xi, n, c, h, w, out_h, out_w](TensorImpl& self) {
         if (!xi->requires_grad) return;
         xi->ensure_grad();

@@ -8,9 +8,8 @@
 // accumulation order, so tests pin *bitwise* equality of forwards and
 // backwards (tests/test_nn_kernels.cpp), not just rtol closeness.
 // Reference ops record the same autograd closures the naive ops did;
-// they are single-threaded and never traced for plans, their forwards
-// are untimed, and their backwards count as `nn.op.reference_<op>_bwd`
-// — production code must not call them.
+// they are single-threaded and never traced for plans — production
+// code must not call them.
 #pragma once
 
 #include "nn/tensor.hpp"

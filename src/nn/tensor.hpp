@@ -22,7 +22,7 @@
 //    set_requires_grad() require exclusive ownership of the tensors
 //    involved — never run them concurrently with shared-weight
 //    inference. Model owners freeze parameters once (requires_grad =
-//    false, see serve::ModelRegistry) before sharing across threads.
+//    false, see serve::clone_frozen) before sharing across threads.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,6 @@ std::int64_t numel(const Shape& shape);
 std::string shape_str(const Shape& shape);
 
 class Tensor;
-struct OpStats;  // nn/kernel_pool.hpp
 
 struct TensorImpl {
   Shape shape;
@@ -50,9 +49,6 @@ struct TensorImpl {
   std::vector<std::shared_ptr<TensorImpl>> parents;
   /// Accumulates this tensor's grad into its parents' grads.
   std::function<void(TensorImpl&)> backward_fn;
-  /// The recording op's `nn.op.<name>_bwd` counters, set together with
-  /// backward_fn by make_op_output; backward() times each call with them.
-  const OpStats& (*backward_stats)() = nullptr;
 
   void ensure_grad() {
     if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);

@@ -83,7 +83,7 @@ class FailpointRegistry {
 
   /// Arms points from a spec string:
   ///   name=mode[:prob[:seed[:delay_ms]]][,name=mode...]
-  /// e.g. "serve.forward=error:0.1:42,registry.load=delay:1:7:5".
+  /// e.g. "serve.forward=error:0.1:42,placer.iteration=delay:1:7:5".
   /// Returns the number of points armed; throws std::invalid_argument
   /// on a malformed spec.
   int configure_from_spec(const std::string& spec) LACO_EXCLUDES(mutex_);

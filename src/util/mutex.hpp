@@ -40,9 +40,10 @@ class LACO_CAPABILITY("mutex") Mutex {
   std::mutex raw_;
 };
 
-/// RAII scoped lock over Mutex, with explicit unlock()/lock() for the
-/// drop-the-lock-around-slow-work pattern (see serve::ModelRegistry).
-/// The destructor releases only if currently held.
+/// RAII scoped lock over Mutex, with an explicit unlock() for the
+/// drop-the-lock-before-a-callback pattern (see
+/// serve::InferenceService::submit). The destructor releases only if
+/// still held.
 class LACO_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) LACO_ACQUIRE(mutex) : mutex_(mutex) { mutex_.lock(); }
@@ -53,16 +54,10 @@ class LACO_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  /// Releases early (e.g. before blocking I/O); safe to re-lock() later.
+  /// Releases early (e.g. before running a caller's callback).
   void unlock() LACO_RELEASE() {
     mutex_.unlock();
     held_ = false;
-  }
-
-  /// Re-acquires after an explicit unlock().
-  void lock() LACO_ACQUIRE() {
-    mutex_.lock();
-    held_ = true;
   }
 
  private:

@@ -35,7 +35,6 @@ void expect_released(Op op, const char* name) {
 
 TEST(GraphLifetime, ElementwiseOpsRelease) {
   expect_released([](const Tensor& t) { return leaky_relu(t, 0.1f); }, "leaky_relu");
-  expect_released([](const Tensor& t) { return sigmoid(t); }, "sigmoid");
   expect_released([](const Tensor& t) { return exp_op(t); }, "exp");
   expect_released([](const Tensor& t) { return square(t); }, "square");
   expect_released([](const Tensor& t) { return scale(t, 2.0f); }, "scale");
@@ -48,7 +47,6 @@ TEST(GraphLifetime, StructuralOpsRelease) {
   expect_released([](const Tensor& t) { return slice_channels(t, 0, 2); }, "slice");
   expect_released([](const Tensor& t) { return cat_channels({t, t}); }, "cat");
   expect_released([](const Tensor& t) { return upsample_bilinear(t, 4, 4); }, "upsample");
-  expect_released([](const Tensor& t) { return avg_pool2d(t, 2); }, "avg_pool");
   expect_released([](const Tensor& t) { return stack_batch({t, t}); }, "stack_batch");
 }
 

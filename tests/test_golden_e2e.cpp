@@ -104,7 +104,6 @@ Json exact_metrics(const LacoRunResult& r) {
   e["penalty.learned_applications"] = r.penalty_stats.learned_applications;
   e["penalty.learned_failures"] = r.penalty_stats.learned_failures;
   e["penalty.analytic_fallbacks"] = r.penalty_stats.analytic_fallbacks;
-  e["penalty.degradations"] = r.penalty_stats.degradations;
   return e;
 }
 
@@ -173,7 +172,6 @@ TEST(GoldenE2E, PenaltyScheduleIsExact) {
   EXPECT_EQ(r.penalty_stats.learned_applications, 5u);
   EXPECT_EQ(r.penalty_stats.learned_failures, 0u);
   EXPECT_EQ(r.penalty_stats.analytic_fallbacks, 0u);
-  EXPECT_EQ(r.penalty_stats.degradations, 0u);
 }
 
 TEST(GoldenE2E, MatchesGolden) {

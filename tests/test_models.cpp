@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -15,7 +13,6 @@
 #include "models/vae_branch.hpp"
 #include "nn/autograd.hpp"
 #include "nn/optimizer.hpp"
-#include "obs/metrics.hpp"
 
 namespace laco {
 namespace {
@@ -141,11 +138,12 @@ TEST(LookAhead, LearnsToCopyLastFrame) {
   EXPECT_LT(last, first * 0.5);
 }
 
-TEST(NamedOps, FrozenFgApplicationCountsEveryBackwardOp) {
+TEST(FrozenFgApplication, GradientsReachLoAndHiInputs) {
   // One penalty application as CongestionPenalty::build_input runs it,
   // on small frozen models: g on the stacked frames, its prediction
   // upsampled to f's grid and concatenated with the current frame, the
-  // mean square of f's output, then backward to both feature inputs.
+  // mean square of f's output, then backward to both feature inputs:
+  // the current frame at g's resolution (lo) and at f's (hi).
   nn::reset_init_seed(31);
   LookAheadConfig gc;
   gc.frames = 2;
@@ -171,22 +169,7 @@ TEST(NamedOps, FrozenFgApplicationCountsEveryBackwardOp) {
   const nn::Tensor pred = g.forward(nn::cat_channels({context, lo})).prediction;
   const nn::Tensor f_in = nn::cat_channels({nn::upsample_bilinear(pred, 16, 16), hi});
   nn::Tensor loss = nn::mean_square(f.forward(f_in));
-
-  // Every op kind in that graph: mean_square is scale(sum(square(·))),
-  // and add is the Inception block's residual.
-  const char* const kinds[] = {"conv2d",       "conv_transpose2d",  "group_norm", "leaky_relu",
-                               "cat_channels", "upsample_bilinear", "add",        "square",
-                               "sum",          "scale"};
-  obs::MetricRegistry& reg = obs::MetricRegistry::global();
-  std::vector<std::uint64_t> before;
-  for (const char* kind : kinds) {
-    before.push_back(reg.counter(std::string("nn.op.") + kind + "_bwd.calls").value());
-  }
   loss.backward();
-  for (std::size_t i = 0; i < std::size(kinds); ++i) {
-    const std::string name = std::string("nn.op.") + kinds[i] + "_bwd";
-    EXPECT_GT(reg.counter(name + ".calls").value(), before[i]) << name;
-  }
   EXPECT_FALSE(lo.grad().empty());
   EXPECT_FALSE(hi.grad().empty());
 }

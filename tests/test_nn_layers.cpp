@@ -61,37 +61,6 @@ TEST(Layers, ConvTransposeDoublesResolution) {
   EXPECT_EQ(deconv.forward(x).shape(), (Shape{1, 2, 10, 10}));
 }
 
-TEST(Layers, LinearShape) {
-  Linear fc(10, 3);
-  Tensor x = Tensor::zeros({4, 10});
-  EXPECT_EQ(fc.forward(x).shape(), (Shape{4, 3}));
-}
-
-TEST(Optimizer, SgdDescendsQuadratic) {
-  // minimize (w - 3)^2.
-  Tensor w = Tensor::scalar(0.0f, true);
-  Sgd opt({w}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.zero_grad();
-    Tensor loss = square(add_scalar(w, -3.0f));
-    loss.backward();
-    opt.step();
-  }
-  EXPECT_NEAR(w.data()[0], 3.0f, 1e-3);
-}
-
-TEST(Optimizer, SgdMomentumDescends) {
-  Tensor w = Tensor::scalar(0.0f, true);
-  Sgd opt({w}, 0.02f, 0.9f);
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    Tensor loss = square(add_scalar(w, -3.0f));
-    loss.backward();
-    opt.step();
-  }
-  EXPECT_NEAR(w.data()[0], 3.0f, 1e-2);
-}
-
 TEST(Optimizer, AdamDescendsQuadratic) {
   Tensor w = Tensor::from_data({2}, {5.0f, -5.0f}, true);
   Adam opt({w}, 0.1f);

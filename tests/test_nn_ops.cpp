@@ -69,12 +69,8 @@ TEST(ElementwiseForward, Values) {
   Tensor a = Tensor::from_data({4}, {-2, -0.5, 0.5, 2});
   EXPECT_FLOAT_EQ(leaky_relu(a, 0.1f).data()[0], -0.2f);
   EXPECT_FLOAT_EQ(leaky_relu(a, 0.1f).data()[3], 2.0f);
-  EXPECT_FLOAT_EQ(relu(a).data()[0], 0.0f);
-  EXPECT_NEAR(sigmoid(a).data()[3], 1.0f / (1.0f + std::exp(-2.0f)), 1e-6);
-  EXPECT_NEAR(tanh_op(a).data()[0], std::tanh(-2.0f), 1e-6);
   EXPECT_NEAR(exp_op(a).data()[3], std::exp(2.0f), 1e-4);
   EXPECT_FLOAT_EQ(square(a).data()[0], 4.0f);
-  EXPECT_FLOAT_EQ(neg(a).data()[3], -2.0f);
   EXPECT_FLOAT_EQ(add_scalar(a, 1.0f).data()[0], -1.0f);
 }
 
@@ -101,26 +97,21 @@ void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
 class UnaryGradCheck : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnaryGradCheck, MatchesFiniteDifference) {
-  Tensor x = randn({3, 4}, 99, 0.2f, 1.5f);  // positive domain (log/sqrt safe)
+  Tensor x = randn({3, 4}, 99, 0.2f, 1.5f);  // positive domain, off leaky_relu's kink
   const auto [name, op] = GetParam();
   const double err = gradient_check([op = op](const Tensor& t) { return sum(op(t)); }, x);
   EXPECT_LT(err, 2e-2) << name;
 }
 
 Tensor op_leaky(const Tensor& t) { return leaky_relu(t, 0.1f); }
-Tensor op_sigmoid(const Tensor& t) { return sigmoid(t); }
-Tensor op_tanh(const Tensor& t) { return tanh_op(t); }
 Tensor op_exp(const Tensor& t) { return exp_op(t); }
-Tensor op_log(const Tensor& t) { return log_op(t); }
 Tensor op_square(const Tensor& t) { return square(t); }
 Tensor op_scale(const Tensor& t) { return scale(t, -2.5f); }
 
 INSTANTIATE_TEST_SUITE_P(
     Ops, UnaryGradCheck,
-    ::testing::Values(UnaryCase{"leaky_relu", &op_leaky}, UnaryCase{"sigmoid", &op_sigmoid},
-                      UnaryCase{"tanh", &op_tanh}, UnaryCase{"exp", &op_exp},
-                      UnaryCase{"log", &op_log}, UnaryCase{"square", &op_square},
-                      UnaryCase{"scale", &op_scale}));
+    ::testing::Values(UnaryCase{"leaky_relu", &op_leaky}, UnaryCase{"exp", &op_exp},
+                      UnaryCase{"square", &op_square}, UnaryCase{"scale", &op_scale}));
 
 TEST(GradCheck, MulBothSides) {
   Tensor a = randn({6}, 1);
@@ -129,24 +120,6 @@ TEST(GradCheck, MulBothSides) {
   const double err =
       gradient_check([&b](const Tensor& t) { return sum(mul(t, b)); }, a);
   EXPECT_LT(err, 1e-2);
-}
-
-TEST(GradCheck, Linear) {
-  Tensor w = randn({3, 5}, 7);
-  Tensor b = randn({3}, 8);
-  Tensor x = randn({2, 5}, 9);
-  EXPECT_LT(gradient_check([&](const Tensor& t) { return sum(linear(t, w, b)); }, x), 1e-2);
-  EXPECT_LT(gradient_check([&](const Tensor& t) { return sum(linear(x, t, b)); }, w), 1e-2);
-  EXPECT_LT(gradient_check([&](const Tensor& t) { return sum(linear(x, w, t)); }, b), 1e-2);
-}
-
-TEST(LinearForward, KnownValues) {
-  Tensor x = Tensor::from_data({1, 2}, {1, 2});
-  Tensor w = Tensor::from_data({2, 2}, {1, 0, 0, 1});
-  Tensor b = Tensor::from_data({2}, {10, 20});
-  Tensor y = linear(x, w, b);
-  EXPECT_FLOAT_EQ(y.data()[0], 11.0f);
-  EXPECT_FLOAT_EQ(y.data()[1], 22.0f);
 }
 
 TEST(Conv2dForward, IdentityKernel) {
@@ -326,23 +299,6 @@ TEST(GradCheck, UpsampleBilinear) {
   EXPECT_LT(gradient_check(
                 [](const Tensor& t) { return sum(square(upsample_bilinear(t, 6, 6))); }, x),
             1e-2);
-}
-
-TEST(Resample, AvgPoolValuesAndShape) {
-  Tensor x = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
-  Tensor y = avg_pool2d(x, 2);
-  EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 1}));
-  EXPECT_FLOAT_EQ(y.data()[0], 2.5f);
-  EXPECT_THROW(avg_pool2d(x, 3), std::invalid_argument);
-}
-
-TEST(GradCheck, AvgPoolAndGlobalPool) {
-  Tensor x = randn({1, 2, 4, 4}, 32);
-  EXPECT_LT(gradient_check([](const Tensor& t) { return sum(square(avg_pool2d(t, 2))); }, x),
-            1e-2);
-  EXPECT_LT(
-      gradient_check([](const Tensor& t) { return sum(square(global_avg_pool(t))); }, x),
-      1e-2);
 }
 
 TEST(Losses, MseKnownValue) {

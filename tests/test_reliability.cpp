@@ -25,7 +25,6 @@
 #include "netlist/generator.hpp"
 #include "nn/serialize.hpp"
 #include "serve/errors.hpp"
-#include "serve/model_registry.hpp"
 #include "serve/service.hpp"
 #include "train/snapshot.hpp"
 #include "util/crc32.hpp"
@@ -37,13 +36,13 @@ namespace {
 
 // ---------------------------------------------------------------- fixtures
 
-std::shared_ptr<const LacoModels> tiny_models(LacoScheme scheme, unsigned seed = 900) {
+std::shared_ptr<const LacoModels> tiny_models(LacoScheme scheme) {
   auto models = std::make_shared<LacoModels>();
   models->scheme = scheme;
   CongestionFcnConfig fc;
   fc.in_channels = f_in_channels(scheme);
   fc.base_width = 4;
-  nn::reset_init_seed(seed);
+  nn::reset_init_seed(900);
   models->congestion = std::make_shared<CongestionFcn>(fc);
   if (traits_of(scheme).uses_lookahead) {
     LookAheadConfig gc;
@@ -215,20 +214,14 @@ TEST(CheckpointIntegrity, RegistryRejectsCorruptCheckpointWithPath) {
     byte = static_cast<char>(byte ^ 0x40);
     f.write(&byte, 1);
   }
-  serve::ModelRegistry registry;
   try {
-    registry.get(dir);
+    load_models(dir);
     FAIL() << "corrupt model set loaded";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(dir), std::string::npos) << what;
     EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
   }
-  EXPECT_FALSE(registry.resident(dir));
-  // The corrupt load left no pending entry: a fixed checkpoint loads.
-  LacoModels fixed = *tiny_models(LacoScheme::kDreamCong, 901);
-  ASSERT_TRUE(save_models(fixed, dir));
-  EXPECT_NE(registry.get(dir), nullptr);
   std::filesystem::remove_all(dir);
 }
 
@@ -504,9 +497,7 @@ TEST(GracefulDegradation, AnalyticFallbackKeepsPenaltyActive) {
   GeneratorConfig gcfg;
   gcfg.num_cells = 60;
   Design d = generate_design(gcfg);
-  PenaltyConfig pc = small_penalty_config();
-  pc.degrade_threshold = 2;
-  pc.reprobe_after = 3;
+  const PenaltyConfig pc = small_penalty_config();
   CongestionPenalty penalty(pc, broken_models());
 
   std::vector<double> gx(d.num_cells(), 0.0), gy(d.num_cells(), 0.0);
@@ -519,11 +510,10 @@ TEST(GracefulDegradation, AnalyticFallbackKeepsPenaltyActive) {
   }
   const PenaltyStats& stats = penalty.stats();
   EXPECT_EQ(stats.applications, 12u);
-  EXPECT_EQ(stats.learned_applications, 0u);  // every learned attempt fails
-  EXPECT_GE(stats.learned_failures, 2u);
-  EXPECT_EQ(stats.analytic_fallbacks, 12u);
-  EXPECT_GE(stats.degradations, 1u);  // threshold crossed, benched, re-probed
-  EXPECT_GT(last, 0.0);               // analytic RUDY² loss is positive
+  EXPECT_EQ(stats.learned_applications, 0u);
+  EXPECT_EQ(stats.learned_failures, 1u);  // the first failure ends the learned path
+  EXPECT_EQ(stats.analytic_fallbacks, stats.applications);
+  EXPECT_GT(last, 0.0);  // analytic RUDY² loss is positive
   double moved = 0.0;
   for (std::size_t i = 0; i < gx.size(); ++i) moved += std::abs(gx[i] - gx_before[i]);
   EXPECT_GT(moved, 0.0);  // the fallback still pushes cells
@@ -537,9 +527,10 @@ TEST(GracefulDegradation, HealthyModelNeverDegrades) {
   std::vector<double> gx(d.num_cells(), 0.0), gy(d.num_cells(), 0.0);
   gx[static_cast<std::size_t>(d.movable_cells()[0])] = 1.0;
   for (int iter = 0; iter < 10; ++iter) penalty(d, iter, gx, gy);
+  EXPECT_GT(penalty.stats().applications, 0u);
+  EXPECT_EQ(penalty.stats().learned_applications, penalty.stats().applications);
   EXPECT_EQ(penalty.stats().learned_failures, 0u);
   EXPECT_EQ(penalty.stats().analytic_fallbacks, 0u);
-  EXPECT_FALSE(penalty.degraded());
 }
 
 TEST(GracefulDegradation, PlacementRunCompletesOnBrokenModel) {
@@ -552,7 +543,6 @@ TEST(GracefulDegradation, PlacementRunCompletesOnBrokenModel) {
   cfg.placer.bin_ny = 8;
   cfg.placer.max_iterations = 40;
   cfg.penalty = small_penalty_config();
-  cfg.penalty.degrade_threshold = 2;
   cfg.router.grid.nx = 8;
   cfg.router.grid.ny = 8;
   const LacoModels models = broken_models();

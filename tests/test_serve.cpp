@@ -2,8 +2,7 @@
 // thread pool semantics, batcher flush policy, batched-vs-sequential
 // output equivalence, concurrent submission, queue_limit admission,
 // rejection of malformed submits, the per-request completion hook on
-// every outcome, frozen model clones, and model-registry caching / LRU
-// eviction.
+// every outcome, and frozen model clones.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,13 +30,13 @@ using namespace std::chrono_literals;
 
 // ---------------------------------------------------------------- fixtures
 
-std::shared_ptr<const LacoModels> tiny_models(LacoScheme scheme, unsigned seed = 900) {
+std::shared_ptr<const LacoModels> tiny_models(LacoScheme scheme) {
   auto models = std::make_shared<LacoModels>();
   models->scheme = scheme;
   CongestionFcnConfig fc;
   fc.in_channels = f_in_channels(scheme);
   fc.base_width = 4;
-  nn::reset_init_seed(seed);
+  nn::reset_init_seed(900);
   models->congestion = std::make_shared<CongestionFcn>(fc);
   if (traits_of(scheme).uses_lookahead) {
     LookAheadConfig gc;
@@ -554,97 +553,20 @@ TEST(Percentile, NearestRank) {
   EXPECT_DOUBLE_EQ(serve::percentile({3.0, 1.0, 2.0}, 0.0), 1.0);
 }
 
-// ----------------------------------------------------------- ModelRegistry
+// ------------------------------------------------------------ CloneFrozen
 
-TEST(ModelRegistry, LoadsOnceAndCountsHits) {
-  const std::string dir = ::testing::TempDir() + "/registry_once";
-  ASSERT_TRUE(save_models(*tiny_models(LacoScheme::kDreamCong), dir));
-  serve::ModelRegistry registry;
-  const auto a = registry.get(dir);
-  const auto b = registry.get(dir);
-  EXPECT_EQ(a.get(), b.get());  // same resident instance
-  const auto stats = registry.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.resident_models, 1u);
-  EXPECT_GT(stats.resident_bytes, 0u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ModelRegistry, RegistryModelsArriveFrozen) {
-  const std::string dir = ::testing::TempDir() + "/registry_frozen";
-  // save_models round-trip loads with requires_grad = true by default;
-  // the registry must freeze before sharing.
+TEST(CloneFrozen, LoadedSetArrivesFrozen) {
+  const std::string dir = ::testing::TempDir() + "/clone_frozen_loaded";
+  // load_models builds its networks with requires_grad = true; the
+  // clone the service shares must be frozen.
   ASSERT_TRUE(save_models(*tiny_models(LacoScheme::kCellFlowKL), dir));
-  serve::ModelRegistry registry;
-  const auto models = registry.get(dir);
+  const auto models = serve::clone_frozen(load_models(dir));
   for (const nn::Tensor& p : models->congestion->parameters()) {
     EXPECT_FALSE(p.requires_grad());
   }
   for (const nn::Tensor& p : models->lookahead->parameters()) {
     EXPECT_FALSE(p.requires_grad());
   }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ModelRegistry, LruEvictionAndReloadRoundTrip) {
-  const std::string dir_a = ::testing::TempDir() + "/registry_lru_a";
-  const std::string dir_b = ::testing::TempDir() + "/registry_lru_b";
-  const auto original_a = tiny_models(LacoScheme::kDreamCong, /*seed=*/1);
-  const auto original_b = tiny_models(LacoScheme::kDreamCong, /*seed=*/2);
-  ASSERT_TRUE(save_models(*original_a, dir_a));
-  ASSERT_TRUE(save_models(*original_b, dir_b));
-
-  serve::RegistryConfig cfg;
-  cfg.memory_budget_bytes = serve::model_footprint_bytes(*original_a) + 1;  // fits one
-  serve::ModelRegistry registry(cfg);
-
-  const auto a = registry.get(dir_a);
-  EXPECT_TRUE(registry.resident(dir_a));
-  const auto b = registry.get(dir_b);  // evicts a (LRU)
-  EXPECT_TRUE(registry.resident(dir_b));
-  EXPECT_FALSE(registry.resident(dir_a));
-  EXPECT_EQ(registry.stats().evictions, 1u);
-
-  // The evicted set stays usable through the caller's shared_ptr.
-  EXPECT_EQ(a->scheme, LacoScheme::kDreamCong);
-  EXPECT_FALSE(a->congestion->parameters().empty());
-
-  // Re-requesting a reloads from disk with identical parameters.
-  const auto a2 = registry.get(dir_a);
-  EXPECT_NE(a.get(), a2.get());
-  const auto pa = a->congestion->parameters();
-  const auto pa2 = a2->congestion->parameters();
-  ASSERT_EQ(pa.size(), pa2.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i].data(), pa2[i].data());
-  EXPECT_EQ(registry.stats().misses, 3u);
-
-  std::filesystem::remove_all(dir_a);
-  std::filesystem::remove_all(dir_b);
-}
-
-TEST(ModelRegistry, MissingDirectoryThrowsAndIsNotCached) {
-  serve::ModelRegistry registry;
-  EXPECT_THROW(registry.get("/nonexistent/laco_registry"), std::runtime_error);
-  EXPECT_THROW(registry.get("/nonexistent/laco_registry"), std::runtime_error);
-  EXPECT_EQ(registry.stats().resident_models, 0u);
-}
-
-TEST(ModelRegistry, ConcurrentGetsCoalesceIntoOneLoad) {
-  const std::string dir = ::testing::TempDir() + "/registry_concurrent";
-  ASSERT_TRUE(save_models(*tiny_models(LacoScheme::kDreamCong), dir));
-  serve::ModelRegistry registry;
-  constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const LacoModels>> results(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] { results[static_cast<std::size_t>(t)] = registry.get(dir); });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(results[0].get(), results[static_cast<std::size_t>(t)].get());
-  }
-  EXPECT_EQ(registry.stats().misses, 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -58,7 +58,7 @@
 //   `laco serve` exits 2 on any option not listed for its mode.
 //
 // The LACO_FAILPOINTS environment variable arms failpoints in any
-// subcommand, e.g. LACO_FAILPOINTS=registry.load=error laco place ...
+// subcommand, e.g. LACO_FAILPOINTS=laco.penalty=error laco place ...
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -223,15 +223,13 @@ int cmd_place(const Args& args) {
       std::cerr << "place: scheme '" << scheme_name << "' needs --models DIR\n";
       return 2;
     }
-    // One load path for CLI and service: the process-wide registry
-    // caches the set, so repeated embedded invocations skip the disk.
-    const auto shared = serve::shared_registry().get(dir);
-    if (shared->scheme != cfg.scheme) {
+    // CongestionPenalty freezes the networks it is given.
+    models = load_models(dir);
+    if (models.scheme != cfg.scheme) {
       std::cerr << "place: models in " << dir << " were trained for "
-                << to_string(shared->scheme) << "\n";
+                << to_string(models.scheme) << "\n";
       return 2;
     }
-    models = *shared;  // shallow copy: networks stay shared (and frozen)
     models_ptr = &models;
   }
 
@@ -392,7 +390,7 @@ int cmd_plan_verify(const Args& args) {
   std::shared_ptr<const LacoModels> models;
   const std::string dir = args.get("models", "");
   if (!dir.empty()) {
-    models = serve::shared_registry().get(dir);
+    models = serve::clone_frozen(load_models(dir));
   } else {
     models = demo_models(true);
     std::cout << "no --models given: verifying a randomly initialized demo set\n";
@@ -655,7 +653,7 @@ int cmd_serve(const Args& args) {
   std::shared_ptr<const LacoModels> models;
   const std::string dir = args.get("models", "");
   if (!dir.empty()) {
-    models = serve::shared_registry().get(dir);
+    models = serve::clone_frozen(load_models(dir));
   } else {
     models = demo_models(kind_name != "congestion");
     std::cout << "no --models given: using a randomly initialized demo set\n";
